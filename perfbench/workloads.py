@@ -1,12 +1,13 @@
-"""The benchmark's three workloads, driven through the library's public API.
+"""The benchmark's two workloads, driven through the library's public API.
 
-Every workload does both halves of the paper: Algorithm 2 (cold
-``generate_fusion`` calls, plus warm hits served from an
-``ArtifactStore``) and Algorithm 3 (a ``VectorizedRuntime`` fleet of the
-fused system, stepped by event matrices and healed by ``recover_fleet``).
-What differs is which layers carry the weight; ``README.md`` says why
-each workload was chosen.  Every output is checked against an answer the
-benchmark knows independently, and every check counts as one operation.
+Every workload does both halves of the paper in three kinds of unit:
+cold passes and warm hits of Algorithm 2 (``generate_fusion`` computing
+from scratch, or served from an ``ArtifactStore``) and fleet rounds of
+Algorithm 3 (a ``VectorizedRuntime`` fleet of the fused system, stepped
+by event matrices and healed by ``recover_fleet``).  What differs is
+which layers carry the weight; ``README.md`` says why each workload was
+chosen.  Every output is checked against an answer the benchmark knows
+independently, and every check counts as one operation.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from bench_network_chaos_smoke import _zoo as zoo_machines
 from bench_perf_regression import CASES, EXPECTED_SUMMARIES
 from bench_runtime import GENERATION_CASES
 from repro import BatchRecovery, VectorizedRuntime, generate_fusion, recover_fleet
-from repro.core.resilience import live_owned_segments
 from repro.core.shm import SharedWorkerPool
 from repro.io.store import ArtifactStore
 from repro.machines.random_machines import random_counter_family
@@ -43,6 +43,9 @@ STEPS = 40
 
 #: Instances whose states are re-derived in Python after every step.
 WATCHED_INSTANCES = 16
+
+#: Where POSIX shared-memory segments appear as files.
+SHM_DIR = "/dev/shm"
 
 #: Counters of the resilience and budget layers that mean a degraded run.
 DEGRADATION_COUNTERS = {
@@ -86,6 +89,14 @@ class Job:
     @property
     def key(self) -> str:
         return "%s f=%d%s" % (self.label, self.f, " byzantine" if self.byzantine else "")
+
+
+def shm_segments() -> set:
+    """Names of the ``psm_*`` shared-memory segments linked in ``/dev/shm``."""
+    try:
+        return {name for name in os.listdir(SHM_DIR) if name.startswith("psm_")}
+    except FileNotFoundError:
+        return set()
 
 
 def degradation_problems(watch: Stopwatch) -> List[str]:
@@ -137,7 +148,7 @@ class Fleet:
             for m, machine in enumerate(self.machines):
                 states[m] = machine.step(states[m], event)
 
-    def apply_matrix(self, run: Run, rng, steps: int = STEPS) -> None:
+    def apply_matrix(self, run: Run, rng, steps: int = STEPS, timed: bool = True) -> None:
         size = self.runtime.num_instances
         matrix = rng.integers(0, len(self.events), size=(steps, size))
         settle()
@@ -145,7 +156,8 @@ class Fleet:
             start = time.perf_counter()
             self.runtime.apply_event_matrix(matrix)
             elapsed = time.perf_counter() - start
-        run.sample("events_per_s", steps * size / elapsed)
+        if timed:
+            run.sample("events_per_s", steps * size / elapsed)
         for column, instance in enumerate(self.watched):
             self._advance_truth(column, [self.events[e] for e in matrix[:, instance]])
         run.check("apply_event_matrix", self._state_problems())
@@ -211,15 +223,16 @@ class Fleet:
 
 
 class Workload:
-    """Shared pass machinery; subclasses fix the inputs and worker count."""
+    """Shared unit machinery; subclasses fix the inputs and worker count."""
 
     name = ""
     workers = 1
     fleet_instances = 2**17
     cohort_size = 8
-    matrices_per_pass = 2
-    recoveries_per_pass = 4
-    warm_hits_per_pass = 2
+    #: Share of the measured seconds each kind of unit gets.
+    shares = {"cold": 0.3, "warm": 0.2, "fleet": 0.5}
+    #: About as much recovery time per round as the round's matrix takes.
+    recoveries_per_round = 4
 
     def __init__(self, seed: int, out_dir: str, corrupt: Optional[str] = None) -> None:
         self.seed = seed
@@ -233,15 +246,13 @@ class Workload:
         self.warm_job: Optional[Job] = None
         self.warm_summary: Optional[dict] = None
         self.recoveries = 0
+        self.shm_at_start = shm_segments()
 
     # -- set-up ----------------------------------------------------------
-    def setup(self) -> None:
+    def setup(self, run: Run) -> None:
         """Inputs and warm-up; timed as ``setup_s``."""
         # Pays lazy imports (numpy.ma, the dense engine) outside the timers.
         generate_fusion(CASES["counters-3 (top=27)"](), f=1, workers=1)
-
-    def prime(self) -> None:
-        """Untimed work after set-up that the measured passes rely on."""
 
     def new_store_dir(self) -> str:
         os.makedirs(self.out_dir, exist_ok=True)
@@ -249,11 +260,15 @@ class Workload:
 
     # -- operations ------------------------------------------------------
     def fuse(self, run: Run, job: Job, workers: int, store_dir=None, kind="cold"):
-        """One checked ``generate_fusion`` call; returns (result, seconds, stopwatch)."""
+        """One checked ``generate_fusion`` call; returns (result, seconds, stopwatch).
+
+        ``kind`` is ``cold``, ``warm`` (served from ``store_dir``) or
+        ``prime`` (an untimed set-up call that fills ``store_dir``).
+        """
         machines = job.build()
         store = ArtifactStore(store_dir) if store_dir is not None else None
         watch = Stopwatch()
-        owned = set(live_owned_segments())
+        segments = shm_segments()
         settle()
         with self.tracer.span("fusion.generate", job=job.key, kind=kind, workers=workers) as span:
             start = time.perf_counter()
@@ -268,11 +283,13 @@ class Workload:
             ledger_nnz=result.graph.ledger.nnz if result.graph.ledger is not None else 0,
         )
         problems = degradation_problems(watch)
-        stranded = set(live_owned_segments()) - owned
+        stranded = shm_segments() - segments
         if stranded:
-            problems.append("stranded shared-memory segments %s" % sorted(stranded))
+            problems.append("left %s in %s" % (sorted(stranded), SHM_DIR))
         summary = result.summary()
-        expected = job.expected if kind == "cold" else self.warm_summary
+        expected = job.expected
+        if kind == "warm" and expected is None:
+            expected = self.warm_summary
         if expected is not None and summary != expected:
             problems.append("summary differs from the known answer")
         if kind == "warm":
@@ -297,67 +314,47 @@ class Workload:
     def make_fleet(self, fusion) -> Fleet:
         return Fleet(fusion, self.fleet_instances, self.workers, self.rng, self.tracer)
 
-    def prime_warm_store(self, job: Job):
-        """Fill a store for ``job``'s warm hits; returns the cold result."""
+    def prime_warm_store(self, run: Run, job: Job):
+        """Fill a store for ``job``'s warm hits with one checked call; returns its result."""
         self.warm_job = job
         self.warm_store = self.new_store_dir()
-        result = generate_fusion(
-            job.build(), job.f, byzantine=job.byzantine, workers=self.workers,
-            store=ArtifactStore(self.warm_store),
-        )
+        result = self.fuse(run, job, self.workers, self.warm_store, kind="prime")[0]
         self.warm_summary = result.summary()
         return result
+
+    def warm_hit(self, run: Run) -> None:
+        elapsed = self.fuse(run, self.warm_job, self.workers, self.warm_store, kind="warm")[1]
+        run.sample("warm_hit_s", elapsed)
 
     def recovery_plan(self, index: int) -> int:
         """Machines crashed by recovery ``index`` (0 = one Byzantine liar)."""
         return 1
 
-    def schedule(self) -> List[str]:
-        """One pass's warm hits, fleet steps and recoveries, evenly interleaved.
+    # -- the measured units ---------------------------------------------
+    def unit(self, kind: str, run: Run) -> None:
+        {"cold": self.cold_pass, "warm": self.warm_hit, "fleet": self.fleet_round}[kind](run)
 
-        Spreading each kind over the pass keeps a few seconds of host
-        slowdown from landing on every sample of one metric.
-        """
-        counts = {
-            "warm": self.warm_hits_per_pass,
-            "matrix": self.matrices_per_pass,
-            "stream": 1,
-            "recover": self.recoveries_per_pass,
-        }
-        slots = sorted(((k + 0.5) / n, kind) for kind, n in counts.items() for k in range(n))
-        return [kind for _, kind in slots]
+    def cold_pass(self, run: Run) -> None:
+        """Each cold job once."""
+        total = 0.0
+        for job in self.jobs:
+            elapsed = self.fuse(run, job, self.workers)[1]
+            run.sample("cold " + job.key, elapsed)
+            total += elapsed
+        run.sample("fusion_s", total)
 
-    def operate(self, run: Run, kind: str) -> None:
+    def fleet_round(self, run: Run) -> None:
+        """One event matrix, one broadcast stream, then the round's recoveries."""
         fleet = self.fleet
         fleet.tracer = self.tracer
-        if kind == "warm":
-            _, elapsed, _ = self.fuse(
-                run, self.warm_job, self.workers, self.warm_store, kind="warm"
-            )
-            run.sample("warm_hit_s", elapsed)
-        elif kind == "matrix":
-            fleet.apply_matrix(run, self.rng)
-        elif kind == "stream":
-            fleet.apply_stream(run, self.rng)
-        else:
+        fleet.apply_matrix(run, self.rng)
+        fleet.apply_stream(run, self.rng)
+        for _ in range(self.recoveries_per_round):
             corrupt = self.corrupt == "restore"
             self.corrupt = None if corrupt else self.corrupt
             plan = self.recovery_plan(self.recoveries)
             self.recoveries += 1
             fleet.recover(run, self.rng, self.cohort_size, plan, corrupt)
-
-    def run_pass(self, run: Run) -> None:
-        """Each cold job, each followed by its share of the schedule."""
-        operations = self.schedule()
-        shares = np.array_split(np.arange(len(operations)), len(self.jobs))
-        total = 0.0
-        for job, share in zip(self.jobs, shares):
-            elapsed = self.fuse(run, job, self.workers)[1]
-            run.sample("cold " + job.key, elapsed)
-            total += elapsed
-            for index in share:
-                self.operate(run, operations[index])
-        run.sample("fusion_s", total)
 
     # -- traced-run extras -----------------------------------------------
     def other_worker_stages(self, run: Run) -> Dict[str, float]:
@@ -370,7 +367,7 @@ class Workload:
         return stages
 
     def extras(self, run: Run) -> Dict[str, float]:
-        """Per-layer figures measured outside the passes."""
+        """Per-layer figures measured outside the units."""
         values: Dict[str, float] = {}
         if self.workers > 1:
             start = time.perf_counter()
@@ -389,57 +386,39 @@ class Workload:
             self.fleet = None
         shutil.rmtree(self.out_dir, ignore_errors=True)
 
+    def stray_segments(self) -> List[str]:
+        """Problems if ``psm_*`` segments appeared since start; call after ``close``."""
+        stray = shm_segments() - self.shm_at_start
+        return ["left %s in %s" % (sorted(stray), SHM_DIR)] if stray else []
+
 
 class Counters10Durable(Workload):
     """Serial sparse path with the durable store on the cold path."""
 
     name = "counters10-durable"
     workers = 1
-    fleet_instances = 2**16
-    warm_hits_per_pass = 4
-    matrices_per_pass = 4
-    recoveries_per_pass = 16
     CASE = "counters-10 (top=59049)"
 
-    def setup(self) -> None:
-        super().setup()
-        job = Job(self.CASE, CASES[self.CASE], expected=EXPECTED_SUMMARIES[self.CASE])
-        self.jobs = [job]
-        self.warm_job = job
-        self.warm_summary = job.expected
-
-    def run_pass(self, run: Run) -> None:
-        # The cold call's store doubles as the warm hits' store.
-        self.warm_store = self.new_store_dir()
-        try:
-            result, elapsed, _ = self.fuse(run, self.jobs[0], self.workers, self.warm_store)
-            run.sample("cold " + self.jobs[0].key, elapsed)
-            run.sample("fusion_s", elapsed)
-            if self.fleet is None:
-                self.fleet = self.make_fleet(result)
-            for kind in self.schedule():
-                self.operate(run, kind)
-        finally:
-            shutil.rmtree(self.warm_store, ignore_errors=True)
-            self.warm_store = None
-
-
-class Mesi8Pooled(Workload):
-    """Prune-heavy sparse path with every pooled fusion site busy."""
-
-    name = "mesi8-pooled"
-    workers = 2
-    warm_hits_per_pass = 4
-    matrices_per_pass = 4
-    recoveries_per_pass = 12
-    CASE = "mesi+counters-8 (top=26244)"
-
-    def setup(self) -> None:
-        super().setup()
+    def setup(self, run: Run) -> None:
+        super().setup(run)
         self.jobs = [Job(self.CASE, CASES[self.CASE], expected=EXPECTED_SUMMARIES[self.CASE])]
 
-    def prime(self) -> None:
-        self.fleet = self.make_fleet(self.prime_warm_store(self.jobs[0]))
+    def cold_pass(self, run: Run) -> None:
+        """The cold call into a fresh store, which then serves the warm hits.
+
+        The first unit of a run is a cold pass, so the store and the
+        fleet exist before the first warm hit and fleet round.
+        """
+        job = self.jobs[0]
+        store = self.new_store_dir()
+        result, elapsed, _ = self.fuse(run, job, self.workers, store)
+        run.sample("cold " + job.key, elapsed)
+        run.sample("fusion_s", elapsed)
+        if self.warm_store is not None:
+            shutil.rmtree(self.warm_store, ignore_errors=True)
+        self.warm_store, self.warm_job = store, job
+        if self.fleet is None:
+            self.fleet = self.make_fleet(result)
 
 
 class ZooFleet(Workload):
@@ -448,14 +427,13 @@ class ZooFleet(Workload):
     name = "zoo-fleet"
     workers = 2
     cohort_size = 2**17 // 10
-    matrices_per_pass = 7
-    recoveries_per_pass = 28
-    warm_hits_per_pass = 28
+    shares = {"cold": 0.35, "warm": 0.15, "fleet": 0.5}
+    recoveries_per_round = 24
     NETWORK_CHAOS = "drop=0.25,reorder=0.15,partition=0.05,partition_ticks=4,seed=%d"
     SIM_EVENTS = 4000
 
-    def setup(self) -> None:
-        super().setup()
+    def setup(self, run: Run) -> None:
+        super().setup(run)
         family_seed = int(self.rng.integers(2**31))
         sets = dict(GENERATION_CASES)
         sets["zoo (top=120)"] = zoo_machines
@@ -471,10 +449,10 @@ class ZooFleet(Workload):
             for label, build in sets.items()
             for f, byzantine in ((1, False), (2, False), (3, False), (1, True))
         ]
-        fleet_job = Job("zoo f=2 byzantine", zoo_machines, f=2, byzantine=True)
-        self.fleet = self.make_fleet(self.prime_warm_store(fleet_job))
+        fleet_job = Job("zoo", zoo_machines, f=2, byzantine=True, brute_force=True)
+        self.fleet = self.make_fleet(self.prime_warm_store(run, fleet_job))
         # The first pooled step starts the runtime's workers.
-        self.fleet.apply_matrix(Run(), self.rng, steps=1)
+        self.fleet.apply_matrix(run, self.rng, steps=1, timed=False)
 
     def recovery_plan(self, index: int) -> int:
         return 2 if index % 2 == 0 else 0
@@ -510,4 +488,4 @@ class ZooFleet(Workload):
         return values
 
 
-WORKLOADS = {cls.name: cls for cls in (Counters10Durable, Mesi8Pooled, ZooFleet)}
+WORKLOADS = {cls.name: cls for cls in (Counters10Durable, ZooFleet)}
