@@ -31,7 +31,9 @@ untouched.  Regenerate with::
     PYTHONPATH=src python benchmarks/bench_runtime_throughput.py
 
 ``--smoke`` runs token fleet sizes and never writes (the CI throughput
-smoke uses it, serially and with ``REPRO_FUSION_WORKERS=2``);
+smoke uses it, serially and with ``REPRO_FUSION_WORKERS=2``); it also
+recovers a crash cohort and a liar cohort of a small counters-8 fleet
+(top=6561), so CI exercises the vote on a top past 4096 states.
 ``--check`` validates the payload it just measured.
 """
 
@@ -70,6 +72,10 @@ FAULTY_FRACTION = 0.1
 
 SEED = 0x5EED
 
+#: Smoke-only large-top case: counters-8 (top=6561) at a CI-sized fleet.
+LARGE_TOP_COUNTERS = 8
+LARGE_TOP_INSTANCES = 2_000
+
 
 def _fusion():
     """The counters-3 family fused for f=2 with the Byzantine margin.
@@ -83,6 +89,17 @@ def _fusion():
         for e in range(3)
     ]
     return generate_fusion(machines, f=2, byzantine=True)
+
+
+def _large_top_fusion():
+    """counters-8 (top=6561) fused for f=1 with the Byzantine margin: two
+    backups, enough to correct two crashes or outvote one liar."""
+    events = tuple(range(LARGE_TOP_COUNTERS))
+    machines = [
+        mod_counter(3, count_event=e, events=events, name="c%d" % e)
+        for e in events
+    ]
+    return generate_fusion(machines, f=1, byzantine=True)
 
 
 def _timed_recovery(runtime, recovery, faulty, expected_max_faults=None):
@@ -124,32 +141,9 @@ def run_case(
             runtime.apply_stream(stream)
             best_stream = min(best_stream, time.perf_counter() - start)
 
-        faulty = [
-            int(i)
-            for i in generator.choice(
-                num_instances,
-                size=max(1, int(num_instances * FAULTY_FRACTION)),
-                replace=False,
-            )
-        ]
-
-        crash_plan = injector.random_plan(
-            num_crash=fusion.f, num_byzantine=0, workload_length=STEPS
+        recovery_record = _faulty_cohort_recoveries(
+            runtime, recovery, fusion, generator, injector
         )
-        for event in crash_plan.events:
-            assert event.kind is FaultKind.CRASH
-            runtime.crash_instances(names.index(event.server), faulty)
-        crash_record = _timed_recovery(
-            runtime, recovery, faulty, expected_max_faults=fusion.f
-        )
-
-        byz_plan = injector.random_plan(
-            num_crash=0, num_byzantine=fusion.byzantine_f, workload_length=STEPS
-        )
-        for event in byz_plan.events:
-            assert event.kind is FaultKind.BYZANTINE
-            runtime.corrupt_instances(names.index(event.server), faulty, rng=generator)
-        byzantine_record = _timed_recovery(runtime, recovery, faulty)
 
     return {
         "num_instances": num_instances,
@@ -159,16 +153,68 @@ def run_case(
         "events_per_sec": round(num_instances * STEPS / best_matrix),
         "stream_seconds": round(best_stream, 6),
         "broadcast_events_per_sec": round(num_instances * STEPS / best_stream),
-        "recovery": {
-            "faulty_instances": len(faulty),
-            "crash": dict(
-                crash_record, faults=[e.server for e in crash_plan.events]
-            ),
-            "byzantine": dict(
-                byzantine_record, faults=[e.server for e in byz_plan.events]
-            ),
-        },
+        "recovery": recovery_record,
     }
+
+
+def _faulty_cohort_recoveries(runtime, recovery, fusion, generator, injector):
+    """Crash a 10 % cohort, heal it, then plant liars in it and heal again."""
+    names = [m.name for m in fusion.all_machines]
+    num_instances = runtime.num_instances
+    faulty = [
+        int(i)
+        for i in generator.choice(
+            num_instances,
+            size=max(1, int(num_instances * FAULTY_FRACTION)),
+            replace=False,
+        )
+    ]
+
+    crash_plan = injector.random_plan(
+        num_crash=fusion.f, num_byzantine=0, workload_length=STEPS
+    )
+    for event in crash_plan.events:
+        assert event.kind is FaultKind.CRASH
+        runtime.crash_instances(names.index(event.server), faulty)
+    crash_record = _timed_recovery(
+        runtime, recovery, faulty, expected_max_faults=fusion.f
+    )
+
+    byz_plan = injector.random_plan(
+        num_crash=0, num_byzantine=fusion.byzantine_f, workload_length=STEPS
+    )
+    for event in byz_plan.events:
+        assert event.kind is FaultKind.BYZANTINE
+        runtime.corrupt_instances(names.index(event.server), faulty, rng=generator)
+    byzantine_record = _timed_recovery(runtime, recovery, faulty)
+    return {
+        "faulty_instances": len(faulty),
+        "crash": dict(crash_record, faults=[e.server for e in crash_plan.events]),
+        "byzantine": dict(
+            byzantine_record, faults=[e.server for e in byz_plan.events]
+        ),
+    }
+
+
+def run_large_top_case() -> Dict[str, object]:
+    """Smoke-only: both recovery plans on a counters-8 fleet (top=6561)."""
+    fusion = _large_top_fusion()
+    recovery = BatchRecovery(fusion.product, fusion.backups)
+    names = [m.name for m in fusion.all_machines]
+    generator = as_generator(derive_seed(SEED, "large-top"))
+    matrix = generator.integers(
+        0, LARGE_TOP_COUNTERS, size=(STEPS, LARGE_TOP_INSTANCES)
+    )
+    injector = FaultInjector(names, seed=derive_seed(SEED, "large-top-plan"))
+    with VectorizedRuntime(fusion.all_machines, LARGE_TOP_INSTANCES) as runtime:
+        runtime.apply_event_matrix(matrix)
+        return {
+            "num_instances": LARGE_TOP_INSTANCES,
+            "top_states": recovery.top.num_states,
+            "recovery": _faulty_cohort_recoveries(
+                runtime, recovery, fusion, generator, injector
+            ),
+        }
 
 
 def run_suite(
@@ -193,20 +239,35 @@ def run_suite(
     }
 
 
-def check_payload(runtime_block: Dict[str, object]) -> Sequence[str]:
-    """Sanity guards on a freshly measured payload; returns failures."""
+def _recovery_failures(name: str, record: Dict[str, object]) -> Sequence[str]:
+    failures = []
+    for kind in ("crash", "byzantine"):
+        entry = record[kind]
+        if not entry["consistent_after"]:
+            failures.append("%s: %s recovery did not round-trip" % (name, kind))
+        if not 0 < entry["seconds"] < 60:
+            failures.append("%s: %s recovery latency out of range" % (name, kind))
+    return failures
+
+
+def check_payload(
+    runtime_block: Dict[str, object], large_top: Optional[Dict[str, object]] = None
+) -> Sequence[str]:
+    """Sanity guards on a freshly measured payload (and, when given, the
+    smoke-only large-top record); returns failures."""
     failures = []
     for name, record in runtime_block["cases"].items():
         if record["events_per_sec"] <= 10_000:
             failures.append("%s: implausibly low matrix throughput" % name)
         if record["broadcast_events_per_sec"] <= record["events_per_sec"]:
             failures.append("%s: composed-map path slower than per-step path" % name)
-        for kind in ("crash", "byzantine"):
-            entry = record["recovery"][kind]
-            if not entry["consistent_after"]:
-                failures.append("%s: %s recovery did not round-trip" % (name, kind))
-            if not 0 < entry["seconds"] < 60:
-                failures.append("%s: %s recovery latency out of range" % (name, kind))
+        failures.extend(_recovery_failures(name, record["recovery"]))
+    if large_top is not None:
+        if large_top["top_states"] <= 4096:
+            failures.append(
+                "large-top: top has only %d states" % large_top["top_states"]
+            )
+        failures.extend(_recovery_failures("large-top", large_top["recovery"]))
     return failures
 
 
@@ -244,6 +305,17 @@ def test_throughput_smoke_pooled_matches_contract(monkeypatch):
     assert record["recovery"]["byzantine"]["consistent_after"]
 
 
+def test_check_flags_large_top_round_trip_failure():
+    ok = {"consistent_after": True, "seconds": 0.01}
+    large_top = {
+        "top_states": 6561,
+        "recovery": {"crash": ok, "byzantine": dict(ok, consistent_after=False)},
+    }
+    assert check_payload({"cases": {}}, large_top) == [
+        "large-top: byzantine recovery did not round-trip"
+    ]
+
+
 def main(argv: Sequence[str]) -> int:
     smoke = "--smoke" in argv
     rounds = 1 if smoke else 3
@@ -256,6 +328,7 @@ def main(argv: Sequence[str]) -> int:
                 return 2
     sizes = SMOKE_FLEET_SIZES if smoke else FLEET_SIZES
     block = run_suite(sizes=sizes, rounds=rounds)
+    large_top = run_large_top_case() if smoke else None
     for name, record in block["cases"].items():
         print(
             "%-12s %12s ev/s matrix  %12s ev/s broadcast  recovery %0.4fs/%0.4fs "
@@ -269,8 +342,19 @@ def main(argv: Sequence[str]) -> int:
                 record["recovery"]["faulty_instances"],
             )
         )
+    if large_top is not None:
+        print(
+            "%-12s top=%d  recovery %0.4fs/%0.4fs (crash/byz over %d instances)"
+            % (
+                "large-top",
+                large_top["top_states"],
+                large_top["recovery"]["crash"]["seconds"],
+                large_top["recovery"]["byzantine"]["seconds"],
+                large_top["recovery"]["faulty_instances"],
+            )
+        )
     if "--check" in argv:
-        failures = check_payload(block)
+        failures = check_payload(block, large_top)
         if failures:
             print("FAILED: %s" % "; ".join(failures))
             return 1

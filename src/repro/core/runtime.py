@@ -22,12 +22,13 @@ Two engines live here:
   inheriting the self-healing wave protocol.
 
 * :class:`BatchRecovery` re-implements Algorithm 3 as a counting vote
-  over precomputed block-membership arrays: for every machine, the
-  mapping from its state to the set of top states that state represents
-  is a dense 0/1 matrix (plus a CSR form used with ``np.add.at`` when
-  the top grows past :data:`_DENSE_VOTE_MAX_TOP`), so recovering ``B``
-  faulty instances is a handful of gathers instead of ``B`` Python dict
-  walks.  It reproduces :class:`~repro.core.recovery.RecoveryEngine`
+  over each machine's top→state assignment: per call and per machine it
+  builds a 0/1 table with one row per *distinct* reported state (at most
+  ``min(n_m + 1, B)`` rows, the crash row all zero) and adds one table
+  row per instance into the ``(B, |top|)`` vote matrix, so recovering
+  ``B`` faulty instances is a handful of gathers instead of ``B`` Python
+  dict walks, with memory bounded by the vote matrix itself.  It
+  reproduces :class:`~repro.core.recovery.RecoveryEngine`
   outcome-for-outcome — including the strict-tie, fault-budget and
   all-crashed error paths and the Byzantine ``⌊f/2⌋`` majority — which
   the property suite asserts directly.
@@ -81,12 +82,6 @@ HEALTHY, CRASHED, BYZANTINE = 0, 1, 2
 #: on test-sized fleets; the ``REPRO_RUNTIME_POOL_MIN_INSTANCES``
 #: environment knob overrides it without code changes.
 _RUNTIME_POOL_MIN_INSTANCES = 1 << 16
-
-#: Vote path switch: up to this many top states the per-machine
-#: membership matrices are gathered densely (one row per reported
-#: state); past it the CSR form scatters with ``np.add.at`` instead,
-#: keeping memory proportional to the blocks actually referenced.
-_DENSE_VOTE_MAX_TOP = 4096
 
 
 def _pool_min_instances() -> int:
@@ -672,10 +667,9 @@ class BatchRecovery:
     constructor precomputes the top→machine-state assignment — the
     product's projections for originals, Algorithm 1's lockstep
     assignment (:func:`repro.core.partition.machine_assignment`) for
-    backups — and derives from it a dense 0/1 membership matrix with an
-    all-zero *crash sentinel* row, plus a CSR block table for the
-    ``np.add.at`` scatter path used past :data:`_DENSE_VOTE_MAX_TOP`
-    top states.
+    backups.  Machine state ``s`` represents the block of top states
+    assigned to ``s``; :meth:`recover_batch` votes by comparing the
+    assignment against the distinct states a cohort reports.
     """
 
     def __init__(self, product: CrossProduct, backups: Sequence[DFSM] = ()) -> None:
@@ -710,25 +704,12 @@ class BatchRecovery:
         self._machine_list = tuple(machines)
         self._num_top = num_top
 
-        membership: List[np.ndarray] = []
-        valid: List[np.ndarray] = []
-        csr: List[Tuple[np.ndarray, np.ndarray]] = []
-        top_range = np.arange(num_top)
-        for assignment, machine in zip(assignments, machines):
-            n = machine.num_states
-            matrix = np.zeros((n + 1, num_top), dtype=np.int16)
-            matrix[assignment, top_range] = 1
-            matrix.setflags(write=False)
-            membership.append(matrix)
-            valid.append(matrix[:n].any(axis=1))
-            order = np.argsort(assignment, kind="stable")
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            indptr[1:] = np.cumsum(np.bincount(assignment, minlength=n))
-            csr.append((indptr, top_range[order]))
         self._assignments = tuple(assignments)
-        self._membership = tuple(membership)
-        self._valid = tuple(valid)
-        self._csr = tuple(csr)
+        # A state is reachable alongside the top iff some top state maps to it.
+        self._valid = tuple(
+            np.bincount(assignment, minlength=machine.num_states) > 0
+            for assignment, machine in zip(assignments, machines)
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -754,8 +735,8 @@ class BatchRecovery:
         """Run Algorithm 3 over a whole cohort of instances at once.
 
         ``reported`` is an ``(M, B)`` matrix of reported machine-state
-        *indices* (``-1`` = crashed), machine rows in
-        :attr:`machine_names` order.  Error semantics match the
+        *indices* (``-1`` = crashed; a lower index is rejected), machine
+        rows in :attr:`machine_names` order.  Error semantics match the
         per-instance engine: a reported state not co-reachable with the
         top, an all-crashed instance, a crash count above
         ``expected_max_faults`` or (under ``strict``) a tied vote raise
@@ -775,6 +756,11 @@ class BatchRecovery:
         for m, (name, machine) in enumerate(
             zip(self._names, self._machine_list)
         ):
+            if matrix[m].size and matrix[m].min() < -1:
+                raise RecoveryError(
+                    "machine %r reported state index %d (only -1 marks a crash)"
+                    % (name, int(matrix[m].min()))
+                )
             live = matrix[m][~crashed[m]]
             if live.size == 0:
                 continue
@@ -806,30 +792,15 @@ class BatchRecovery:
             raise RecoveryError("every machine crashed; nothing to recover from")
 
         counts = np.zeros((batch, self._num_top), dtype=np.int16)
-        if self._num_top <= _DENSE_VOTE_MAX_TOP:
-            for m in range(num_machines):
-                rows = np.where(
-                    crashed[m], self._machine_list[m].num_states, matrix[m]
-                )
-                counts += self._membership[m][rows]
-        else:
-            for m in range(num_machines):
-                indptr, members = self._csr[m]
-                live = np.nonzero(~crashed[m])[0]
-                if live.size == 0:
-                    continue
-                states = matrix[m][live]
-                starts = indptr[states]
-                lengths = indptr[states + 1] - starts
-                total = int(lengths.sum())
-                if total == 0:
-                    continue
-                rows = np.repeat(live, lengths)
-                offsets = np.arange(total) - np.repeat(
-                    np.cumsum(lengths) - lengths, lengths
-                )
-                cols = members[np.repeat(starts, lengths) + offsets]
-                np.add.at(counts, (rows, cols), 1)
+        for m, (assignment, machine) in enumerate(
+            zip(self._assignments, self._machine_list)
+        ):
+            # Slot 0 is the crash sentinel, slot s + 1 is state s.
+            slots = matrix[m] + 1
+            present = np.bincount(slots, minlength=machine.num_states + 1) > 0
+            distinct = np.flatnonzero(present) - 1
+            table = (assignment == distinct[:, None]).astype(np.int16)
+            counts += table[np.cumsum(present)[slots] - 1]
 
         best = counts.max(axis=1)
         winners = counts.argmax(axis=1)
@@ -847,12 +818,8 @@ class BatchRecovery:
         machine_states = np.stack(
             [assignment[winners] for assignment in self._assignments]
         )
-        suspected = np.zeros_like(crashed)
-        columns = np.arange(batch)
-        for m in range(num_machines):
-            rows = np.where(crashed[m], self._machine_list[m].num_states, matrix[m])
-            contains = self._membership[m][rows, winners]
-            suspected[m] = ~crashed[m] & (contains == 0)
+        # A live machine is suspect iff the winner is not in its block.
+        suspected = ~crashed & (machine_states != matrix)
         return BatchOutcome(
             top_indices=winners.astype(np.int64),
             counts=counts,

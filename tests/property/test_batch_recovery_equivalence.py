@@ -6,8 +6,10 @@ recovered top state, counts vector, per-machine states, crash lists and
 Byzantine suspicions — and the same exception types on ties, exceeded
 fault budgets, all-crashed cohorts and impossible reported states —
 under both :data:`FaultKind.CRASH` and :data:`FaultKind.BYZANTINE`
-(the only kinds servers accept), on both of its vote paths (dense
-membership gather and CSR ``np.add.at`` scatter).
+(the only kinds servers accept), on small tops and on a top past 4096
+states.  The vote matrix itself is checked against a brute-force oracle
+written from the definition: for each instance and top state, the
+number of machines whose reported block contains that state.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import repro.core.runtime as runtime_module
 from repro.core.exceptions import (
     FaultToleranceExceededError,
     RecoveryError,
@@ -57,6 +58,12 @@ def fusions():
     return cases
 
 
+@pytest.fixture(scope="module")
+def large_fusion():
+    """counters-8 (top=6561), two backups: two crashes or one liar."""
+    return generate_fusion(_counters(8), f=1, byzantine=True)
+
+
 def _engines(fusion):
     return (
         RecoveryEngine(fusion.product, fusion.backups),
@@ -79,6 +86,47 @@ def _outcomes_equal(ours, theirs):
     assert ours.machine_states == theirs.machine_states
     assert ours.crashed == theirs.crashed
     assert ours.suspected_byzantine == theirs.suspected_byzantine
+
+
+def _lockstep_pairs(top, machine):
+    """Every (top state, machine state) pair reachable when both machines
+    start in their initial states and consume the same events."""
+    start = (top.initial, machine.initial)
+    seen, frontier = {start}, [start]
+    while frontier:
+        top_state, state = frontier.pop()
+        for event in top.events:
+            pair = (top.step(top_state, event), machine.step(state, event))
+            if pair not in seen:
+                seen.add(pair)
+                frontier.append(pair)
+    return seen
+
+
+def _column_observations(fusion, names, reported, b):
+    machines = fusion.all_machines
+    return {
+        name: (
+            None
+            if reported[m, b] < 0
+            else machines[m].state_label(int(reported[m, b]))
+        )
+        for m, name in enumerate(names)
+    }
+
+
+def _column_matches(single, outcome, b, fusion, names):
+    machines = fusion.all_machines
+    assert int(outcome.top_indices[b]) == single.top_index
+    for m, name in enumerate(names):
+        assert (
+            machines[m].state_label(int(outcome.machine_states[m, b]))
+            == single.machine_states[name]
+        )
+        assert bool(outcome.crashed[m, b]) == (name in single.crashed)
+        assert bool(outcome.suspected_byzantine[m, b]) == (
+            name in single.suspected_byzantine
+        )
 
 
 class TestSingleInstanceEquivalence:
@@ -192,23 +240,10 @@ class TestErrorPathParity:
 
 
 class TestBatchedCohorts:
-    @pytest.mark.parametrize("force_scatter", [False, True])
     @RELAXED
     @given(seed=st.integers(min_value=0, max_value=10_000))
-    def test_batch_columns_match_single_instance_calls(
-        self, fusions, force_scatter, seed
-    ):
-        """A (M, B) cohort vote equals B per-instance votes, on both the
-        dense gather and the CSR scatter path."""
-        saved = runtime_module._DENSE_VOTE_MAX_TOP
-        if force_scatter:
-            runtime_module._DENSE_VOTE_MAX_TOP = 0
-        try:
-            self._check_cohort(fusions, seed)
-        finally:
-            runtime_module._DENSE_VOTE_MAX_TOP = saved
-
-    def _check_cohort(self, fusions, seed):
+    def test_batch_columns_match_single_instance_calls(self, fusions, seed):
+        """A (M, B) cohort vote equals B per-instance votes."""
         fusion = fusions[(2, False)]
         engine, batch = _engines(fusion)
         names = batch.machine_names
@@ -227,22 +262,78 @@ class TestBatchedCohorts:
                 reported[m, b] = -1 if state is None else machines[m].state_index(state)
         outcome = batch.recover_batch(reported, expected_max_faults=2)
         for b in range(cohort):
-            observations = {
-                name: (
-                    None
-                    if reported[m, b] < 0
-                    else machines[m].state_label(int(reported[m, b]))
-                )
-                for m, name in enumerate(names)
-            }
-            single = engine.recover(observations, expected_max_faults=2)
-            assert int(outcome.top_indices[b]) == single.top_index
+            _column_matches(
+                engine.recover(_column_observations(fusion, names, reported, b),
+                               expected_max_faults=2),
+                outcome, b, fusion, names,
+            )
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_top_past_4096_matches_single_instance_calls(self, large_fusion, seed):
+        """counters-8 (top=6561): a cohort mixing up to two crashes per
+        instance with single liars votes like per-instance Algorithm 3."""
+        fusion = large_fusion
+        engine, batch = _engines(fusion)
+        names = batch.machine_names
+        machines = fusion.all_machines
+        assert batch.top.num_states > 4096
+        rng = np.random.default_rng(seed)
+        cohort = 12
+        reported = np.zeros((len(names), cohort), dtype=np.int64)
+        for b in range(cohort):
+            stream = list(rng.integers(0, 8, size=int(rng.integers(0, 30))))
+            observations = _observations(fusion, names, stream)
             for m, name in enumerate(names):
-                assert (
-                    machines[m].state_label(int(outcome.machine_states[m, b]))
-                    == single.machine_states[name]
-                )
-                assert bool(outcome.crashed[m, b]) == (name in single.crashed)
-                assert bool(outcome.suspected_byzantine[m, b]) == (
-                    name in single.suspected_byzantine
-                )
+                reported[m, b] = machines[m].state_index(observations[name])
+            if b % 2:
+                liar = int(rng.integers(len(names)))
+                n = machines[liar].num_states
+                reported[liar, b] = (reported[liar, b] + int(rng.integers(1, n))) % n
+            else:
+                dead = rng.choice(len(names), int(rng.integers(0, 3)), replace=False)
+                reported[dead, b] = -1
+        outcome = batch.recover_batch(reported)
+        for b in range(cohort):
+            observations = _column_observations(fusion, names, reported, b)
+            single = engine.recover(observations)
+            assert np.array_equal(outcome.counts[b], single.counts)
+            _column_matches(single, outcome, b, fusion, names)
+
+
+class TestVoteOracle:
+    @RELAXED
+    @given(data=st.data())
+    def test_counts_match_brute_force_vote(self, fusions, data):
+        """``BatchOutcome.counts`` and the winners equal a vote counted
+        from Algorithm 3's definition on arbitrary valid cohorts."""
+        key = data.draw(st.sampled_from(sorted(fusions)))
+        fusion = fusions[key]
+        batch = BatchRecovery(fusion.product, fusion.backups)
+        machines = fusion.all_machines
+        pairs = [_lockstep_pairs(fusion.product.machine, m) for m in machines]
+        cohort = data.draw(st.integers(min_value=1, max_value=6))
+        reported = np.full((len(machines), cohort), -1, dtype=np.int64)
+        for b in range(cohort):
+            alive = data.draw(
+                st.lists(st.booleans(), min_size=len(machines), max_size=len(machines))
+                .filter(any)
+            )
+            for m, machine in enumerate(machines):
+                if alive[m]:
+                    states = sorted({s for _, s in pairs[m]}, key=machine.state_index)
+                    reported[m, b] = machine.state_index(
+                        data.draw(st.sampled_from(states))
+                    )
+        outcome = batch.recover_batch(reported, strict=False)
+        top = fusion.product.machine
+        oracle = np.zeros((cohort, top.num_states), dtype=np.int64)
+        for b in range(cohort):
+            for t, top_state in enumerate(top.states):
+                for m, machine in enumerate(machines):
+                    if reported[m, b] >= 0 and (
+                        top_state, machine.state_label(int(reported[m, b]))
+                    ) in pairs[m]:
+                        oracle[b, t] += 1
+        assert np.array_equal(outcome.counts, oracle)
+        assert outcome.top_indices.tolist() == oracle.argmax(axis=1).tolist()
+

@@ -185,6 +185,22 @@ class TestBatchRecoveryValidation:
         with pytest.raises(RecoveryError, match="cannot be in state index"):
             recovery.recover_batch(reported)
 
+    def test_report_below_crash_sentinel_rejected(self, recovery):
+        reported = np.zeros((recovery.num_machines, 3), dtype=np.int64)
+        reported[1, 2] = -7
+        with pytest.raises(RecoveryError, match=r"'c1' reported state index -7"):
+            recovery.recover_batch(reported)
+
+    def test_outcome_dtypes_are_pinned(self, recovery):
+        reported = np.zeros((recovery.num_machines, 4), dtype=np.int64)
+        reported[0, 1] = -1
+        outcome = recovery.recover_batch(reported, expected_max_faults=1)
+        assert outcome.counts.dtype == np.int16
+        assert outcome.top_indices.dtype == np.int64
+        assert outcome.machine_states.dtype == np.int64
+        assert outcome.crashed.dtype == np.bool_
+        assert outcome.suspected_byzantine.dtype == np.bool_
+
     def test_all_crashed_instance_rejected(self, recovery):
         reported = np.full((recovery.num_machines, 2), -1, dtype=np.int64)
         reported[:, 0] = 0
