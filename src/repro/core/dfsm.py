@@ -35,6 +35,58 @@ from .types import EventLabel, StateLabel, TransitionMap
 __all__ = ["DFSM", "DFSMBuilder"]
 
 
+def _parse_transitions(
+    states: Tuple[StateLabel, ...],
+    events: Tuple[EventLabel, ...],
+    transitions: TransitionMap,
+    initial: StateLabel,
+    name: str,
+) -> Tuple[np.ndarray, int]:
+    """Parse the dict API's ``{state: {event: next_state}}`` mapping.
+
+    Returns ``(table, initial_index)`` for :meth:`DFSM._adopt_table`.
+    Only what a mapping can get wrong and a table cannot is checked here
+    (missing rows or events, unknown labels, events outside the
+    alphabet); the table itself is validated by the core.
+    """
+    state_index = {s: i for i, s in enumerate(states)}
+    if initial not in state_index:
+        raise InvalidMachineError(
+            "initial state %r is not in the state set of %s" % (initial, name)
+        )
+    alphabet = set(events)
+    rows: List[List[int]] = []
+    for state in states:
+        row = transitions.get(state)
+        if row is None:
+            raise InvalidMachineError(
+                "state %r of %s has no outgoing transitions" % (state, name)
+            )
+        targets: List[int] = []
+        for event in events:
+            if event not in row:
+                raise InvalidMachineError(
+                    "transition function of %s is not total: state %r lacks event %r"
+                    % (name, state, event)
+                )
+            target = state_index.get(row[event])
+            if target is None:
+                raise InvalidMachineError(
+                    "transition %r --%r--> %r of %s targets an unknown state"
+                    % (state, event, row[event], name)
+                )
+            targets.append(target)
+        extra = set(row) - alphabet
+        if extra:
+            raise InvalidMachineError(
+                "state %r of %s defines transitions on events %r outside the alphabet"
+                % (state, name, sorted(map(repr, extra)))
+            )
+        rows.append(targets)
+    table = np.array(rows, dtype=np.int64).reshape(len(states), len(events))
+    return table, state_index[initial]
+
+
 class DFSM:
     """A deterministic finite state machine.
 
@@ -54,6 +106,10 @@ class DFSM:
         The initial state; must be a member of ``states``.
     name:
         Optional human-readable name used in reprs, reports and DOT export.
+
+    The mapping is only parsed into an index table here; validation
+    happens once, in the core that :meth:`from_table` (the table-native
+    constructor every derived machine is built with) ends in too.
 
     Examples
     --------
@@ -94,57 +150,62 @@ class DFSM:
     ) -> None:
         states = tuple(states)
         events = tuple(events)
-        if not states:
-            raise InvalidMachineError("a DFSM needs at least one state")
-        if len(set(states)) != len(states):
-            raise InvalidMachineError("duplicate state labels: %r" % (states,))
-        if len(set(events)) != len(events):
-            raise InvalidMachineError("duplicate event labels: %r" % (events,))
+        table, initial_index = _parse_transitions(states, events, transitions, initial, name)
+        self._adopt_table(table, initial_index, events, states, name)
 
+    def _adopt_table(
+        self,
+        table: object,
+        initial: int,
+        events: Optional[Sequence[EventLabel]],
+        state_labels: Optional[Sequence[StateLabel]],
+        name: str,
+    ) -> None:
+        """The one validating core every constructor ends in.
+
+        Checks, with whole-array NumPy passes, that ``table`` is a 2-D
+        integer array of shape ``(len(state_labels), len(events))`` whose
+        targets all lie in ``[0, n)``, that ``0 <= initial < n`` and that
+        state and event labels are unique; then keeps a read-only
+        ``int64`` copy of the table and builds the label indices once.
+        Labels left as ``None`` default to ``0..n-1`` / ``0..k-1``.
+        """
         self._name = str(name)
+        arr = np.asarray(table)
+        if arr.ndim != 2:
+            raise InvalidMachineError("transition table must be two-dimensional")
+        states = tuple(range(arr.shape[0]) if state_labels is None else state_labels)
+        events = tuple(range(arr.shape[1]) if events is None else events)
+        n, k = len(states), len(events)
+        if not n:
+            raise InvalidMachineError("a DFSM needs at least one state")
+        if arr.shape != (n, k):
+            raise InvalidMachineError(
+                "transition table of shape %r does not match %d states x %d events"
+                % (arr.shape, n, k)
+            )
+        if arr.size and not np.issubdtype(arr.dtype, np.integer):
+            raise InvalidMachineError(
+                "transition table must hold integer state indices, not %s" % arr.dtype
+            )
+        if arr.size and (arr.min() < 0 or arr.max() >= n):
+            raise InvalidMachineError("transition table references out-of-range states")
+        if not isinstance(initial, (int, np.integer)):
+            raise InvalidMachineError("initial state index %r is not an integer" % (initial,))
+        if not 0 <= initial < n:
+            raise InvalidMachineError(
+                "initial state index %d is out of range for %d states" % (initial, n)
+            )
         self._states = states
         self._events = events
         self._state_index: Dict[StateLabel, int] = {s: i for i, s in enumerate(states)}
+        if len(self._state_index) != n:
+            raise InvalidMachineError("duplicate state labels: %r" % (states,))
         self._event_index: Dict[EventLabel, int] = {e: i for i, e in enumerate(events)}
-
-        if initial not in self._state_index:
-            raise InvalidMachineError(
-                "initial state %r is not in the state set of %s" % (initial, self._name)
-            )
-        self._initial_index = self._state_index[initial]
-
-        n, k = len(states), len(events)
-        table = np.empty((n, max(k, 1)), dtype=np.int64)
-        for state in states:
-            row = transitions.get(state)
-            if row is None:
-                raise InvalidMachineError(
-                    "state %r of %s has no outgoing transitions" % (state, self._name)
-                )
-            si = self._state_index[state]
-            for event in events:
-                if event not in row:
-                    raise InvalidMachineError(
-                        "transition function of %s is not total: state %r lacks event %r"
-                        % (self._name, state, event)
-                    )
-                target = row[event]
-                if target not in self._state_index:
-                    raise InvalidMachineError(
-                        "transition %r --%r--> %r of %s targets an unknown state"
-                        % (state, event, target, self._name)
-                    )
-                table[si, self._event_index[event]] = self._state_index[target]
-            extra = set(row) - set(events)
-            if extra:
-                raise InvalidMachineError(
-                    "state %r of %s defines transitions on events %r outside the alphabet"
-                    % (state, self._name, sorted(map(repr, extra)))
-                )
-        if k == 0:
-            # Degenerate but legal: a machine with an empty alphabet never moves.
-            table = np.zeros((n, 0), dtype=np.int64)
-        self._table = table
+        if len(self._event_index) != k:
+            raise InvalidMachineError("duplicate event labels: %r" % (events,))
+        self._initial_index = int(initial)
+        self._table = np.array(arr, dtype=np.int64)
         self._table.setflags(write=False)
 
     # ------------------------------------------------------------------
@@ -179,26 +240,15 @@ class DFSM:
         """Build a machine from an integer transition table.
 
         ``table[i][j]`` is the index of the successor of state ``i`` under
-        event ``j``.  States default to ``0..n-1`` and events to
-        ``0..k-1`` unless labels are supplied.
+        event ``j`` and ``initial`` the index of the initial state.
+        States default to ``0..n-1`` and events to ``0..k-1`` unless
+        labels are supplied.  This is the table-native constructor: no
+        per-transition Python work, just the array checks of the
+        validating core (which the dict API ends in too).
         """
-        arr = np.asarray(table, dtype=np.int64)
-        if arr.ndim != 2:
-            raise InvalidMachineError("transition table must be two-dimensional")
-        n, k = arr.shape
-        if state_labels is None:
-            state_labels = list(range(n))
-        if events is None:
-            events = list(range(k))
-        if len(state_labels) != n or len(events) != k:
-            raise InvalidMachineError("label lengths do not match the table shape")
-        if n and k and (arr.min() < 0 or arr.max() >= n):
-            raise InvalidMachineError("transition table references out-of-range states")
-        transitions = {
-            state_labels[i]: {events[j]: state_labels[int(arr[i, j])] for j in range(k)}
-            for i in range(n)
-        }
-        return cls(state_labels, events, transitions, state_labels[initial], name=name)
+        machine = cls.__new__(cls)
+        machine._adopt_table(table, initial, events, state_labels, name)
+        return machine
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -402,12 +452,16 @@ class DFSM:
         """Return an equivalent machine containing only reachable states."""
         if self.is_fully_reachable():
             return self
-        keep = self.reachable_state_indices()
-        keep_labels = [self._states[i] for i in keep]
-        transitions = {
-            s: {e: self.step(s, e) for e in self._events} for s in keep_labels
-        }
-        return DFSM(keep_labels, self._events, transitions, self.initial, name=self._name)
+        keep = np.asarray(self.reachable_state_indices(), dtype=np.int64)
+        renumber = np.full(self.num_states, -1, dtype=np.int64)
+        renumber[keep] = np.arange(keep.size, dtype=np.int64)
+        return DFSM.from_table(
+            renumber[self._table[keep]],
+            int(renumber[self._initial_index]),
+            self._events,
+            [self._states[i] for i in keep.tolist()],
+            name=self._name,
+        )
 
     # ------------------------------------------------------------------
     # Structural comparison
@@ -421,7 +475,9 @@ class DFSM:
 
     def renamed(self, name: str) -> "DFSM":
         """Return a copy of this machine with a different display name."""
-        return DFSM(self._states, self._events, self.transitions_as_dict(), self.initial, name=name)
+        return DFSM.from_table(
+            self._table, self._initial_index, self._events, self._states, name=name
+        )
 
     def relabelled(self, mapping: Mapping[StateLabel, StateLabel]) -> "DFSM":
         """Return a copy with state labels replaced according to ``mapping``.
@@ -429,14 +485,13 @@ class DFSM:
         Labels missing from ``mapping`` are kept as-is.  The mapping must
         remain injective on the state set.
         """
-        new_states = [mapping.get(s, s) for s in self._states]
-        if len(set(new_states)) != len(new_states):
-            raise InvalidMachineError("relabelling is not injective")
-        trans = {
-            mapping.get(s, s): {e: mapping.get(t, t) for e, t in row.items()}
-            for s, row in self.transitions_as_dict().items()
-        }
-        return DFSM(new_states, self._events, trans, mapping.get(self.initial, self.initial), name=self._name)
+        return DFSM.from_table(
+            self._table,
+            self._initial_index,
+            self._events,
+            [mapping.get(s, s) for s in self._states],
+            name=self._name,
+        )
 
     def structurally_equal(self, other: "DFSM") -> bool:
         """True if both machines have identical labels, alphabets and tables."""

@@ -101,6 +101,35 @@ def _condensed_separation(partition: Partition, rows: np.ndarray, cols: np.ndarr
     return labels[rows] != labels[cols]
 
 
+class _LabelIndex:
+    """``{label: index}`` over a graph's state labels, built on first use.
+
+    Only edge addressing by label reads it, so the dict and the scan for
+    integer labels wait for the first lookup; every graph derived through
+    :meth:`FaultGraph.with_partition` shares its parent's instance, so a
+    whole chain builds it at most once.
+    """
+
+    __slots__ = ("_labels", "_index", "has_integer_labels")
+
+    def __init__(self, labels: Tuple[StateLabel, ...]) -> None:
+        self._labels = labels
+        self._index: Optional[Dict[StateLabel, int]] = None
+        self.has_integer_labels = False
+
+    def get(self, state: object) -> Optional[int]:
+        """Index of the label ``state``, or ``None`` if it is not one."""
+        if self._index is None:
+            self._index = {s: i for i, s in enumerate(self._labels)}
+            self.has_integer_labels = any(
+                isinstance(label, (int, np.integer)) for label in self._labels
+            )
+        try:
+            return self._index.get(state)
+        except TypeError:  # unhashable input can never be a label
+            return None
+
+
 class FaultGraph:
     """The weighted fault graph ``G(T, M)`` of Definition 3.
 
@@ -153,7 +182,6 @@ class FaultGraph:
         "_names",
         "_labels",
         "_label_index",
-        "_has_integer_labels",
         "_dmin",
         "_weak_rows",
         "_weak_cols",
@@ -176,6 +204,7 @@ class FaultGraph:
         _builder: Optional[LedgerBuilder] = None,
         _base_count: Optional[int] = None,
         _label_rows: Optional[Sequence[np.ndarray]] = None,
+        _label_index: Optional[_LabelIndex] = None,
     ) -> None:
         if num_states <= 0:
             raise PartitionError("a fault graph needs at least one state")
@@ -199,12 +228,9 @@ class FaultGraph:
         self._labels: Optional[Tuple[StateLabel, ...]] = (
             tuple(state_labels) if state_labels is not None else None
         )
-        self._label_index: Optional[Dict[StateLabel, int]] = (
-            {s: i for i, s in enumerate(self._labels)} if self._labels is not None else None
-        )
-        self._has_integer_labels = self._labels is not None and any(
-            isinstance(label, (int, np.integer)) for label in self._labels
-        )
+        if _label_index is None and self._labels is not None:
+            _label_index = _LabelIndex(self._labels)
+        self._label_index: Optional[_LabelIndex] = _label_index
 
         self._sparse = mode == "sparse" or (
             mode == "auto" and self._n > SPARSE_STATE_CUTOFF
@@ -496,15 +522,13 @@ class FaultGraph:
     # Edge addressing
     # ------------------------------------------------------------------
     def _resolve(self, state: Union[int, StateLabel]) -> int:
-        if self._label_index is not None:
-            try:
-                hit = self._label_index.get(state)
-            except TypeError:  # unhashable input can never be a label
-                hit = None
+        label_index = self._label_index
+        if label_index is not None:
+            hit = label_index.get(state)
             if hit is not None:
                 return hit
             if isinstance(state, (int, np.integer)):
-                if self._has_integer_labels:
+                if label_index.has_integer_labels:
                     # Some labels are integers, so an integer that is not
                     # itself a label is ambiguous: silently treating it as
                     # an index would shadow the label namespace.
@@ -678,6 +702,7 @@ class FaultGraph:
                 _ledger=folded,
                 _builder=self._builder,
                 _base_count=self._base_count,
+                _label_index=self._label_index,
             )
         rows, cols = condensed_indices(self._n)
         new_condensed = self._condensed + _condensed_separation(partition, rows, cols)
@@ -689,6 +714,7 @@ class FaultGraph:
             mode="dense",
             weight_cap=self._weight_cap,
             _condensed=new_condensed,
+            _label_index=self._label_index,
         )
 
     def dmin_with(self, partition: Partition) -> int:

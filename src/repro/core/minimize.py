@@ -28,7 +28,7 @@ import numpy as np
 
 from .dfsm import DFSM
 from .exceptions import InvalidMachineError
-from .partition import renumber_by_first_appearance
+from .partition import _block_members, renumber_by_first_appearance
 from .types import EventLabel, StateLabel
 
 __all__ = [
@@ -69,29 +69,18 @@ def _labels_from_groups(groups: Sequence[Sequence[int]], n: int) -> np.ndarray:
 
 def _quotient(machine: DFSM, labels: np.ndarray, name: Optional[str]) -> DFSM:
     """Build the quotient machine given block labels of the states."""
-    num_blocks = int(labels.max()) + 1
-    representatives = [int(np.nonzero(labels == b)[0][0]) for b in range(num_blocks)]
+    members, bounds = _block_members(labels, int(labels.max()) + 1)
+    states = machine.states
+    member_list = members.tolist()
     block_names = []
-    for b in range(num_blocks):
-        members = sorted(
-            (machine.state_label(i) for i in np.nonzero(labels == b)[0].tolist()),
-            key=repr,
-        )
-        block_names.append(members[0] if len(members) == 1 else tuple(members))
-    table = machine.transition_table
-    transitions = {
-        block_names[b]: {
-            event: block_names[int(labels[int(table[representatives[b], ei])])]
-            for ei, event in enumerate(machine.events)
-        }
-        for b in range(num_blocks)
-    }
-    initial = block_names[int(labels[machine.initial_index])]
-    return DFSM(
-        block_names,
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        block = sorted(map(states.__getitem__, member_list[lo:hi]), key=repr)
+        block_names.append(block[0] if len(block) == 1 else tuple(block))
+    return DFSM.from_table(
+        labels[machine.transition_table[members[bounds[:-1]]]],
+        int(labels[machine.initial_index]),
         machine.events,
-        transitions,
-        initial,
+        block_names,
         name=name or ("%s/min" % machine.name),
     )
 

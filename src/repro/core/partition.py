@@ -73,6 +73,20 @@ def _first_of_each_block(labels: np.ndarray) -> np.ndarray:
     return np.unique(labels, return_index=True)[1]
 
 
+def _block_members(labels: np.ndarray, num_blocks: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Group the elements of a ``0..num_blocks-1`` label vector by block.
+
+    Returns ``(members, bounds)``: one stable ``argsort`` lists the
+    elements block by block (ascending within each block) and one
+    ``searchsorted`` finds the block starts, so block ``b`` is
+    ``members[bounds[b]:bounds[b + 1]]`` and its first member is
+    ``members[bounds[b]]``.
+    """
+    members = np.argsort(labels, kind="stable")
+    bounds = np.searchsorted(labels[members], np.arange(num_blocks + 1))
+    return members, bounds
+
+
 class Partition:
     """An immutable partition of the index set ``{0, .., n-1}``.
 
@@ -633,24 +647,17 @@ def machine_from_partition(
     if require_closed and not is_closed_partition(top, partition):
         raise PartitionError("partition is not closed with respect to %s" % top.name)
     labels = partition.labels
+    members, bounds = _block_members(labels, partition.num_blocks)
+    states = top.states
+    member_list = members.tolist()
     block_states: List[FrozenSet[StateLabel]] = [
-        frozenset(top.state_label(i) for i in np.nonzero(labels == b)[0].tolist())
-        for b in range(partition.num_blocks)
+        frozenset(map(states.__getitem__, member_list[lo:hi]))
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())
     ]
-    table = top.transition_table
-    transitions: Dict[FrozenSet[StateLabel], Dict[object, FrozenSet[StateLabel]]] = {}
-    for b in range(partition.num_blocks):
-        representative = int(np.nonzero(labels == b)[0][0])
-        row = {}
-        for ei, event in enumerate(top.events):
-            successor_block = int(labels[int(table[representative, ei])])
-            row[event] = block_states[successor_block]
-        transitions[block_states[b]] = row
-    initial_block = block_states[int(labels[top.initial_index])]
-    return DFSM(
-        block_states,
+    return DFSM.from_table(
+        quotient_table(top, partition),
+        int(labels[top.initial_index]),
         top.events,
-        transitions,
-        initial_block,
+        block_states,
         name=name or ("%s/quotient" % top.name),
     )

@@ -117,8 +117,6 @@ class CrossProduct:
         "_components",
         "_machine",
         "_projections",
-        "_tuples",
-        "_tuple_index",
         "_component_partitions",
         "_label_matrix",
     )
@@ -175,19 +173,16 @@ class CrossProduct:
                 event_columns.append(cols)
 
             order_array, table = self._explore(initial, event_columns, len(events), pool)
-        n = order_array.shape[0]
 
-        self._tuples: Tuple[StateTuple, ...] = tuple(
-            tuple(self._components[ci].state_label(si) for ci, si in enumerate(idx_tuple))
-            for idx_tuple in order_array.tolist()
+        # Tuple labels are zipped from per-component label columns; the
+        # BFS table goes to the table-native constructor as it is.
+        columns = [
+            map(machine.states.__getitem__, order_array[:, ci].tolist())
+            for ci, machine in enumerate(self._components)
+        ]
+        self._machine = DFSM.from_table(
+            table, 0, events, tuple(zip(*columns)), name=name
         )
-        self._tuple_index: Dict[StateTuple, int] = {t: i for i, t in enumerate(self._tuples)}
-
-        transitions = {
-            self._tuples[i]: {events[j]: self._tuples[int(table[i, j])] for j in range(len(events))}
-            for i in range(n)
-        }
-        self._machine = DFSM(self._tuples, events, transitions, self._tuples[0], name=name)
 
         # Projections: top-state index -> component-state index.
         projections = order_array.T.copy()
@@ -499,16 +494,16 @@ class CrossProduct:
     # ------------------------------------------------------------------
     def state_tuple(self, top_index: int) -> StateTuple:
         """The component-label tuple of the top state with index ``top_index``."""
-        return self._tuples[top_index]
+        return self._machine.states[top_index]
 
     def state_tuples(self) -> Tuple[StateTuple, ...]:
         """All reachable top states as component-label tuples."""
-        return self._tuples
+        return self._machine.states
 
     def index_of(self, state: StateTuple) -> int:
         """Index of the top state with the given component-label tuple."""
         try:
-            return self._tuple_index[tuple(state)]
+            return self._machine._state_index[tuple(state)]
         except KeyError:
             raise UnknownStateError("tuple %r is not a reachable product state" % (state,)) from None
 

@@ -62,6 +62,11 @@ def _contiguous(array: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(arr)
 
 
+def _byte_view(arr: np.ndarray) -> memoryview:
+    """Flat byte view of a C-contiguous array: its raw bytes, not a copy."""
+    return memoryview(arr.reshape(-1).view(np.uint8))
+
+
 def write_container(
     path: str,
     arrays: Mapping[str, np.ndarray],
@@ -80,10 +85,12 @@ def write_container(
         (str(name), _contiguous(arr)) for name, arr in arrays.items()
     ]
     descriptors = []
+    blobs: List[memoryview] = []
     offset = 0
     for name, arr in items:
         offset = _aligned(offset)
         nbytes = int(arr.nbytes)
+        blob = _byte_view(arr)
         descriptors.append(
             {
                 "name": name,
@@ -91,9 +98,10 @@ def write_container(
                 "shape": list(arr.shape),
                 "offset": offset,
                 "nbytes": nbytes,
-                "crc32": zlib.crc32(arr.tobytes()) & 0xFFFFFFFF,
+                "crc32": zlib.crc32(blob) & 0xFFFFFFFF,
             }
         )
+        blobs.append(blob)
         offset += nbytes
     header = {
         "format": FORMAT,
@@ -105,22 +113,29 @@ def write_container(
     prefix_len = len(MAGIC) + 8 + len(header_bytes) + _DIGEST_LEN
     data_start = _aligned(prefix_len)
 
-    blob = bytearray()
-    blob += MAGIC
-    blob += len(header_bytes).to_bytes(8, "little")
-    blob += header_bytes
-    blob += digest
-    blob += b"\x00" * (data_start - prefix_len)
-    for descriptor, (_, arr) in zip(descriptors, items):
+    # Blobs go to the file straight from the arrays' buffers: the
+    # counters-10 ledger alone is hundreds of MB, too big to copy twice.
+    chunks: List[Any] = [
+        MAGIC,
+        len(header_bytes).to_bytes(8, "little"),
+        header_bytes,
+        digest,
+        b"\x00" * (data_start - prefix_len),
+    ]
+    written = data_start
+    for descriptor, blob in zip(descriptors, blobs):
         target = data_start + descriptor["offset"]
-        blob += b"\x00" * (target - len(blob))
-        blob += arr.tobytes()
+        chunks.append(b"\x00" * (target - written))
+        chunks.append(blob)
+        written = target + len(blob)
 
-    payload = bytes(blob)
-    if truncate_at is not None:
-        payload = payload[: max(0, min(truncate_at, len(payload)))]
+    remaining = written if truncate_at is None else max(0, min(truncate_at, written))
     with open(path, "wb") as handle:
-        handle.write(payload)
+        for chunk in chunks:
+            if remaining <= 0:
+                break
+            handle.write(chunk[:remaining])
+            remaining -= len(chunk)
         if fsync:
             handle.flush()
             os.fsync(handle.fileno())
@@ -189,7 +204,7 @@ def read_container(
                 "container %s truncated inside blob %r" % (path, name)
             )
         raw = buffer[start:end]
-        if verify and (zlib.crc32(raw.tobytes()) & 0xFFFFFFFF) != crc:
+        if verify and (zlib.crc32(raw) & 0xFFFFFFFF) != crc:
             raise StoreCorruptionError(
                 "container %s blob %r failed CRC32" % (path, name)
             )

@@ -86,6 +86,56 @@ class TestConstruction:
         with pytest.raises(InvalidMachineError):
             DFSM.from_table([[5]], initial=0)
 
+    def test_from_table_rejects_negative_initial(self):
+        # -1 must not wrap around to the last state.
+        with pytest.raises(InvalidMachineError):
+            DFSM.from_table([[1, 0], [0, 1]], initial=-1)
+
+    def test_from_table_rejects_initial_past_the_end(self):
+        with pytest.raises(InvalidMachineError):
+            DFSM.from_table([[1, 0], [0, 1]], initial=2)
+
+    def test_from_table_rejects_float_table(self):
+        # Truncating 0.7 / 1.2 to state indices would invent transitions.
+        with pytest.raises(InvalidMachineError):
+            DFSM.from_table([[0.7, 1.2], [1, 0]])
+
+    def test_from_table_rejects_empty_table(self):
+        with pytest.raises(InvalidMachineError):
+            DFSM.from_table(np.zeros((0, 3), dtype=np.int64))
+
+    def test_from_table_rejects_label_shape_mismatch(self):
+        with pytest.raises(InvalidMachineError):
+            DFSM.from_table([[1, 0], [0, 1]], state_labels=["a", "b", "c"])
+        with pytest.raises(InvalidMachineError):
+            DFSM.from_table([[1, 0], [0, 1]], events=["x"])
+
+    def test_from_table_rejects_duplicate_labels(self):
+        with pytest.raises(InvalidMachineError):
+            DFSM.from_table([[1], [0]], state_labels=["a", "a"])
+        with pytest.raises(InvalidMachineError):
+            DFSM.from_table([[1, 0], [0, 1]], events=["x", "x"])
+
+    def test_from_table_keeps_a_private_int64_copy(self):
+        source = np.array([[1, 0], [0, 1]], dtype=np.int32)
+        machine = DFSM.from_table(source)
+        source[0, 0] = 0
+        assert machine.transition_table.dtype == np.int64
+        assert machine.transition_table[0, 0] == 1
+        assert not machine.transition_table.flags.writeable
+
+    def test_dict_and_table_constructors_agree(self):
+        machine = simple_machine()
+        rebuilt = DFSM.from_table(
+            machine.transition_table,
+            machine.initial_index,
+            machine.events,
+            machine.states,
+            name="simple",
+        )
+        assert rebuilt.structurally_equal(machine)
+        assert rebuilt.name == machine.name
+
     def test_transition_table_read_only(self):
         machine = simple_machine()
         with pytest.raises(ValueError):

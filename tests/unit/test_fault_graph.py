@@ -208,3 +208,21 @@ class TestResolveAmbiguity:
         graph = self._graph(("x", "y", "z"))
         with pytest.raises(PartitionError):
             graph.distance(["x"], "y")
+
+    def test_integer_labels_still_shadow_indices_down_a_chain(self):
+        child = self._graph((5, 7, 9)).with_partition(Partition([0, 0, 1]))
+        assert child.distance(5, 7) == 1
+        with pytest.raises(PartitionError):
+            child.distance(0, 5)
+
+    def test_label_index_is_built_once_per_chain(self):
+        graph = self._graph(("x", "y", "z"))
+        child = graph.with_partition(Partition([0, 0, 1]))
+        grandchild = child.with_partition(Partition([0, 1, 1]))
+        assert graph._label_index is child._label_index is grandchild._label_index
+        assert graph._label_index._index is None  # nothing built before a lookup
+        assert grandchild.distance("x", "z") == 3
+        built = graph._label_index._index
+        assert built is not None
+        assert graph.distance("x", "y") == 1
+        assert graph._label_index._index is built

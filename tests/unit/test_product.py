@@ -4,8 +4,25 @@ from __future__ import annotations
 
 import pytest
 
-from repro import CrossProduct, InvalidMachineError, UnknownStateError, merged_alphabet, reachable_cross_product
-from repro.machines import fig1_counter_a, fig1_counter_b, fig2_machine_a, fig2_machine_b, mesi, tcp
+from repro import (
+    CrossProduct,
+    InvalidMachineError,
+    UnknownStateError,
+    generate_fusion,
+    merged_alphabet,
+    reachable_cross_product,
+)
+from repro.core import dfsm as dfsm_module
+from repro.io.store import ArtifactStore
+from repro.machines import (
+    fig1_counter_a,
+    fig1_counter_b,
+    fig2_machine_a,
+    fig2_machine_b,
+    mesi,
+    mod_counter,
+    tcp,
+)
 
 
 class TestMergedAlphabet:
@@ -120,3 +137,43 @@ class TestGeneralProduct:
         with pytest.raises(ValueError):
             matrix[0, 0] = 1  # read-only
         assert product.component_label_matrix() is matrix  # cached
+
+
+class TestTableNativeConstruction:
+    """The top and the backups never detour through the dict API.
+
+    ``DFSM.__init__`` parses a ``{state: {event: next_state}}`` mapping
+    into a table; the engine derives machines from tables it already
+    holds, so with that parser disabled the product build, a cold fusion
+    into a store and the store's warm hit must all still work.
+    """
+
+    @pytest.fixture
+    def no_dict_parsing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a derived machine was built through the dict API")
+
+        # Component machines are built before the parser is disabled.
+        machines = [
+            mod_counter(3, count_event=e, events=tuple(range(8)), name="c%d" % e)
+            for e in range(8)
+        ]
+        monkeypatch.setattr(dfsm_module, "_parse_transitions", refuse)
+        return machines
+
+    def test_product_build(self, no_dict_parsing):
+        product = CrossProduct(no_dict_parsing)
+        assert product.num_states == 3**8
+
+    def test_cold_fusion_and_warm_hit(self, no_dict_parsing, tmp_path):
+        # counters-8 (top=6561) takes the sparse engine, ledgers included.
+        machines = no_dict_parsing
+        store = ArtifactStore(str(tmp_path))
+        cold = generate_fusion(machines, 1, store=store)
+        assert store.stats.commits
+        warm_store = ArtifactStore(str(tmp_path))
+        warm = generate_fusion(machines, 1, store=warm_store)
+        assert warm_store.stats.hits and not warm_store.stats.commits
+        assert warm.summary() == cold.summary()
+        for ours, theirs in zip(warm.backups, cold.backups):
+            assert ours.structurally_equal(theirs)

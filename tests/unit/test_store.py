@@ -10,6 +10,7 @@ byte-identical result.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
@@ -95,6 +96,52 @@ class TestContainerFormat:
             handle.write(b"NOTAFILE" + b"\x00" * 64)
         with pytest.raises(StoreCorruptionError):
             read_container(path)
+
+    def test_container_bytes_are_pinned(self, tmp_path):
+        # Checksums and blobs are taken from buffer views, not copies;
+        # the file must stay byte-for-byte what the format always wrote
+        # (mixed dtypes, a transposed input, a 0-d and an empty array).
+        path = str(tmp_path / "pin.npz")
+        arrays = {
+            "order": np.arange(12, dtype=np.int64).reshape(4, 3),
+            "transposed": np.arange(6, dtype=np.int32).reshape(2, 3).T,
+            "flags": np.array([True, False, True]),
+            "weights": np.linspace(0.0, 1.0, 5),
+            "scalar": np.array(7, dtype=np.uint16),
+            "empty": np.zeros((0, 3), dtype=np.int8),
+        }
+        write_container(path, arrays, {"kind": "pin", "n": 4}, fsync=False)
+        with open(path, "rb") as handle:
+            digest = hashlib.sha256(handle.read()).hexdigest()
+        assert digest == (
+            "e1727fde36b22207775389c9cecb39f0e0cb5982aedd0c61da28c2b28cc8b051"
+        )
+        loaded, _ = read_container(path)
+        for name, arr in arrays.items():
+            # ravel: the format has always stored a 0-d array as shape [1].
+            assert np.array_equal(loaded[name].ravel(), arr.ravel())
+
+    def test_product_container_bytes_are_pinned(self, tmp_path):
+        machines = _counters(4)
+        digest = machine_set_digest(machines)
+        store = ArtifactStore(str(tmp_path))
+        store.save_product(digest, CrossProduct(machines))
+        with open(os.path.join(str(tmp_path), digest, "product.npz"), "rb") as handle:
+            pinned = hashlib.sha256(handle.read()).hexdigest()
+        assert pinned == (
+            "9104c3b5261dda879ba65ecc3aecc92b49950e37f43aede359bf64fecbe7fc1b"
+        )
+
+    def test_truncated_write_stops_at_the_byte(self, tmp_path):
+        whole = str(tmp_path / "whole.npz")
+        torn = str(tmp_path / "torn.npz")
+        arrays = {"x": np.arange(64, dtype=np.int64), "y": np.arange(5, dtype=np.int8)}
+        write_container(whole, arrays, fsync=False)
+        size = os.path.getsize(whole)
+        for cut in (0, 10, size - 300, size - 1, size + 50):
+            write_container(torn, arrays, fsync=False, truncate_at=cut)
+            with open(whole, "rb") as a, open(torn, "rb") as b:
+                assert b.read() == a.read()[: max(0, cut)]
 
     def test_machine_set_roundtrip(self, tmp_path):
         machines = [mesi(), tcp()] + list(fig2_machines())
