@@ -37,7 +37,7 @@ single-process pigeonhole join); ``counters-10`` and the
 ``counters-10`` previously exceeded the candidate budget outright (its
 3-machine group joins materialise 64.5 M candidates; the recursive
 refinement splits them below the leaf target).  ``mesi+counters-9``
-(top=78732) enters with PR 4's parallel/incremental doomed-pair prune:
+(top=78732) enters with the incremental doomed-pair prune:
 under PR 3's engine the case spent ~27 s of ~42 s inside the pruning
 fixpoint on the reference container (up to ~40 s of ~68 s under load)
 and was left out of the suite to respect the 60 s guard.
@@ -64,9 +64,8 @@ Schema ``repro-bench-perf/4`` (PR 6) adds a ``resilience_stats`` block
 per case: worker crashes, watchdog timeouts, pool rebuilds, bundle
 re-publications, wave replays, serial degradations and injected chaos
 faults, as counted by the self-healing layer
-(:mod:`repro.core.resilience`).  All-zero in a healthy serial or
-parallel run — the block exists so any recovery activity during a
-benchmark shows up in the trajectory instead of only in the wall-clock.
+(:mod:`repro.core.resilience`).  Fusion generation no longer uses a
+worker pool, so the block is all-zero; it stays so the schema holds.
 
 Schema ``repro-bench-perf/5`` (PR 7) adds a top-level ``runtime`` block
 recorded by ``benchmarks/bench_runtime_throughput.py``: streaming
@@ -638,15 +637,13 @@ def test_counters9_sparse_engine_within_runtime_bound():
         result.graph.condensed_weights
 
 
-def test_mesi_counters9_parallel_prune_within_runtime_bound():
-    """The top=78732 protocol mix: the parallel/incremental prune flagship.
+def test_mesi_counters9_prune_within_runtime_bound():
+    """The top=78732 protocol mix: the incremental prune flagship.
 
     Infeasible to include under PR 3 — the serial doomed-pair fixpoint
     alone ate half the 60 s guard — this case now runs well inside the
     bound, stays sparse, seeds its lower levels from the upper ones, and
-    reports an untruncated prune.  Run it with ``REPRO_FUSION_WORKERS=2``
-    (the CI parallel smoke does) to exercise the sharded rounds; results
-    are byte-identical to the serial path either way.
+    reports an untruncated prune.
     """
     name = "mesi+counters-9 (top=78732)"
     machines = CASES[name]()
@@ -671,10 +668,8 @@ def test_mesi_counters10_narrow_key_within_runtime_bound():
     itself).  The disjoint exclusion-masked leaves cut the merge input
     to ~31M distinct entries, shift-packed narrow keys halve the bytes
     every sort and membership pass moves, and the case now clears the
-    runtime-study bound with margin.  Run with
-    ``REPRO_FUSION_WORKERS=2`` (the CI parallel smoke does) to exercise
-    the pooled ledger/merge-tree/exploration paths; results are
-    byte-identical to the serial run.
+    runtime-study bound with margin.  Generation is serial whatever
+    ``REPRO_FUSION_WORKERS`` says, so no worker count changes this run.
     """
     name = "mesi+counters-10 (top=236196)"
     machines = CASES[name]()

@@ -6,16 +6,19 @@ flagship:
 
 1. an unbounded reference run records the ground-truth partition bytes
    and ``prune_stats``;
-2. the same fusion reruns with 2 workers under a deliberately tiny
-   memory budget *plus* a seeded ``shm_full`` fault against the
-   ``segment_publish`` stage — the merge tree must spill at least one
-   fold to external sorted runs on scratch, and at least one
-   ``/dev/shm`` publish must fall back to a file-backed mmap segment
-   (a smoke that never degrades proves nothing);
-3. the starved run must finish with partition bytes *and*
-   ``prune_stats`` identical to the reference — graceful degradation
-   may cost time, never correctness;
-4. zero ``psm_*`` shared-memory segments and zero spill scratch files
+2. the same fusion reruns under a deliberately tiny memory budget — the
+   ledger merge must spill at least one fold to external sorted runs on
+   scratch;
+3. a pooled 2-worker fleet of that fusion then steps under an active
+   governor and a seeded ``shm_full`` fault against the
+   ``segment_publish`` stage — the runtime's table publish must fall
+   back to a file-backed mmap segment (fusion itself publishes no
+   segments; a smoke that never degrades proves nothing);
+4. the starved run must finish with partition bytes *and*
+   ``prune_stats`` identical to the reference, and the fleet with state
+   matrices identical to a serial fleet — graceful degradation may
+   cost time, never correctness;
+5. zero ``psm_*`` shared-memory segments and zero spill scratch files
    may survive the clean finish.
 
 The spill/fallback evidence is recorded as the top-level ``resources``
@@ -37,12 +40,17 @@ import os
 import sys
 import time
 
+import numpy as np
+
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
+from repro.core.budget import ResourceGovernor, activate
 from repro.core.fusion import generate_fusion
 from repro.core.resilience import assert_no_owned_segments
+from repro.core.runtime import VectorizedRuntime
+from repro.core.shm import SharedWorkerPool
 from repro.machines import mod_counter
 from repro.utils.timing import Stopwatch
 
@@ -52,16 +60,20 @@ RESULT_PATH = os.path.join(
 
 CASE = "counters-9 (top=19683)"
 
-#: Small enough that the owner-side merge folds overrun it and spill
-#: (their transient peak is tens of MB on this case), large enough that
-#: the spill windows still make progress.
+#: Small enough that the ledger merges overrun it and spill (their
+#: transient peak is tens of MB on this case), large enough that the
+#: spill windows still make progress.
 MEMORY_BUDGET = "1M"
 
-#: Fires once, on the first shared-segment publish: the governor must
-#: route that publish to a file-backed segment instead of ``/dev/shm``.
+#: Fires once, on the first shared-segment publish — the pooled
+#: runtime's transition tables: the governor must route that publish to
+#: a file-backed segment instead of ``/dev/shm``.
 CHAOS = "shm_full=1.0,stages=segment_publish,max=1,seed=17"
 
 WORKERS = 2
+
+#: The runtime's default pool gate (2^16 instances): every step pools.
+INSTANCES = 1 << 16
 
 
 def _counters(size: int):
@@ -76,6 +88,15 @@ def _labels_digest(result) -> str:
     for partition in result.partitions:
         digest.update(partition.labels.tobytes())
     return digest.hexdigest()
+
+
+def _run_fleet(machines, pool):
+    """Final ``(true, visible, status)`` matrices of one seeded fleet run."""
+    rng = np.random.default_rng(17)
+    matrix = rng.integers(0, 9, size=(4, INSTANCES))
+    with VectorizedRuntime(machines, INSTANCES, pool=pool, workers=0) as runtime:
+        runtime.apply_event_matrix(matrix)
+        return runtime.true_states, runtime.visible_states, runtime.statuses
 
 
 def _shm_segments():
@@ -126,10 +147,25 @@ def main() -> int:
             budget={"memory": MEMORY_BUDGET},
         )
         run_seconds = time.perf_counter() - start
+
+        print("pooled fleet (workers=%d) under the same chaos plan ..." % WORKERS)
+        fleet_machines = starved.all_machines
+        serial_fleet = _run_fleet(fleet_machines, pool=None)
+        governor = ResourceGovernor()
+        pool = SharedWorkerPool(WORKERS)
+        try:
+            with activate(governor):
+                pooled_fleet = _run_fleet(fleet_machines, pool)
+        finally:
+            pool.close()
+            governor.close()
     finally:
         os.environ.pop("REPRO_CHAOS", None)
 
     stats = {k: int(v) for k, v in starved_watch.extras("resources").items()}
+    for key, value in governor.stats.as_counters().items():
+        merge = max if key.endswith("_peak") else int.__add__
+        stats[key] = merge(stats.get(key, 0), int(value))
     starved_prune = starved_watch.extras("prune")
     print("governor stats: %s" % stats)
 
@@ -140,6 +176,11 @@ def main() -> int:
             "starved summary differs from the reference: %r != %r"
             % (starved.summary(), reference.summary())
         )
+    fleet_equal = all(
+        np.array_equal(ours, theirs) for ours, theirs in zip(pooled_fleet, serial_fleet)
+    )
+    if not fleet_equal:
+        failures.append("the degraded pooled fleet differs from the serial fleet")
     prune_equal = starved_prune == reference_prune
     if not prune_equal:
         failures.append(
@@ -169,14 +210,14 @@ def main() -> int:
         record_resources_block({
             "note": (
                 "Resource-governor evidence from benchmarks/"
-                "bench_resource_smoke.py: the %s fusion reran with %d "
-                "workers under REPRO_MEMORY_BUDGET=%s plus a seeded "
-                "shm_full fault; the merge tree spilled to external "
-                "sorted runs, a /dev/shm publish fell back to a "
-                "file-backed segment, and the run finished byte-identical "
-                "to the unbounded reference with identical prune_stats "
-                "and zero stranded segments."
-                % (CASE, WORKERS, MEMORY_BUDGET)
+                "bench_resource_smoke.py: the %s fusion reran under "
+                "REPRO_MEMORY_BUDGET=%s and its ledger merges spilled to "
+                "external sorted runs; a %d-worker pooled fleet of the "
+                "result then stepped under a seeded shm_full fault and "
+                "its table publish fell back to a file-backed segment.  "
+                "Both finished byte-identical to their references (same "
+                "prune_stats, same fleet states) with zero stranded "
+                "segments." % (CASE, MEMORY_BUDGET, WORKERS)
             ),
             "case": CASE,
             "budget": {"memory": MEMORY_BUDGET},

@@ -15,9 +15,11 @@ resource exhaustion into *graceful degradation*:
 * :class:`ResourceGovernor` — meters resident bytes of published shared
   segments and large pair-key arrays against the budget, decides when a
   merge must spill, and owns the spill directory.  One governor is
-  *activated* per ``generate_fusion`` call (:func:`activate`); the shm
-  and sparse layers consult :func:`current_governor` so no signature in
-  the hot path changes.
+  *activated* per ``generate_fusion`` call (:func:`activate`); the
+  sparse layer consults :func:`current_governor` so no signature in the
+  hot path changes.  Fusion publishes no segments; the shm layer
+  consults the active governor when a caller activates one around a
+  pooled :class:`~repro.core.runtime.VectorizedRuntime`.
 * :func:`external_sort_unique` — the spill machinery itself: sorted,
   duplicate-free key runs written to scratch and k-way merged back
   through bounded read windows.  Because the packed pair keys are plain
@@ -242,7 +244,13 @@ class BudgetStats:
 # External merge of sorted duplicate-free runs
 # ----------------------------------------------------------------------
 def _dedup_sorted(packed: np.ndarray) -> np.ndarray:
-    """Drop duplicate neighbours of a sorted array (mirrors core.sparse)."""
+    """Drop duplicate neighbours of a sorted array (neighbour-diff mask).
+
+    ``np.compress`` instead of boolean fancy indexing: on the reference
+    containers the latter is several times slower at the
+    tens-of-millions scale of the ledger merges.  Shared with
+    :mod:`repro.core.sparse`.
+    """
     if packed.size <= 1:
         return packed
     keep = np.empty(packed.size, dtype=bool)
@@ -387,8 +395,8 @@ class ResourceGovernor:
     """Meters resident bytes against the budget and owns the spill path.
 
     One governor is created per ``generate_fusion`` call and activated
-    for its duration; the shm layer reports segment publishes/releases,
-    the sparse layer asks :meth:`should_spill` before each large merge
+    for its duration; the shm layer reports segment publishes/releases
+    of the pooled runtime while one is active, the sparse layer asks :meth:`should_spill` before each large merge
     and routes through :meth:`spill_merge` when told to.  All methods
     are cheap no-ops when no budget is configured and no chaos plan is
     active.

@@ -51,7 +51,6 @@ from .dfsm import DFSM
 from .exceptions import PartitionError
 from .partition import Partition, partition_from_machine
 from .product import CrossProduct
-from .shm import SharedWorkerPool
 from .sparse import LedgerBuilder, PairLedger, condensed_indices
 from .types import StateLabel, narrow_key_dtype
 
@@ -153,13 +152,6 @@ class FaultGraph:
         cap exactly (Algorithm 2 passes its target ``dmin`` plus one).
         Heavier queries trigger an escalating rebuild; answers are exact
         either way.
-    pool:
-        Sparse mode only: an optional
-        :class:`repro.core.shm.SharedWorkerPool` the ledger joins fan
-        out over (label arrays published once via shared memory).  The
-        caller owns the pool's lifetime; after it closes, this graph
-        falls back to serial joins.  Results are byte-identical with or
-        without a pool.
 
     The class is immutable; :meth:`with_partition` returns a new graph
     with one more machine folded in (reusing the existing condensed
@@ -197,7 +189,6 @@ class FaultGraph:
         machine_names: Optional[Sequence[str]] = None,
         mode: str = "auto",
         weight_cap: Optional[int] = None,
-        pool: Optional[SharedWorkerPool] = None,
         _weights: Optional[np.ndarray] = None,
         _condensed: Optional[np.ndarray] = None,
         _ledger: Optional[PairLedger] = None,
@@ -249,9 +240,7 @@ class FaultGraph:
             self._builder = (
                 _builder
                 if _builder is not None
-                else LedgerBuilder(
-                    self._partitions, self._n, pool=pool, label_rows=_label_rows
-                )
+                else LedgerBuilder(self._partitions, self._n, label_rows=_label_rows)
             )
             self._base_count = (
                 int(_base_count) if _base_count is not None else len(self._partitions)
@@ -298,7 +287,6 @@ class FaultGraph:
         machines: Sequence[DFSM],
         mode: str = "auto",
         weight_cap: Optional[int] = None,
-        pool: Optional[SharedWorkerPool] = None,
     ) -> "FaultGraph":
         """Build ``G(top, machines)`` from DFSMs, using Algorithm 1 for each.
 
@@ -312,7 +300,6 @@ class FaultGraph:
             machine_names=[m.name for m in machines],
             mode=mode,
             weight_cap=weight_cap,
-            pool=pool,
         )
 
     @classmethod
@@ -321,7 +308,6 @@ class FaultGraph:
         product: CrossProduct,
         mode: str = "auto",
         weight_cap: Optional[int] = None,
-        pool: Optional[SharedWorkerPool] = None,
     ) -> "FaultGraph":
         """Fault graph of the component machines of a :class:`CrossProduct`.
 
@@ -338,7 +324,6 @@ class FaultGraph:
             machine_names=[m.name for m in product.components],
             mode=mode,
             weight_cap=weight_cap,
-            pool=pool,
             _label_rows=product.component_label_matrix(),
         )
 

@@ -21,20 +21,14 @@ current block count:
 * the **sparse** engine (levels above :data:`DESCENT_SPARSE_CUTOFF`
   blocks) enumerates merge candidates lazily in the same order, prunes
   with the sparse backward fixpoint of
-  :func:`repro.core.sparse.doomed_pair_keys`, and batches the surviving
-  SP-closures — optionally across a persistent
-  :class:`repro.core.shm.SharedWorkerPool` (see :func:`resolve_workers`)
-  — so neither memory nor single-core closure throughput caps ``|top|``.
+  :func:`repro.core.sparse.doomed_pair_keys`, and closes the surviving
+  candidates in batches — so memory never caps ``|top|``.
 
-With ``workers > 1`` a single pool serves the whole generation: the
-ledger build's group joins fan out over it (via the fault graph's
-:class:`repro.core.sparse.LedgerBuilder`), and each descent publishes
-the product's transition table and weakest-edge arrays once through
-shared memory (:class:`_DescentShared`); per level, only the current
-partition's label vector is rewritten into a shared scratch region, and
-workers derive the quotient table and projected weakest edges from the
-shared buffers themselves — tasks carry batch indices and a level id,
-never arrays.
+Generation runs in-process, like the paper's sequential greedy walk:
+sharding its stages over worker processes was measured slower than
+serial on every large case.  ``generate_fusion``'s ``workers=``
+argument is still validated (:func:`resolve_workers`), but worker
+processes only serve :class:`repro.core.runtime.VectorizedRuntime`.
 
 Both engines accept candidates in the same lexicographic order and prune
 only provably-failing candidates, so their results are byte-identical;
@@ -51,8 +45,6 @@ ablation.
 from __future__ import annotations
 
 import os
-from concurrent.futures import Future
-from concurrent.futures import wait as _wait_futures
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import (
@@ -80,15 +72,13 @@ from .fault_tolerance import required_dmin
 from .lattice import lower_cover
 from .partition import (
     Partition,
-    _first_of_each_block,
     closure_of_labels,
     machine_from_partition,
     partition_from_machine,
     quotient_table,
 )
 from .product import CrossProduct
-from .resilience import RECOVERABLE_POOL_ERRORS
-from .shm import _MAX_WORKERS, SharedWorkerPool, attached_arrays, resolve_workers
+from .shm import _MAX_WORKERS, resolve_workers
 from .sparse import (
     DEFAULT_CANDIDATE_BUDGET,
     DoomedPairEngine,
@@ -253,17 +243,9 @@ DESCENT_SPARSE_CUTOFF = 4096
 #: memory per level is a few of these, not ``O(B^2)``).
 _PAIR_CHUNK = 16384
 
-#: Surviving candidates per closure batch.  One batch is one worker task
-#: in parallel mode; the serial path uses the same batching so the two
-#: evaluate candidates in an identical order.
+#: Surviving candidates per closure batch: survivors are gathered from
+#: the enumeration chunks and closed this many at a time.
 _CLOSURE_BATCH = 64
-
-#: Minimum *guaranteed* surviving candidates (remaining pairs minus the
-#: doomed-set size, a lower bound) before a lattice level submits to the
-#: worker pool.  The pool itself persists across levels (and serves the
-#: ledger build too), but task submission and result pickling still cost
-#: more than closing a short post-prune tail in-process.
-_POOL_MIN_SURVIVORS = 256
 
 
 def _doomed_pairs(
@@ -317,7 +299,7 @@ def _doomed_pairs(
 
 
 # ----------------------------------------------------------------------
-# Batched closure evaluation (shared by the serial and pooled paths)
+# Batched closure evaluation
 # ----------------------------------------------------------------------
 def _evaluate_pair_batch(
     quotient: np.ndarray,
@@ -347,99 +329,6 @@ def _evaluate_pair_batch(
     return hits
 
 
-class _DescentShared:
-    """Shared product buffers + task plumbing for one descent's levels.
-
-    Published once per descent (through the fusion-wide
-    :class:`~repro.core.shm.SharedWorkerPool`): the top's transition
-    table and the descent-constant weakest-edge index arrays, plus a
-    label scratch region the owner rewrites at each level —
-    :meth:`set_level` may only run with no tasks outstanding.  Workers
-    derive the level's quotient table and projected weakest edges from
-    those buffers themselves (:func:`_descent_level_task`), memoised per
-    level id, so tasks pickle nothing but a candidate batch.
-    """
-
-    def __init__(
-        self,
-        pool: SharedWorkerPool,
-        top: DFSM,
-        weak_rows: np.ndarray,
-        weak_cols: np.ndarray,
-        first_only: bool,
-    ) -> None:
-        self._pool = pool
-        self._bundle = pool.publish(
-            {
-                "table": top.transition_table,
-                "weak_rows": weak_rows,
-                "weak_cols": weak_cols,
-                "labels": np.zeros(top.num_states, dtype=np.int64),
-            }
-        )
-        self._first_only = bool(first_only)
-        self._level = -1
-
-    @property
-    def workers(self) -> int:
-        return self._pool.workers
-
-    @property
-    def pool(self) -> SharedWorkerPool:
-        """The fusion-wide pool (for the scan's recovery handling)."""
-        return self._pool
-
-    def set_level(self, base_labels: np.ndarray) -> None:
-        """Install one lattice level's partition labels in the scratch."""
-        self._bundle.arrays["labels"][...] = base_labels
-        self._level += 1
-
-    def submit(self, pairs: np.ndarray) -> Future:
-        # meta is re-read per submit (never cached): after a pool heal
-        # the bundle respawns under a fresh segment name, and replayed
-        # tasks must attach the fresh segment — which also invalidates
-        # the workers' per-level memo keyed by segment name.
-        return self._pool.submit(
-            _descent_level_task, self._bundle.meta, self._level, self._first_only, pairs
-        )
-
-    def retire(self) -> None:
-        """Unlink this descent's buffers (the pool itself lives on)."""
-        self._pool.retire(self._bundle)
-
-
-#: Worker-side memo of the last level's derived arrays, keyed by
-#: (segment name, level id) so a new level — or a new descent's bundle —
-#: recomputes from the shared buffers exactly once per worker.
-_LEVEL_STATE: Dict[str, object] = {}
-
-
-def _descent_level_task(
-    meta: Dict[str, object], level: int, first_only: bool, pairs: np.ndarray
-) -> List[Tuple[int, np.ndarray]]:
-    """Pool task: evaluate one candidate batch against the shared level.
-
-    The quotient table and the weakest edges projected into block space
-    are recomputed from the shared product buffers on the first task of
-    each level — the identical ``labels[table[representatives]]`` /
-    ``labels[weak]`` gathers the owner performs, so both sides evaluate
-    exactly the same candidate predicate.
-    """
-    key = (meta["segment"], level)
-    if _LEVEL_STATE.get("key") != key:
-        arrays = attached_arrays(meta)
-        labels = arrays["labels"]
-        quotient = labels[arrays["table"][_first_of_each_block(labels), :]]
-        weak_pair = (labels[arrays["weak_rows"]], labels[arrays["weak_cols"]])
-        _LEVEL_STATE.update(key=key, quotient=quotient, weak_pair=weak_pair)
-    return _evaluate_pair_batch(
-        _LEVEL_STATE["quotient"],  # type: ignore[arg-type]
-        _LEVEL_STATE["weak_pair"],  # type: ignore[arg-type]
-        pairs,
-        first_only,
-    )
-
-
 def _scan_level_sparse(
     quotient: np.ndarray,
     base_labels: np.ndarray,
@@ -447,7 +336,6 @@ def _scan_level_sparse(
     weak_b: np.ndarray,
     num_blocks: int,
     first_mode: bool,
-    get_shared: Callable[[], Optional[_DescentShared]],
     measure,
     engine: DoomedPairEngine,
     note_prune: Callable[[PruneStats], None],
@@ -458,22 +346,17 @@ def _scan_level_sparse(
     lexicographic order; the first :data:`_PRUNE_AFTER_FAILURES`
     rejections are paid optimistically, then the descent's
     :class:`repro.core.sparse.DoomedPairEngine` prunes in bulk —
-    seeded from the previous level, sharded over the pool when rounds
-    are big enough — and only survivors are closed, in
-    :data:`_CLOSURE_BATCH`-sized batches, either in-process or across
-    the persistent worker pool behind ``get_shared()`` — called, and the
-    buffers published, only once a level actually has enough surviving
-    work to submit.  Returns ``(chosen, improving)`` with the same
-    semantics as the dense
-    scan: ``chosen`` is the first qualifying candidate in first mode,
-    ``improving`` the deduplicated qualifying candidates otherwise.
+    seeded from the previous level — and only survivors are closed, in
+    :data:`_CLOSURE_BATCH`-sized batches.  Returns ``(chosen,
+    improving)`` with the same semantics as the dense scan: ``chosen``
+    is the first qualifying candidate in first mode, ``improving`` the
+    deduplicated qualifying candidates otherwise.
     """
     weak_pair = (weak_a, weak_b)
     chunk_iter = iter_pair_chunks(num_blocks, _PAIR_CHUNK)
     current_rows = np.empty(0, dtype=np.int64)
     current_cols = np.empty(0, dtype=np.int64)
     position = 0
-    consumed = 0
 
     def refill() -> bool:
         nonlocal current_rows, current_cols, position
@@ -503,7 +386,6 @@ def _scan_level_sparse(
         a = int(current_rows[position])
         b = int(current_cols[position])
         position += 1
-        consumed += 1
         merge_seed[b] = a
         with measure("closure"):
             closed = closure_of_labels(quotient, merge_seed, stop_if_merges=weak_pair)
@@ -516,7 +398,7 @@ def _scan_level_sparse(
             return (candidate, improving)
 
     # Phase 2 — sparse doomed-pair prune over the implication adjacency
-    # (incremental across levels, parallel when rounds are big enough).
+    # (incremental across levels).
     with measure("prune"):
         doomed = engine.prune(
             quotient, weak_a, weak_b, num_blocks, base_labels=base_labels
@@ -549,108 +431,15 @@ def _scan_level_sparse(
         if pending_count:
             yield np.concatenate(pending, axis=0)
 
-    # Phase 3 — close the survivors, batched (serially or on the pool).
-    # Remaining pairs minus the doomed-set size lower-bounds the
-    # surviving work; pool submission (task + result pickling) is only
-    # worth it above _POOL_MIN_SURVIVORS guaranteed candidates.
-    remaining = num_blocks * (num_blocks - 1) // 2 - consumed
-    guaranteed_survivors = remaining - int(doomed.size)
-    shared = get_shared() if guaranteed_survivors >= _POOL_MIN_SURVIVORS else None
-    if shared is None:
-        for batch in surviving_batches():
-            with measure("closure"):
-                hits = _evaluate_pair_batch(quotient, weak_pair, batch, first_mode)
-            for _, closed in hits:
-                candidate = record(closed)
-                if first_mode:
-                    return (candidate, improving)
-        return (None, improving)
-
-    # The pool persists across levels; only this level's labels move —
-    # into the shared scratch, legal here because no tasks are in
-    # flight (the window below is always drained before returning).
-    # Batches ride alongside their futures so a worker crash or
-    # watchdog timeout can replay exactly the outstanding work after
-    # the pool heals; when the retry budget runs out the remaining
-    # batches finish in-process — same candidates, same order.
-    shared.set_level(base_labels)
-    pool = shared.pool
-    batches = surviving_batches()
-    window: List[Tuple[np.ndarray, Future]] = []
-    replay: List[np.ndarray] = []
-    attempt = 0
-    try:
-        exhausted = False
-        while True:
-            unsubmitted: Optional[np.ndarray] = None
-            try:
-                while (replay or not exhausted) and len(window) < shared.workers * 2:
-                    if replay:
-                        batch = replay.pop(0)
-                    else:
-                        batch = next(batches, None)
-                        if batch is None:
-                            exhausted = True
-                            break
-                    unsubmitted = batch
-                    window.append((batch, shared.submit(batch)))
-                    unsubmitted = None
-                if not window:
-                    return (None, improving)
-                head_batch, head = window[0]
-                with measure("closure"):
-                    hits = head.result(timeout=pool.task_timeout)
-                window.pop(0)
-                attempt = 0
-            except RECOVERABLE_POOL_ERRORS as exc:
-                pool.resilience.note_fault(exc)
-                outstanding = [batch for batch, _ in window]
-                if unsubmitted is not None:
-                    outstanding.append(unsubmitted)
-                window = []
-                attempt += 1
-                if pool.attempt_recovery("closure_batch", attempt):
-                    replay = outstanding + replay
-                    continue
-                # Degraded: close the outstanding and remaining batches
-                # in-process, preserving candidate order.
-                for batch in outstanding + replay:
-                    with measure("closure"):
-                        hits = _evaluate_pair_batch(
-                            quotient, weak_pair, batch, first_mode
-                        )
-                    for _, closed in hits:
-                        candidate = record(closed)
-                        if first_mode:
-                            return (candidate, improving)
-                for batch in batches:
-                    with measure("closure"):
-                        hits = _evaluate_pair_batch(
-                            quotient, weak_pair, batch, first_mode
-                        )
-                    for _, closed in hits:
-                        candidate = record(closed)
-                        if first_mode:
-                            return (candidate, improving)
-                return (None, improving)
-            for _, closed in hits:
-                candidate = record(closed)
-                if first_mode:
-                    return (candidate, improving)
-    except KeyboardInterrupt:
-        # Do not join a possibly-hung wave on Ctrl-C; the pool is torn
-        # down (workers killed, bundles unlinked) by the owner's
-        # interrupt handling upstream.
-        window = []
-        raise
-    finally:
-        # On early return (first hit) cancel what never started and wait
-        # out what did: the next set_level must not race a worker that
-        # still reads this level's labels.
-        for _batch, future in window:
-            future.cancel()
-        if window:
-            _wait_futures([future for _batch, future in window])
+    # Phase 3 — close the survivors, batched.
+    for batch in surviving_batches():
+        with measure("closure"):
+            hits = _evaluate_pair_batch(quotient, weak_pair, batch, first_mode)
+        for _, closed in hits:
+            candidate = record(closed)
+            if first_mode:
+                return (candidate, improving)
+    return (None, improving)
 
 
 def _scan_level_dense(
@@ -750,7 +539,6 @@ def _descend(
     strategy: DescentStrategy,
     max_descent: Optional[int] = None,
     stopwatch=None,
-    pool: Optional[SharedWorkerPool] = None,
     checkpoint: Optional[Callable[[int, np.ndarray], None]] = None,
     resume: Optional[Tuple[int, np.ndarray]] = None,
 ) -> Partition:
@@ -782,10 +570,7 @@ def _descend(
     stages on materialised pair arrays and the dense fixpoint
     (:func:`_scan_level_dense`); larger levels run the identical
     candidate order through lazy enumeration, the sparse fixpoint and
-    batched closures (:func:`_scan_level_sparse`) — fanned out over
-    ``pool`` when one is given, with the product buffers shared once per
-    descent (:class:`_DescentShared`) and unlinked in the ``finally``
-    below however the descent ends.
+    batched closures (:func:`_scan_level_sparse`).
 
     The default ``"first"`` strategy stops at the first qualifying
     candidate — the paper's nondeterministic ``∃F ∈ C`` choice resolved
@@ -818,14 +603,12 @@ def _descend(
         steps = 0
     measure = stopwatch.measure if stopwatch is not None else (lambda _name: nullcontext())
     first_mode = strategy is _first_candidate
-    shared_holder: List[Optional[_DescentShared]] = [None]
     # One pruning engine per descent: the weakest edges are constant and
     # the levels only coarsen within it, which is what makes the
     # engine's cross-level seeding sound.  The graph hands over the
     # identity level's seed keys ready-made (they are cached across the
     # descents of one generation).
     engine = DoomedPairEngine(
-        pool=pool,
         budget=_PRUNE_BUDGET,
         max_rounds=_DOOMED_MAX_ROUNDS,
         identity_seed=graph.weakest_edge_keys(),
@@ -844,55 +627,36 @@ def _descend(
             seeded=stats.seeded,
         )
 
-    def get_shared() -> Optional[_DescentShared]:
-        """This descent's shared buffers, published on first real use.
-
-        Levels whose post-prune tail is too small to pool never call
-        this, so such descents publish nothing at all.
-        """
-        if pool is None or not pool.usable:
-            return None
-        if shared_holder[0] is None:
-            shared_holder[0] = _DescentShared(
-                pool, top, weak_rows, weak_cols, first_mode
+    while current.num_blocks > 1:
+        if max_descent is not None and steps >= max_descent:
+            break
+        quotient = quotient_table(top, current)
+        base_labels = current.labels
+        num_blocks = current.num_blocks
+        # Weakest edges in the quotient's block space.  The current
+        # partition always separates them (level 0 is the identity and
+        # every chosen candidate separates them by construction).
+        weak_a = base_labels[weak_rows]
+        weak_b = base_labels[weak_cols]
+        if num_blocks > DESCENT_SPARSE_CUTOFF:
+            chosen, improving = _scan_level_sparse(
+                quotient, base_labels, weak_a, weak_b, num_blocks,
+                first_mode, measure, engine, note_prune,
             )
-        return shared_holder[0]
-
-    try:
-        while current.num_blocks > 1:
-            if max_descent is not None and steps >= max_descent:
-                break
-            quotient = quotient_table(top, current)
-            base_labels = current.labels
-            num_blocks = current.num_blocks
-            # Weakest edges in the quotient's block space.  The current
-            # partition always separates them (level 0 is the identity and
-            # every chosen candidate separates them by construction).
-            weak_a = base_labels[weak_rows]
-            weak_b = base_labels[weak_cols]
-            if num_blocks > DESCENT_SPARSE_CUTOFF:
-                chosen, improving = _scan_level_sparse(
-                    quotient, base_labels, weak_a, weak_b, num_blocks,
-                    first_mode, get_shared, measure, engine, note_prune,
-                )
-            else:
-                chosen, improving = _scan_level_dense(
-                    quotient, base_labels, weak_a, weak_b, num_blocks,
-                    first_mode, measure, engine, note_prune,
-                )
-            if chosen is None and improving:
-                chosen = strategy(graph, improving)
-            if chosen is None:
-                break
-            current = chosen
-            steps += 1
-            if checkpoint is not None:
-                checkpoint(steps, current.labels)
-        return current
-    finally:
-        engine.retire()
-        if shared_holder[0] is not None:
-            shared_holder[0].retire()
+        else:
+            chosen, improving = _scan_level_dense(
+                quotient, base_labels, weak_a, weak_b, num_blocks,
+                first_mode, measure, engine, note_prune,
+            )
+        if chosen is None and improving:
+            chosen = strategy(graph, improving)
+        if chosen is None:
+            break
+        current = chosen
+        steps += 1
+        if checkpoint is not None:
+            checkpoint(steps, current.labels)
+    return current
 
 
 def _resolve_store(store) -> Optional["ArtifactStore"]:
@@ -1023,14 +787,11 @@ def generate_fusion(
         ``dmin`` — the sparse pair-ledger join, or the condensed-vector
         min scan on dense graphs.
     workers:
-        Worker processes for the sparse engine; see
-        :func:`resolve_workers` for the ``None`` default (environment /
-        CPU count, serial under pytest).  With more than one worker, a
-        single :class:`repro.core.shm.SharedWorkerPool` serves both the
-        ledger build's group joins and the descent's batched closures,
-        with the product's buffers published once over shared memory and
-        unlinked in a ``finally`` whatever happens.  The result is
-        byte-identical for every worker count.
+        Validated by :func:`resolve_workers` (a negative count or a
+        malformed ``REPRO_FUSION_WORKERS`` raises :class:`FusionError`)
+        and otherwise unused: generation always runs in-process, and
+        worker processes only size the pool of
+        :class:`repro.core.runtime.VectorizedRuntime`.
     store:
         Optional :class:`repro.io.store.ArtifactStore` (or a directory
         path) making the run *crash durable*: the reachable product, the
@@ -1052,11 +813,9 @@ def generate_fusion(
         counts or size strings (``"256M"``).  ``None`` reads the
         ``REPRO_MEMORY_BUDGET`` / ``REPRO_SHM_BUDGET`` /
         ``REPRO_DISK_BUDGET`` environment variables.  Above the memory
-        watermark the sparse merge tree and prune rounds spill sorted
-        key runs to scratch (byte-identical k-way external merge);
-        above the shm watermark — or on a real ``/dev/shm`` ENOSPC —
-        segment publishes fall back to file-backed mmaps; disk
-        exhaustion retries commits after scratch sweeping and finally
+        watermark the sparse ledger merges spill sorted key runs to
+        scratch (byte-identical k-way external merge); disk exhaustion
+        retries commits after scratch sweeping and finally
         raises :class:`repro.core.exceptions.ResourceExhaustedError`
         with the run still resumable.  Spill/fallback counts land in
         the stopwatch's ``resources`` stage.
@@ -1091,10 +850,10 @@ def generate_fusion(
     crash_equivalent_f = target_dmin - 1
     measure = stopwatch.measure if stopwatch is not None else nullcontext
 
+    resolve_workers(workers)
     artifacts = _resolve_store(store)
-    # The governor meters shared-segment bytes and large pair-key
-    # arrays against the run's budget, and owns the spill scratch the
-    # merge tree degrades into.  It is created unconditionally so the
+    # The governor meters large pair-key arrays against the run's
+    # budget, and owns the spill scratch the ledger merges degrade into.  It is created unconditionally so the
     # ``resources`` stage always exists in the stopwatch, warm hit or
     # not.
     governor = ResourceGovernor(budget)
@@ -1120,7 +879,7 @@ def generate_fusion(
                 max_backups=max_backups,
             )
             # Warm fast path: a finished result for this exact run
-            # reconstructs without a pool, a lock, or a single join.
+            # reconstructs without a lock or a single join.
             with measure("store_load"):
                 warm = _result_from_store(
                     artifacts, digest, runkey, machines, product, target_dmin
@@ -1130,16 +889,6 @@ def generate_fusion(
                     stopwatch.accumulate("store", **artifacts.stats.as_counters())
                 _finish_resources()
                 return warm
-
-    worker_count = resolve_workers(workers)
-    # One pool for the whole generation: the ledger build's group joins
-    # and every descent level's closure batches share its workers and
-    # its shared-memory bundles.  The finally below is the single point
-    # where the executor is joined and every segment is unlinked, so an
-    # error (or Ctrl-C between tasks) cannot leak /dev/shm segments.
-    pool: Optional[SharedWorkerPool] = (
-        SharedWorkerPool(worker_count) if worker_count > 1 else None
-    )
 
     try:
         # Cold runs against a store serialise on an advisory run lock:
@@ -1153,8 +902,8 @@ def generate_fusion(
             else nullcontext()
         )
         # ``activate`` makes the governor discoverable (via
-        # ``current_governor``) to the shm publish path and the sparse
-        # merge hooks without threading it through every signature.
+        # ``current_governor``) to the sparse merge hooks without
+        # threading it through every signature.
         with run_lock, activate(governor):
             if artifacts is not None and runkey is not None:
                 with measure("store_load"):
@@ -1169,10 +918,7 @@ def generate_fusion(
                     product = artifacts.load_product(digest, machines)
             if product is None:
                 with measure("product_build"):
-                    # The pool (when workers > 1) also serves the reachable
-                    # exploration: big BFS frontiers shard their successor
-                    # gathers over the workers, order-identically.
-                    product = CrossProduct(machines, pool=pool)
+                    product = CrossProduct(machines)
                 if artifacts is not None:
                     with measure("store_commit"):
                         artifacts.save_product(digest, product)
@@ -1182,7 +928,7 @@ def generate_fusion(
                 # The cap tells a sparse graph which weights Algorithm 2 will
                 # ask about exactly: everything up to the target dmin.
                 graph = FaultGraph.from_cross_product(
-                    product, weight_cap=target_dmin + 1, pool=pool
+                    product, weight_cap=target_dmin + 1
                 )
             persisted_caps: set = set()
             if artifacts is not None:
@@ -1267,7 +1013,6 @@ def generate_fusion(
                             graph,
                             strategy_fn,
                             stopwatch=stopwatch,
-                            pool=pool,
                             checkpoint=checkpoint,
                             resume=resume,
                         )
@@ -1314,21 +1059,7 @@ def generate_fusion(
                 initial_dmin=initial_dmin,
                 final_dmin=final_dmin,
             )
-    except KeyboardInterrupt:
-        # Ctrl-C while a task hangs must not deadlock in pool.close()'s
-        # join (and a second Ctrl-C would then strand /dev/shm
-        # segments): kill the workers and unlink everything first.
-        if pool is not None:
-            pool.interrupt()
-        raise
     finally:
-        if pool is not None:
-            # Fold the self-healing layer's outcome into the stopwatch:
-            # benchmark records surface it as ``resilience_stats``, the
-            # way prune outcomes surface as ``prune_stats``.
-            if stopwatch is not None:
-                stopwatch.accumulate("resilience", **pool.resilience.as_counters())
-            pool.close()
         if artifacts is not None and stopwatch is not None:
             stopwatch.accumulate("store", **artifacts.stats.as_counters())
         _finish_resources()

@@ -22,55 +22,12 @@ import numpy as np
 
 from .dfsm import DFSM
 from .exceptions import InvalidMachineError, UnknownStateError
-from .shm import SharedScratch, SharedWorkerPool, attached_arrays
 from .types import EventLabel, StateLabel, StateTuple, narrow_index_dtype
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .partition import Partition
 
 __all__ = ["CrossProduct", "reachable_cross_product", "merged_alphabet"]
-
-#: Minimum frontier size (states) before one BFS level's successor
-#: gathers fan out to the worker pool; below it the per-level NumPy
-#: passes finish faster than task round-trips.  Module-level so tests
-#: can patch it down and exercise the pooled walk on small products.
-_EXPLORE_POOL_MIN_FRONTIER = 4096
-
-
-def _explore_keys_task(
-    columns_meta: Dict[str, object],
-    scratch_meta: Dict[str, object],
-    num_rows: int,
-    num_components: int,
-    row_lo: int,
-    row_hi: int,
-) -> np.ndarray:
-    """Pool task: mixed-radix successor keys of one frontier slice.
-
-    The transition columns (identity rows for components that ignore an
-    event) and the radix multipliers live in the bundle published once
-    per exploration; the frontier travels through the rewritable
-    scratch.  Returns the ``(rows, events)`` key slab of the slice —
-    exactly the values the owner's serial pass computes, so
-    concatenating the slabs in submission order reproduces the serial
-    key sequence byte-for-byte.
-    """
-    arrays = attached_arrays(columns_meta)
-    columns = arrays["columns"]
-    multipliers = arrays["multipliers"]
-    data = attached_arrays(scratch_meta)["data"]
-    frontier = data[: num_rows * num_components].reshape(
-        num_rows, num_components
-    )[row_lo:row_hi]
-    num_events = columns.shape[0]
-    keys = np.empty((frontier.shape[0], num_events), dtype=np.int64)
-    for ei in range(num_events):
-        acc = np.zeros(frontier.shape[0], dtype=np.int64)
-        for ci in range(num_components):
-            acc += columns[ei, ci][frontier[:, ci]] * multipliers[ci]
-        keys[:, ei] = acc
-    return keys
-
 
 def merged_alphabet(machines: Sequence[DFSM]) -> Tuple[EventLabel, ...]:
     """Union of the machines' alphabets, ordered by first appearance.
@@ -104,13 +61,6 @@ class CrossProduct:
         is required.
     name:
         Display name for the product machine (defaults to ``"top"``).
-    pool:
-        Optional :class:`repro.core.shm.SharedWorkerPool` the
-        level-BFS frontier expansion shards over (transition columns
-        published once via shared memory, the frontier via a rewritable
-        scratch).  Only used during construction — the caller owns the
-        pool's lifetime — and byte-identical to the serial walk: the
-        sharded gathers reproduce the exact discovery order.
     """
 
     __slots__ = (
@@ -125,7 +75,6 @@ class CrossProduct:
         self,
         machines: Sequence[DFSM],
         name: str = "top",
-        pool: Optional[SharedWorkerPool] = None,
         _precomputed: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> None:
         if not machines:
@@ -172,7 +121,7 @@ class CrossProduct:
                         cols.append(None)
                 event_columns.append(cols)
 
-            order_array, table = self._explore(initial, event_columns, len(events), pool)
+            order_array, table = self._explore(initial, event_columns, len(events))
 
         # Tuple labels are zipped from per-component label columns; the
         # BFS table goes to the table-native constructor as it is.
@@ -227,7 +176,6 @@ class CrossProduct:
         initial: Tuple[int, ...],
         event_columns: List[List[Optional[np.ndarray]]],
         num_events: int,
-        pool: Optional[SharedWorkerPool] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Discover the reachable tuple space breadth-first.
 
@@ -241,17 +189,14 @@ class CrossProduct:
         orders: the scalar FIFO walk processes each state completely
         (all events, in order) before the next, so flattening one
         frontier level state-major yields exactly the FIFO order — which
-        is what the vectorised walk does (sharded over ``pool`` on big
-        frontiers, when one is given).
+        is what the vectorised walk does.
         """
         sizes = [m.num_states for m in self._components]
         key_space = 1
         for size in sizes:
             key_space *= size
         if key_space <= 2**62:
-            return self._explore_vectorized(
-                initial, event_columns, num_events, sizes, pool
-            )
+            return self._explore_vectorized(initial, event_columns, num_events, sizes)
         return self._explore_scalar(initial, event_columns, num_events)
 
     def _explore_scalar(
@@ -291,7 +236,6 @@ class CrossProduct:
         event_columns: List[List[Optional[np.ndarray]]],
         num_events: int,
         sizes: List[int],
-        pool: Optional[SharedWorkerPool] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Frontier-level BFS with per-event gathers instead of per-tuple work.
 
@@ -301,15 +245,7 @@ class CrossProduct:
         state-major order — the same discovery order as the scalar FIFO
         walk, at a fraction of the per-transition cost.  Newly-discovered
         frontiers are decoded back from their keys (the mixed radix is
-        exact), so the serial and pooled paths build identical arrays.
-
-        With a usable ``pool``, frontiers above
-        :data:`_EXPLORE_POOL_MIN_FRONTIER` shard their gathers over the
-        workers: the transition columns are published once (components
-        that ignore an event contribute an identity row), the frontier
-        travels through a rewritable scratch, and tasks return key slabs
-        whose concatenation in submission order *is* the serial key
-        sequence — the owner's dedup loop then proceeds identically.
+        exact).
         """
         num_components = len(self._components)
         multipliers = np.empty(num_components, dtype=np.int64)
@@ -318,11 +254,10 @@ class CrossProduct:
             multipliers[ci] = acc
             acc *= sizes[ci]
 
-        def frontier_keys_serial(frontier: np.ndarray) -> np.ndarray:
-            # Accumulate the mixed-radix keys directly per event — the
-            # same passes as the pool task — instead of materialising
-            # the (frontier, events, components) successor tensor and
-            # matmul-ing it down (hundreds of MB of traffic per level on
+        def frontier_keys(frontier: np.ndarray) -> np.ndarray:
+            # Accumulate the mixed-radix keys directly per event instead
+            # of materialising the (frontier, events, components)
+            # successor tensor and matmul-ing it down (hundreds of MB of traffic per level on
             # the big products, for values only needed in key form).
             num_frontier = frontier.shape[0]
             keys = np.empty((num_frontier, num_events), dtype=np.int64)
@@ -335,59 +270,6 @@ class CrossProduct:
                         acc += col[frontier[:, ci]] * multipliers[ci]
                 keys[:, ei] = acc
             return keys.reshape(-1)
-
-        bundle = None
-        scratch = None
-        index_dtype = narrow_index_dtype(max(sizes))
-
-        def frontier_keys_pooled(frontier: np.ndarray) -> np.ndarray:
-            # One self-healing wave per BFS level: on a worker crash the
-            # pool respawns the published buffers and the wave replays
-            # (re-reading meta, rewriting the frontier scratch); past
-            # the retry budget the level — and, with ``pool.usable`` now
-            # False, every later level — falls back to the serial pass.
-            nonlocal bundle, scratch
-
-            def explore_wave() -> List:
-                nonlocal bundle, scratch
-                if bundle is None or bundle.closed:
-                    columns = np.zeros(
-                        (num_events, num_components, max(sizes)), dtype=index_dtype
-                    )
-                    for ei, cols in enumerate(event_columns):
-                        for ci, col in enumerate(cols):
-                            if col is None:
-                                columns[ei, ci, : sizes[ci]] = np.arange(
-                                    sizes[ci], dtype=index_dtype
-                                )
-                            else:
-                                columns[ei, ci, : sizes[ci]] = col
-                    bundle = pool.publish(
-                        {"columns": columns, "multipliers": multipliers}
-                    )
-                if scratch is None:
-                    scratch = SharedScratch(pool, dtype=index_dtype)
-                num_frontier = frontier.shape[0]
-                scratch_meta, _written = scratch.write(
-                    frontier.astype(index_dtype).ravel()
-                )
-                slices = pool.workers * 2
-                bounds = sorted(
-                    {(i * num_frontier) // slices for i in range(slices)}
-                    | {num_frontier}
-                )
-                return [
-                    pool.submit(
-                        _explore_keys_task, bundle.meta, scratch_meta,
-                        num_frontier, num_components, row_lo, row_hi,
-                    )
-                    for row_lo, row_hi in zip(bounds[:-1], bounds[1:])
-                ]
-
-            slabs = pool.run_wave("bfs_shard", explore_wave)
-            if slabs is None:
-                return frontier_keys_serial(frontier)
-            return np.concatenate(slabs, axis=0).reshape(-1)
 
         def decode_keys(keys: np.ndarray) -> np.ndarray:
             decoded = np.empty((keys.size, num_components), dtype=np.int64)
@@ -407,53 +289,39 @@ class CrossProduct:
         known_ids = np.zeros(1, dtype=np.int64)
         order_parts: List[np.ndarray] = [frontier]
         table_parts: List[np.ndarray] = []
-        try:
-            while frontier.shape[0]:
-                num_frontier = frontier.shape[0]
-                if (
-                    pool is not None
-                    and pool.usable
-                    and pool.workers > 1
-                    and num_frontier >= _EXPLORE_POOL_MIN_FRONTIER
-                ):
-                    keys_array = frontier_keys_pooled(frontier)
-                else:
-                    keys_array = frontier_keys_serial(frontier)
-                pos = np.minimum(
-                    np.searchsorted(known_keys, keys_array), known_keys.size - 1
+        while frontier.shape[0]:
+            num_frontier = frontier.shape[0]
+            keys_array = frontier_keys(frontier)
+            pos = np.minimum(
+                np.searchsorted(known_keys, keys_array), known_keys.size - 1
+            )
+            found = known_keys[pos] == keys_array
+            targets = np.empty(keys_array.size, dtype=np.int64)
+            targets[found] = known_ids[pos[found]]
+            unknown_positions = np.flatnonzero(~found)
+            if unknown_positions.size:
+                unknown_keys = keys_array[unknown_positions]
+                uniq, first = np.unique(unknown_keys, return_index=True)
+                # Id of each fresh key = number of states known before
+                # it + its rank by first appearance in this level.
+                ids_sorted = np.empty(uniq.size, dtype=np.int64)
+                ids_sorted[np.argsort(first, kind="stable")] = (
+                    known_keys.size + np.arange(uniq.size)
                 )
-                found = known_keys[pos] == keys_array
-                targets = np.empty(keys_array.size, dtype=np.int64)
-                targets[found] = known_ids[pos[found]]
-                unknown_positions = np.flatnonzero(~found)
-                if unknown_positions.size:
-                    unknown_keys = keys_array[unknown_positions]
-                    uniq, first = np.unique(unknown_keys, return_index=True)
-                    # Id of each fresh key = number of states known before
-                    # it + its rank by first appearance in this level.
-                    ids_sorted = np.empty(uniq.size, dtype=np.int64)
-                    ids_sorted[np.argsort(first, kind="stable")] = (
-                        known_keys.size + np.arange(uniq.size)
-                    )
-                    targets[unknown_positions] = ids_sorted[
-                        np.searchsorted(uniq, unknown_keys)
-                    ]
-                    fresh_positions = np.sort(unknown_positions[first])
-                    frontier = decode_keys(keys_array[fresh_positions])
-                    order_parts.append(frontier)
-                    merge_order = np.argsort(
-                        np.concatenate((known_keys, uniq)), kind="stable"
-                    )
-                    known_keys = np.concatenate((known_keys, uniq))[merge_order]
-                    known_ids = np.concatenate((known_ids, ids_sorted))[merge_order]
-                else:
-                    frontier = np.empty((0, num_components), dtype=np.int64)
-                table_parts.append(targets.reshape(num_frontier, num_events))
-        finally:
-            if scratch is not None:
-                scratch.close()
-            if bundle is not None:
-                pool.retire(bundle)
+                targets[unknown_positions] = ids_sorted[
+                    np.searchsorted(uniq, unknown_keys)
+                ]
+                fresh_positions = np.sort(unknown_positions[first])
+                frontier = decode_keys(keys_array[fresh_positions])
+                order_parts.append(frontier)
+                merge_order = np.argsort(
+                    np.concatenate((known_keys, uniq)), kind="stable"
+                )
+                known_keys = np.concatenate((known_keys, uniq))[merge_order]
+                known_ids = np.concatenate((known_ids, ids_sorted))[merge_order]
+            else:
+                frontier = np.empty((0, num_components), dtype=np.int64)
+            table_parts.append(targets.reshape(num_frontier, num_events))
         order = np.concatenate(order_parts, axis=0)
         table = (
             np.concatenate(table_parts, axis=0)

@@ -1,30 +1,32 @@
-"""Self-healing policy for the parallel engine.
+"""Self-healing policy for the worker pool of the pooled runtime.
 
-The paper computes fault-tolerant machines; this module makes the engine
-*running* that computation fault tolerant too.  It is deliberately free
-of any dependency on :mod:`repro.core.shm` (which imports it), and holds
-the pieces the pool composes:
+The paper computes fault-tolerant machines; this module makes the
+pooled :class:`repro.core.runtime.VectorizedRuntime` that executes them
+fault tolerant too.  It is deliberately free of any dependency on
+:mod:`repro.core.shm` (which imports it), and holds the pieces the pool
+composes:
 
 * :class:`ResilienceConfig` — the retry/watchdog policy, read once per
   pool from ``REPRO_FUSION_MAX_RETRIES`` / ``REPRO_FUSION_TASK_TIMEOUT``.
 * :class:`ResilienceStats` — counters recording every crash, watchdog
-  timeout, pool rebuild, wave replay and serial degradation; folded into
-  the fusion stopwatch as the ``resilience`` stage so benchmark records
-  carry a ``resilience_stats`` block alongside ``prune_stats``.
+  timeout, pool rebuild, wave replay and serial degradation, kept on
+  the pool as ``pool.resilience``.
 * :class:`ChaosSpec` — the seeded chaos-injection harness behind the
   ``REPRO_CHAOS`` environment spec.  Faults are *drawn* on the owner
   side (one deterministic stream per pool, so a run is reproducible)
   and *executed* on the worker side by :func:`execute_chaos_fault`
   inside the pool's task shell.
 * :func:`stage_of` — maps worker task functions to the stage vocabulary
-  used by chaos filtering and degradation accounting
-  (``ledger_leaf``, ``merge_fold``, ``prune_shard``, ``closure_batch``,
-  ``bfs_shard``).
+  used by chaos filtering and degradation accounting (``runtime_step``,
+  the one pooled stage).
 * The owned-segment registry — every ``/dev/shm`` segment this process
   creates is registered here; a chained ``SIGTERM`` handler and the
   bundles' own finalizers guarantee unlink on every exit path, and
   :func:`assert_no_owned_segments` is the leak check tests and CI call
-  after a run.
+  after a run.  Segment names carry the owner's pid
+  (:func:`owned_segment_name`), so the segments of an owner killed by
+  SIGKILL are reaped by the next pool start
+  (:func:`reap_dead_owner_segments`).
 
 Recovery is sound because every pooled stage is a pure function of
 published (read-only) arrays plus a picklable batch: replaying a failed
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import enum
 import os
+import secrets
 import signal
 import threading
 import time
@@ -59,6 +62,7 @@ __all__ = [
     "chaos_from_env",
     "execute_chaos_fault",
     "live_owned_segments",
+    "reap_dead_owner_segments",
     "stage_of",
 ]
 
@@ -98,27 +102,13 @@ class EngineFaultKind(enum.Enum):
 #: Worker task function → stage name, the vocabulary of ``REPRO_CHAOS``
 #: stage filters and of ``ResilienceStats.degraded`` accounting.
 _STAGE_BY_TASK = {
-    "_ledger_leaf_task": "ledger_leaf",
-    "_merge_sorted_pair_task": "merge_fold",
-    "_prune_backward_task": "prune_shard",
-    "_prune_forward_task": "prune_shard",
-    "_descent_level_task": "closure_batch",
-    "_explore_keys_task": "bfs_shard",
     "_runtime_stream_task": "runtime_step",
     "_runtime_matrix_task": "runtime_step",
 }
 
-#: Every pooled stage (the chaos property suite kills a worker in each).
-#: The first five belong to offline fusion generation; ``runtime_step``
-#: is the streaming execution engine's gather wave.
-KNOWN_STAGES: Tuple[str, ...] = (
-    "ledger_leaf",
-    "merge_fold",
-    "prune_shard",
-    "closure_batch",
-    "bfs_shard",
-    "runtime_step",
-)
+#: Every pooled stage: the streaming runtime's gather wave.  Fusion
+#: generation runs in-process and submits nothing.
+KNOWN_STAGES: Tuple[str, ...] = ("runtime_step",)
 
 #: Owner-process stages the artifact store draws chaos against; they
 #: never run inside a pool worker, so the worker fault kinds
@@ -201,8 +191,8 @@ class ResilienceConfig:
 class ResilienceStats:
     """What the self-healing layer did during one pool's lifetime.
 
-    The integer view (:meth:`as_counters`) is what ``generate_fusion``
-    folds into its stopwatch under the ``resilience`` stage.
+    The integer view (:meth:`as_counters`) keys the counters the way
+    benchmark records store them.
     """
 
     crashes: int = 0  #: worker-crash (BrokenProcessPool) events observed
@@ -275,7 +265,7 @@ class ChaosSpec:
 
     The spec is a comma-separated ``key=value`` list::
 
-        REPRO_CHAOS="worker_kill=0.2,stages=ledger_leaf+merge_fold,max=2,seed=7"
+        REPRO_CHAOS="worker_kill=0.2,stages=runtime_step,max=2,seed=7"
 
     Keys: ``worker_kill``/``task_hang``/``slow_task`` give per-task
     injection probabilities; ``stages`` restricts injection to a
@@ -285,14 +275,14 @@ class ChaosSpec:
     fault durations.  Draws happen owner-side at submit time, one
     deterministic stream per pool.
 
-    >>> spec = ChaosSpec.parse("worker_kill=1.0,stages=ledger_leaf,max=1,seed=7")
+    >>> spec = ChaosSpec.parse("worker_kill=1.0,stages=runtime_step,max=1,seed=7")
     >>> spec.active
     True
-    >>> spec.draw("closure_batch") is None   # filtered stage
+    >>> spec.draw("task") is None            # filtered stage
     True
-    >>> spec.draw("ledger_leaf")             # p=1: fires deterministically
+    >>> spec.draw("runtime_step")            # p=1: fires deterministically
     ('worker_kill', 0.0)
-    >>> spec.draw("ledger_leaf") is None     # max=1 budget exhausted
+    >>> spec.draw("runtime_step") is None    # max=1 budget exhausted
     True
     """
 
@@ -472,6 +462,65 @@ _OWNED_SEGMENTS: Dict[str, int] = {}
 _REGISTRY_LOCK = threading.Lock()
 _SIGTERM_INSTALLED = False
 _PREVIOUS_SIGTERM: object = None
+
+#: Where POSIX shared-memory segments appear as files (Linux).
+_SHM_DIR = "/dev/shm"
+
+
+def pid_alive(pid: int) -> bool:
+    """True unless no process ``pid`` exists (a foreign one counts as alive)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        return True
+    return True
+
+
+def owned_segment_name() -> str:
+    """A fresh segment name recording this process as its owner.
+
+    ``psm_<pid>_<token>``: the ``psm_`` prefix of the standard library's
+    own names (so leak checks still match), plus the owner pid that
+    :func:`reap_dead_owner_segments` reads back.
+    """
+    return "psm_%d_%s" % (os.getpid(), secrets.token_hex(4))
+
+
+def _segment_owner(name: str) -> Optional[int]:
+    """The owner pid recorded in a segment name, or ``None``."""
+    prefix, _, rest = name.partition("_")
+    pid, _, token = rest.partition("_")
+    if prefix != "psm" or not pid.isdigit() or not token:
+        return None
+    return int(pid)
+
+
+def reap_dead_owner_segments() -> Tuple[str, ...]:
+    """Unlink the ``psm_*`` segments whose recorded owner pid is dead.
+
+    The backstop for an owner killed by SIGKILL: no finalizer or signal
+    handler runs then, and the multiprocessing resource tracker is not
+    guaranteed to unlink either.  Segments without an owner pid in
+    their name are left alone.  Returns the names unlinked; a system
+    without ``/dev/shm`` reaps nothing.
+    """
+    try:
+        names = os.listdir(_SHM_DIR)
+    except OSError:
+        return ()
+    reaped = []
+    for name in names:
+        pid = _segment_owner(name)
+        if pid is None or pid_alive(pid):
+            continue
+        try:
+            os.unlink(os.path.join(_SHM_DIR, name))
+        except OSError:  # another process reaped it first
+            continue
+        reaped.append(name)
+    return tuple(reaped)
 
 
 def register_owned_segment(name: str) -> None:

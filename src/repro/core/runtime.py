@@ -455,8 +455,8 @@ class VectorizedRuntime:
         )
 
         def build_futures():
-            meta, _length = self._ensure_scratch().write(payload)
             tables_meta = self._tables_meta()
+            meta, _length = self._ensure_scratch().write(payload)
             return [
                 pool.submit(
                     _runtime_matrix_task,

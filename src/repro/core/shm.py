@@ -1,13 +1,11 @@
-"""Shared-memory buffers and the worker pool behind the parallel engine.
+"""Shared-memory buffers and the worker pool behind the pooled runtime.
 
-The sparse engine fans two kinds of work out over processes: the ledger
-build's pigeonhole group joins (:mod:`repro.core.sparse`) and the lattice
-descent's batched SP-closures (:mod:`repro.core.fusion`).  Both consume
-large read-mostly NumPy arrays — the reachable product's transition
-table, the per-machine partition label matrix, the weakest-edge index
-arrays — which this module publishes **once** through
-``multiprocessing.shared_memory`` instead of pickling them into every
-task:
+:class:`repro.core.runtime.VectorizedRuntime` shards the state gathers
+of large fleets over worker processes (the ``runtime_step`` stage).
+The tasks read the fleet's transition tables and state matrices, which
+this module publishes **once** through ``multiprocessing.shared_memory``
+instead of pickling them into every task.  Fusion generation itself
+runs in-process and uses none of this.
 
 * :class:`SharedArrayBundle` — several named arrays packed into one
   shared segment, with a picklable :attr:`~SharedArrayBundle.meta`
@@ -19,26 +17,30 @@ task:
   segments so long sessions cannot accumulate mappings.
 * :class:`SharedWorkerPool` — a lazily-spawned ``ProcessPoolExecutor``
   plus the bundles its tasks read, closed together in one ``finally``.
+  Its workers die with their owner (``PR_SET_PDEATHSIG`` on Linux), and
+  a pool start reaps ``psm_*`` segments left by owners that died.
 * :class:`SharedScratch` — a reusable, growable shared array for
-  per-round payloads (the pruning fixpoint's frontier and doomed set),
-  rewritten in place between task waves instead of churning one fresh
-  segment per round through every worker's attach cache.
-* :func:`resolve_workers` — the worker-count policy (moved here from
-  ``fusion`` so the ledger build can use it without an import cycle;
-  ``repro.core.fusion.resolve_workers`` remains as a re-export).
+  per-step payloads (the fleet's state matrices), rewritten in place
+  between task waves instead of churning one fresh segment per step
+  through every worker's attach cache.
+* :func:`resolve_workers` — the worker-count policy
+  (``repro.core.fusion.resolve_workers`` remains as a re-export).
 
 Workers only ever *read* published arrays (scratch regions are written
 by the owner strictly between task waves), so no locking is needed; the
-parallel paths stay byte-identical to the serial ones by construction.
+pooled steps stay byte-identical to the serial ones by construction.
 """
 
 from __future__ import annotations
 
 import atexit
+import ctypes
 import errno
 import itertools
 import mmap
 import os
+import signal
+import sys
 import tempfile
 import time
 import weakref
@@ -59,6 +61,8 @@ from .resilience import (
     chaos_from_env,
     execute_chaos_fault,
     forget_owned_segment,
+    owned_segment_name,
+    reap_dead_owner_segments,
     register_owned_segment,
     stage_of,
 )
@@ -76,7 +80,7 @@ _MAX_WORKERS = 16
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
-    """Resolve the worker count for the parallel ledger build and descent.
+    """Resolve the worker count of the pooled runtime.
 
     ``workers`` wins when given; otherwise the ``REPRO_FUSION_WORKERS``
     environment variable; otherwise the CPU count — except under pytest
@@ -85,8 +89,9 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     of 0 or 1 mean serial; anything larger is capped at
     :data:`_MAX_WORKERS`; negative values are a configuration error and
     raise :class:`FusionError` instead of being silently clamped to the
-    serial path.  Parallel and serial evaluation are byte-identical —
-    workers only change wall-clock.
+    serial path.  Pooled and serial stepping are byte-identical —
+    workers only change wall-clock.  ``generate_fusion`` validates its
+    ``workers=`` argument here too, but never forks.
     """
     if workers is None:
         env = os.environ.get("REPRO_FUSION_WORKERS", "").strip()
@@ -212,12 +217,28 @@ class _FileSegment:
 
 
 def _fallback_directory() -> str:
-    """Where file-backed segments live: the governor's spill directory
-    inside a fusion, the system temp directory otherwise."""
+    """Where file-backed segments live: the active governor's spill
+    directory, the system temp directory otherwise."""
     governor = current_governor()
     if governor is not None:
         return governor.spill_dir()
     return tempfile.gettempdir()
+
+
+def _create_named_segment(size: int) -> shared_memory.SharedMemory:
+    """A fresh ``/dev/shm`` segment whose name records this process's pid.
+
+    The pid in the name (:func:`owned_segment_name`) is what lets a
+    later pool start reap the segment if this process dies without
+    unlinking it.
+    """
+    while True:
+        try:
+            return shared_memory.SharedMemory(
+                name=owned_segment_name(), create=True, size=size
+            )
+        except FileExistsError:  # pragma: no cover - 32-bit token collision
+            continue
 
 
 def _create_segment(size: int):
@@ -247,7 +268,7 @@ def _create_segment(size: int):
         )
     if reason is None:
         try:
-            segment = shared_memory.SharedMemory(create=True, size=size)
+            segment = _create_named_segment(size)
         except OSError as exc:
             if exc.errno not in _SHM_FULL_ERRNOS:
                 raise
@@ -318,8 +339,8 @@ class SharedArrayBundle:
     def create(cls, arrays: Dict[str, np.ndarray]) -> "SharedArrayBundle":
         """Pack ``arrays`` (copied) into a fresh shared segment.
 
-        Pre-checks free ``/dev/shm`` space (and the governor's shm
-        budget, when a fusion is active) before creating the segment;
+        Pre-checks free ``/dev/shm`` space (and the shm budget of the
+        active governor, if any) before creating the segment;
         an over-capacity publish falls back to a file-backed mmap
         segment instead of failing mid-``memmove``, and only a failed
         fallback raises — a typed :class:`ResourceExhaustedError`
@@ -447,13 +468,13 @@ def _cleanup_segment(segment, owner: bool) -> None:
 # Worker-side attach cache
 # ----------------------------------------------------------------------
 #: Per-process LRU cache of attached bundles, keyed by segment name.
-#: Small: a worker touches the ledger label matrix plus the current
-#: descent's bundles; older segments are evicted least-recently-used.
+#: Small: a worker touches a runtime's tables plus its state scratch;
+#: older segments are evicted least-recently-used.
 #:
 #: CRITICAL: eviction must NOT close (unmap) the bundle immediately.  A
 #: task that has already taken NumPy views of one bundle (say, the
-#: published transition columns) and then attaches another (the
-#: frontier scratch) can trigger an eviction of the first *mid-task*;
+#: published transition tables) and then attaches another (the state
+#: scratch) can trigger an eviction of the first *mid-task*;
 #: unmapping succeeds despite the live views, the OS reuses the address
 #: range for the next mapping, and the stale views silently read the
 #: wrong segment's bytes.  Evicted bundles therefore go to a
@@ -514,17 +535,44 @@ def _drain_attach_cache() -> None:  # pragma: no cover - interpreter teardown
 # ----------------------------------------------------------------------
 # The pool
 # ----------------------------------------------------------------------
+#: ``prctl`` option: deliver a signal to this process when its parent dies.
+_PR_SET_PDEATHSIG = 1
+
+
+def _die_with_owner(owner_pid: int) -> None:
+    """Worker initializer: SIGKILL this worker when its owner dies.
+
+    Without it a SIGKILLed owner orphans its workers, and they keep the
+    owner's stdout pipe and the resource tracker's pipe open — so the
+    tracker never unlinks the owner's segments.  The signal fires when
+    the thread that forked the worker exits, so a pool must be used
+    from the thread that submits to it.  Linux only (``prctl`` through
+    ``ctypes``); elsewhere this does nothing.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        libc = ctypes.CDLL(None, use_errno=True)
+        libc.prctl(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0)
+    except (OSError, AttributeError):  # pragma: no cover - no libc prctl
+        return
+    if os.getppid() != owner_pid:
+        # The owner died before prctl took effect.
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
 class SharedWorkerPool:
     """A ``ProcessPoolExecutor`` plus the shared bundles its tasks read.
 
-    One pool serves a whole ``generate_fusion`` call: the ledger build
-    and every lattice level of every descent submit to the same workers,
-    so process spawn costs are paid once, and published arrays travel to
-    workers as segment names instead of pickles.  The executor is only
-    spawned on first :meth:`submit` (small runs never fork), and
-    :meth:`close` tears down the executor and every live bundle in one
-    place — call it from a ``finally`` block; a ``weakref.finalize`` on
-    each bundle backstops segment unlinking regardless.
+    A pooled :class:`repro.core.runtime.VectorizedRuntime` submits every
+    large step to the same workers, so process spawn costs are paid
+    once, and published arrays travel to workers as segment names
+    instead of pickles.  The executor is only spawned on first
+    :meth:`submit` (small runs never fork), and :meth:`close` tears down
+    the executor and every live bundle in one place — call it from a
+    ``finally`` block; a ``weakref.finalize`` on each bundle backstops
+    segment unlinking regardless.  Creating a pool first unlinks the
+    ``psm_*`` segments of owners that died without unlinking them.
     """
 
     def __init__(
@@ -546,6 +594,7 @@ class SharedWorkerPool:
         self._config = config if config is not None else ResilienceConfig.from_env()
         self._chaos = chaos if chaos is not None else chaos_from_env()
         self.resilience = ResilienceStats()
+        reap_dead_owner_segments()
 
     # ------------------------------------------------------------------
     @property
@@ -583,7 +632,7 @@ class SharedWorkerPool:
         return bundle
 
     def retire(self, bundle: SharedArrayBundle) -> None:
-        """Unlink a bundle early (e.g. at the end of one descent).
+        """Unlink a bundle early (e.g. when a runtime using the pool closes).
 
         The segment persists for workers that still map it; their attach
         caches evict it on their own schedule.
@@ -601,7 +650,11 @@ class SharedWorkerPool:
                 "check pool.usable and take the serial path"
             )
         if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self._max_workers)
+            self._executor = ProcessPoolExecutor(
+                max_workers=self._max_workers,
+                initializer=_die_with_owner,
+                initargs=(os.getpid(),),
+            )
         chaos_fault = None
         if self._chaos is not None:
             chaos_fault = self._chaos.draw(stage_of(fn))
@@ -663,6 +716,10 @@ class SharedWorkerPool:
         supplies the result — byte-identical because every pooled stage
         is a pure function of the published arrays and the batch.
         Returns ``None`` after degradation when no fallback is given.
+
+        Ctrl-C during a wave tears the pool down with :meth:`interrupt`
+        before re-raising, so a later :meth:`close` cannot join a hung
+        task.
         """
         attempt = 0
         while self.usable:
@@ -672,35 +729,28 @@ class SharedWorkerPool:
             except RECOVERABLE_POOL_ERRORS as exc:
                 self.resilience.note_fault(exc)
                 attempt += 1
-                if not self.attempt_recovery(stage, attempt):
+                if attempt > self._config.max_retries or not self.usable:
+                    self.degrade(stage)
                     break
+                time.sleep(self._config.backoff_seconds * (2 ** (attempt - 1)))
+                try:
+                    self.heal()
+                except ResourceExhaustedError:
+                    # Respawning the bundles ran out of both /dev/shm and
+                    # the file fallback: healing cannot succeed.
+                    self.degrade(stage)
+                    break
+                self.resilience.retries += 1
             except ResourceExhaustedError:
                 # Publishing is impossible even through the file-backed
                 # fallback: degrade to the serial path, which needs no
                 # shared segments and computes the same bytes.
                 self.degrade(stage)
                 break
+            except KeyboardInterrupt:
+                self.interrupt()
+                raise
         return serial_fallback() if serial_fallback is not None else None
-
-    def attempt_recovery(self, stage: str, attempt: int) -> bool:
-        """Heal and back off for retry ``attempt``; False = degraded.
-
-        Exposed for call sites that manage their own futures (the
-        descent's streaming window) and cannot use :meth:`run_wave`.
-        """
-        if attempt > self._config.max_retries or not self.usable:
-            self.degrade(stage)
-            return False
-        time.sleep(self._config.backoff_seconds * (2 ** (attempt - 1)))
-        try:
-            self.heal()
-        except ResourceExhaustedError:
-            # Respawning the bundles ran out of both /dev/shm and the
-            # file fallback: healing cannot succeed, so degrade now.
-            self.degrade(stage)
-            return False
-        self.resilience.retries += 1
-        return True
 
     def _collect_wave(self, futures: List[Future]) -> List[object]:
         """Results in submission order, under the watchdog timeout."""
@@ -713,9 +763,9 @@ class SharedWorkerPool:
             # rewrites, so there is nothing to wait for here.
             raise
         except KeyboardInterrupt:
-            # Ctrl-C must not join a possibly-hung wave — the owner
-            # tears the pool down with :meth:`interrupt`, which kills
-            # the workers instead of waiting for them.
+            # Ctrl-C must not join a possibly-hung wave — run_wave tears
+            # the pool down with :meth:`interrupt`, which kills the
+            # workers instead of waiting for them.
             raise
         except BaseException:
             # A genuine task exception: drain the wave before raising so
@@ -779,15 +829,14 @@ class SharedWorkerPool:
 
 
 class SharedScratch:
-    """A reusable, growable shared array for per-round task payloads.
+    """A reusable, growable shared array for per-step task payloads.
 
-    The doomed-pair pruning fixpoint ships a new frontier (and, for its
-    forward rounds, the doomed set) to the workers every round.  A fresh
-    segment per round would churn segment names through every worker's
-    attach cache; a scratch keeps one segment alive and rewrites it in
-    place between task waves — legal for the same reason as the descent's
-    label scratch: the owner only writes while no tasks are in flight —
-    recreating with headroom only when a payload outgrows the capacity.
+    The pooled runtime ships the fleet's state matrices to the workers
+    every step.  A fresh segment per step would churn segment names
+    through every worker's attach cache; a scratch keeps one segment
+    alive and rewrites it in place between task waves — legal because
+    the owner only writes while no tasks are in flight — recreating with
+    headroom only when a payload outgrows the capacity.
     """
 
     __slots__ = ("_pool", "_dtype", "_headroom", "_bundle", "_closed")
@@ -819,10 +868,8 @@ class SharedScratch:
         with no tasks reading the previous payload in flight.
 
         The scratch adapts to the payload's dtype: a write whose dtype
-        differs from the current segment's (the narrow-key engine's
-        levels switch between int32 and int64 keys as block counts cross
-        the threshold) recreates the segment, exactly like outgrowing
-        the capacity does.
+        differs from the current segment's recreates the segment, exactly
+        like outgrowing the capacity does.
         """
         if self._closed:
             raise FusionError("cannot write to a closed SharedScratch")

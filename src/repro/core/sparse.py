@@ -25,11 +25,9 @@ index/value arrays (CSR/COO style) because the container ships no
   the genuinely low-weight pair structure instead of the first join's
   block sizes;
 * :class:`LedgerBuilder` — the shared source of base ledgers for a fixed
-  machine list: plans the join into independent leaf tasks, runs them
-  serially or fans them out over a :class:`repro.core.shm.SharedWorkerPool`
-  (label arrays published once via shared memory), and caches the result
-  per cap so cap-escalation retries and per-backup rebuilds never re-run
-  a join they already paid for;
+  machine list: plans the join into independent leaf tasks, runs them,
+  and caches the result per cap so cap-escalation retries and per-backup
+  rebuilds never re-run a join they already paid for;
 * :class:`PairLedger` — the sparse fault-graph storage built on top of
   :func:`low_weight_pairs`: exact weights for every pair below a cap,
   with vectorised incremental folds;
@@ -38,30 +36,24 @@ index/value arrays (CSR/COO style) because the container ships no
   rows for the density-adaptive forward pass), built once and reusable
   across fixpoint calls;
 * :class:`DoomedPairEngine` — the pair-implication pruning fixpoint of
-  the lattice descent: parallel (frontier rounds sharded over a
-  :class:`repro.core.shm.SharedWorkerPool`, the index published once per
-  level via shared memory), incremental (each level's doomed set is
-  seeded from the previous level's keys mapped through the refined
-  quotient) and density-adaptive (rounds whose backward preimage product
-  outgrows a scan of the live candidates switch to the forward
-  direction); :func:`doomed_pair_keys` is its one-shot functional form.
+  the lattice descent: incremental (each level's doomed set is seeded
+  from the previous level's keys mapped through the refined quotient)
+  and density-adaptive (rounds whose backward preimage product outgrows
+  a scan of the live candidates switch to the forward direction);
+  :func:`doomed_pair_keys` is its one-shot functional form.
 
 Everything here is exact (never approximate): the ledger records which
 weights it knows exactly (``weight < cap``) and callers escalate the cap
 when they need more, and the doomed-pair set is a *sound* filter by
 construction, so an early (budgeted) stop can only make pruning less
-complete, never wrong.  Serial and parallel builds are byte-identical:
-the leaf tasks are planned identically, executed in the same order, and
-merged into one sorted duplicate-free key array whose contents are
-order-insensitive (a pair's exact weight is the same from every leaf
-that finds it), whether the owner folds the parts serially or a
-pairwise merge tree shards the folding over the worker pool
-(:func:`_pool_merge_tree`).
+complete, never wrong.  Every stage runs in-process: Algorithm 2 is one
+sequential greedy walk, and sharding its stages over a worker pool was
+measured slower than serial on every large case on two cores.
 
 Two cross-cutting implementation rules, established by measurement:
 
 * **Narrow keys.**  Every pair-key array (ledger merges, doomed sets,
-  frontiers, shared scratch payloads) is built in the per-level dtype of
+  frontiers) is built in the per-level dtype of
   :func:`repro.core.types.narrow_key_dtype` — ``int32`` whenever the
   level's block count is below 46341, ``int64`` above — so the sorts,
   merges and membership passes that dominate the large benchmarks move
@@ -81,10 +73,9 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .budget import current_governor
+from .budget import _dedup_sorted, current_governor
 from .exceptions import PartitionError
 from .partition import Partition, _canonicalise, _first_of_each_block
-from .shm import SharedScratch, SharedWorkerPool, attached_arrays
 from .types import narrow_index_dtype, narrow_key_dtype
 
 __all__ = [
@@ -167,21 +158,6 @@ def _pair_keys(
     return lo * num_blocks + hi
 
 
-def _dedup_sorted(sorted_keys: np.ndarray) -> np.ndarray:
-    """Unique elements of an already-sorted array (neighbour-diff mask).
-
-    ``np.compress`` instead of boolean fancy indexing: on the reference
-    containers the latter is several times slower at the tens-of-millions
-    scale of the ledger merges.
-    """
-    if sorted_keys.size == 0:
-        return sorted_keys
-    mask = np.empty(sorted_keys.size, dtype=bool)
-    mask[0] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=mask[1:])
-    return np.compress(mask, sorted_keys)
-
-
 def _sort_unique(keys: np.ndarray) -> np.ndarray:
     """Sorted unique elements of ``keys`` — the hot-path ``np.unique``.
 
@@ -229,37 +205,6 @@ def _compress_absent(sorted_ref: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return np.compress(mask, keys)
 
 
-def _pair_chunk_iter(
-    row_lo: int, row_hi: int, num_items: int, chunk_size: int
-) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """``(rows, cols)`` chunks of pairs ``i < j``, ``row_lo <= i < row_hi``.
-
-    The shared, fully vectorised enumerator behind
-    :func:`iter_pair_chunks` and :func:`_row_pair_chunks` (which were
-    per-row Python append loops until PR 5): each chunk decodes its
-    linear pair offsets into ``(row, col)`` with one ``searchsorted``
-    against the per-row cumulative pair counts.  Chunks come back in
-    condensed (lexicographic) order, sized exactly ``chunk_size`` until
-    the final remainder — the same boundaries as the old loop — in the
-    narrow index dtype of ``num_items``.
-    """
-    row_hi = min(row_hi, num_items - 1)
-    if num_items < 2 or row_lo >= row_hi:
-        return
-    counts = np.arange(
-        num_items - 1 - row_lo, num_items - 1 - row_hi, -1, dtype=np.int64
-    )
-    cums = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(counts)))
-    total = int(cums[-1])
-    index_dtype = narrow_index_dtype(num_items)
-    for start in range(0, total, chunk_size):
-        linear = np.arange(start, min(start + chunk_size, total), dtype=np.int64)
-        row_idx = np.searchsorted(cums, linear, side="right") - 1
-        rows = (row_lo + row_idx).astype(index_dtype)
-        cols = (rows + 1 + (linear - cums[row_idx])).astype(index_dtype)
-        yield rows, cols
-
-
 def iter_pair_chunks(
     num_items: int, chunk_size: int = 16384
 ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
@@ -268,9 +213,24 @@ def iter_pair_chunks(
     The condensed (lexicographic) order is the order the dense engine
     scans, so consumers that must stay byte-identical to it simply
     iterate the chunks in sequence.  Peak memory is ``O(chunk_size)``
-    instead of the ``O(n^2)`` of :func:`condensed_indices`.
+    instead of the ``O(n^2)`` of :func:`condensed_indices`.  Each chunk
+    decodes its linear pair offsets into ``(row, col)`` with one
+    ``searchsorted`` against the per-row cumulative pair counts; chunks
+    are sized exactly ``chunk_size`` until the final remainder, in the
+    narrow index dtype of ``num_items``.
     """
-    return _pair_chunk_iter(0, num_items, num_items, chunk_size)
+    if num_items < 2:
+        return
+    counts = np.arange(num_items - 1, 0, -1, dtype=np.int64)
+    cums = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(counts)))
+    total = int(cums[-1])
+    index_dtype = narrow_index_dtype(num_items)
+    for start in range(0, total, chunk_size):
+        linear = np.arange(start, min(start + chunk_size, total), dtype=np.int64)
+        row_idx = np.searchsorted(cums, linear, side="right") - 1
+        rows = row_idx.astype(index_dtype)
+        cols = (rows + 1 + (linear - cums[row_idx])).astype(index_dtype)
+        yield rows, cols
 
 
 def join_labels(first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -350,14 +310,6 @@ _LEAF_PAIR_TARGET = 1 << 22
 _LEAF_WEIGHT_DTYPE = np.int16
 _index_dtype = narrow_index_dtype
 
-#: Minimum summed candidate estimate before a ledger build fans its
-#: leaves out to the worker pool.  Below this the serial joins run in
-#: milliseconds and the pool's fixed costs (executor spawn, label-matrix
-#: publish, task round-trips) dominate — the ledger-build analogue of
-#: the descent's ``_POOL_MIN_SURVIVORS`` gate.
-_POOL_MIN_CANDIDATES = 4_000_000
-
-
 def _plan_leaf_tasks(
     label_list: Sequence[np.ndarray],
     cap: int,
@@ -369,7 +321,7 @@ def _plan_leaf_tasks(
     Each task is ``(context_ids, remaining_ids, joined, estimate,
     excluded_groups)``: candidates are the co-block pairs of ``joined``
     — the join of the *context* machines, computed here while sizing
-    the node (the size, ``estimate``, rides along for work gating) —
+    the node (the size, ``estimate``, is the leaf's candidate count) —
     and their exact weights come from folding the *remaining* machines.
     A pair separated by fewer than ``cap`` machines agrees with every
     machine of at least one of ``cap`` disjoint groups (pigeonhole);
@@ -392,10 +344,8 @@ def _plan_leaf_tasks(
     on `mesi+counters-10`'s ledger build.
 
     Tasks are returned in deterministic (depth-first, round-robin)
-    order and are independent: they can run serially (reusing
-    ``joined``) or on a process pool (shipping only the index tuples;
-    workers replay the same join sequence, which is deterministic) with
-    identical results.
+    order and are independent: their merged output does not depend on
+    the order they run in.
 
     Raises :class:`CandidateBudgetError` when a leaf that can no longer
     be split (fewer than ``cap`` machines remain) still exceeds
@@ -481,7 +431,7 @@ def _leaf_pairs(
     cap: int,
     context_ids: Sequence[int],
     remaining_ids: Sequence[int],
-    joined: Optional[np.ndarray] = None,
+    joined: np.ndarray,
     excluded: Sequence[Tuple[int, ...]] = (),
 ) -> np.ndarray:
     """Run one planned leaf: enumerate, weigh, filter.
@@ -505,10 +455,8 @@ def _leaf_pairs(
     never separate (candidates agree with the whole context), so a
     group wholly inside the context excludes every candidate at once.
 
-    ``joined`` short-circuits the context join when the caller (the
-    planner, on the serial path) already holds it; pool workers pass
-    ``None`` and replay the same deterministic join sequence instead of
-    pickling the array.
+    ``joined`` is the join of the context machines, which the planner
+    computed while sizing the leaf.
     """
     packed_dtype = _packed_dtype(num_states, cap)
     empty = np.empty(0, dtype=packed_dtype)
@@ -532,10 +480,6 @@ def _leaf_pairs(
         for mi in group:
             if mi in remaining_set:
                 groups_of_machine.setdefault(mi, []).append(group_index)
-    if joined is None:
-        for machine_index in context_ids:
-            labels = label_list[machine_index]
-            joined = labels if joined is None else join_labels(joined, labels)
     rows, cols = coblock_pair_arrays(joined, sort=False)
     if rows.size == 0:
         return empty
@@ -631,104 +575,6 @@ def _label_matrix_rows(label_list: Sequence[np.ndarray]) -> List[np.ndarray]:
     return [np.ascontiguousarray(labels, dtype=dtype) for labels in label_list]
 
 
-def _ledger_leaf_task(
-    meta: Dict[str, object],
-    num_states: int,
-    cap: int,
-    context_ids: Tuple[int, ...],
-    remaining_ids: Tuple[int, ...],
-    excluded: Tuple[Tuple[int, ...], ...],
-) -> np.ndarray:
-    """Pool task: run one leaf against the shared label matrix.
-
-    The task ships only machine *indices*; the label arrays themselves
-    live in the bundle published once per :class:`LedgerBuilder`.  The
-    leaf's packed entries come back *sorted* — the sort happens on the
-    worker, which is what lets the owner feed the parts straight into
-    the pairwise merge tree instead of re-sorting everything itself.
-    """
-    matrix = attached_arrays(meta)["labels"]
-    label_list = [matrix[i] for i in range(matrix.shape[0])]
-    return np.sort(
-        _leaf_pairs(
-            label_list, num_states, cap, context_ids, remaining_ids,
-            excluded=excluded,
-        )
-    )
-
-
-def _merge_sorted_pair_task(
-    scratch_meta: Dict[str, object], a_lo: int, a_hi: int, b_lo: int, b_hi: int
-) -> np.ndarray:
-    """Pool task: merge two sorted slices of the shared scratch, deduped.
-
-    One node of the parallel merge tree (:func:`_pool_merge_tree`): the
-    inputs are sorted, internally duplicate-free arrays; the output is
-    their sorted set union.  Duplicate elements across the two inputs
-    are identical values (same pair, same packed weight — or plain pair
-    keys), so any pairing of parts yields byte-identical final results.
-    """
-    data = attached_arrays(scratch_meta)["data"]
-    merged = np.concatenate((data[a_lo:a_hi], data[b_lo:b_hi]))
-    return _dedup_sorted(np.sort(merged))
-
-
-#: Minimum total elements before a merge fans out to the worker pool's
-#: pairwise tree; below it the owner's one-shot sort finishes faster
-#: than task round-trips.
-_POOL_MIN_MERGE = 1 << 21
-
-
-def _pool_merge_tree(
-    pool: SharedWorkerPool, scratch: SharedScratch, parts: Sequence[np.ndarray]
-) -> np.ndarray:
-    """Fold sorted duplicate-free parts into their set union over the pool.
-
-    Rounds of pairwise merges: the owner writes the surviving parts into
-    the rewritable ``scratch`` (legal: each round's tasks are collected
-    before the next write), workers merge adjacent pairs through
-    :func:`_merge_sorted_pair_task`, and the owner only folds the final
-    pair itself.  Set union is associative and duplicate values are
-    identical, so the result is byte-identical to the serial fold for
-    every worker count and every pairing.
-
-    Each round runs through the pool's self-healing wave runner: a
-    worker crash replays the round against respawned segments, and a
-    pool that degrades mid-fold simply leaves the remaining parts to
-    the owner's one-shot sort below — the same set union either way.
-    """
-    parts = [part for part in parts if part.size]
-    while len(parts) > 2 and pool.usable:
-        current = parts
-
-        def merge_wave(current=current):
-            flat = np.concatenate(current)
-            meta, _written = scratch.write(flat)
-            bounds = np.cumsum([0] + [part.size for part in current]).tolist()
-            return [
-                pool.submit(
-                    _merge_sorted_pair_task,
-                    meta, bounds[i], bounds[i + 1], bounds[i + 1], bounds[i + 2],
-                )
-                for i in range(0, len(current) - 1, 2)
-            ]
-
-        merged = pool.run_wave("merge_fold", merge_wave)
-        if merged is None:
-            break
-        if len(parts) % 2:
-            merged.append(parts[-1])
-        parts = merged
-    if not parts:
-        return np.empty(0, dtype=np.int64)
-    if len(parts) == 1:
-        return parts[0]
-    merged = _governed_sort_unique(parts)
-    if merged is not None:
-        return merged
-    return _dedup_sorted(np.sort(np.concatenate(parts)))
-
-
 def low_weight_pairs(
     partitions: Sequence[Partition],
     num_states: int,
@@ -753,10 +599,9 @@ def low_weight_pairs(
     :class:`CandidateBudgetError` when an unsplittable leaf's candidate
     count exceeds ``budget``.
 
-    Returns ``(rows, cols, weights)`` sorted in condensed order.  This
-    is the serial entry point; :class:`LedgerBuilder` runs the same
-    plan/leaf/merge pipeline with the leaves fanned out over a worker
-    pool, byte-identically.
+    Returns ``(rows, cols, weights)`` sorted in condensed order.
+    :class:`LedgerBuilder` runs the same plan/leaf/merge pipeline and
+    caches its result per cap.
     """
     num_machines = len(partitions)
     if not 1 <= cap <= num_machines:
@@ -765,12 +610,17 @@ def low_weight_pairs(
             % (cap, num_machines)
         )
     label_list = _label_matrix_rows([p.labels for p in partitions])
+    return _join_below_cap(label_list, num_states, cap, budget)
+
+
+def _join_below_cap(
+    label_list: Sequence[np.ndarray], num_states: int, cap: int, budget: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Plan the pigeonhole join, run every leaf and merge the parts."""
     tasks = _plan_leaf_tasks(label_list, cap, budget)
     parts = [
-        _leaf_pairs(
-            label_list, num_states, cap, context_ids, remaining_ids, joined, excluded
-        )
-        for context_ids, remaining_ids, joined, _estimate, excluded in tasks
+        _leaf_pairs(label_list, num_states, cap, context, remaining, joined, excluded)
+        for context, remaining, joined, _estimate, excluded in tasks
     ]
     return _merge_leaf_results(parts, num_states, cap)
 
@@ -784,41 +634,21 @@ class LedgerBuilder:
     the base machines — served from :attr:`_cache` when that cap was
     already built — instead of re-running the full join over originals
     plus backups, and a chosen backup never triggers a join at all.
-
-    With a :class:`repro.core.shm.SharedWorkerPool`, the per-machine
-    label arrays are published once as one shared-memory matrix and the
-    planned leaf tasks (including cap-escalation retries) fan out over
-    the pool as machine-index tuples; without one (or after the pool is
-    closed) the identical plan runs serially in-process.  Both paths are
-    byte-identical.
     """
 
-    __slots__ = (
-        "_partitions",
-        "_num_states",
-        "_budget",
-        "_pool",
-        "_cache",
-        "_bundle",
-        "_scratch",
-        "_label_rows",
-    )
+    __slots__ = ("_partitions", "_num_states", "_budget", "_cache", "_label_rows")
 
     def __init__(
         self,
         partitions: Sequence[Partition],
         num_states: int,
         budget: int = DEFAULT_CANDIDATE_BUDGET,
-        pool: Optional[SharedWorkerPool] = None,
         label_rows: Optional[Sequence[np.ndarray]] = None,
     ) -> None:
         self._partitions: Tuple[Partition, ...] = tuple(partitions)
         self._num_states = int(num_states)
         self._budget = int(budget)
-        self._pool = pool
         self._cache: Dict[int, "PairLedger"] = {}
-        self._bundle = None
-        self._scratch: Optional[SharedScratch] = None
         # Pre-converted per-machine label arrays (e.g. the cached
         # CrossProduct.component_label_matrix rows), parallel to
         # ``partitions``; converted lazily from the partitions otherwise.
@@ -873,64 +703,9 @@ class LedgerBuilder:
         return self._label_rows
 
     def _build(self, cap: int) -> "PairLedger":
-        label_list = self._rows()
-        tasks = _plan_leaf_tasks(label_list, cap, self._budget)
-        pool = self._pool
-        # The pool only pays off above a minimum of fan-out-able work:
-        # the planner's candidate estimates bound the leaf passes, so a
-        # small total runs serially rather than paying executor spawn,
-        # the shared-memory publish and task round-trips.
-        total_candidates = sum(estimate for _, _, _, estimate, _ in tasks)
-        parts: Optional[List[np.ndarray]] = None
-        if (
-            pool is not None
-            and pool.usable
-            and pool.workers > 1
-            and len(tasks) > 1
-            and total_candidates >= _POOL_MIN_CANDIDATES
-        ):
-
-            def leaf_wave() -> List:
-                # Re-invoked per healing attempt: meta is re-read so a
-                # replay sees the respawned label segment.
-                if self._bundle is None or self._bundle.closed:
-                    self._bundle = pool.publish({"labels": np.stack(label_list)})
-                meta = self._bundle.meta
-                return [
-                    pool.submit(
-                        _ledger_leaf_task, meta, self._num_states, cap,
-                        context, remaining, excluded,
-                    )
-                    for context, remaining, _joined, _estimate, excluded in tasks
-                ]
-
-            collected = pool.run_wave("ledger_leaf", leaf_wave)
-            if collected is not None:
-                # Leaves come back sorted (sorted on the workers); the
-                # pairwise merge tree shards the deduplicating fold over
-                # the same pool, and the owner only folds the final pair.
-                parts = [part for part in collected if part.size]
-                if (
-                    len(parts) > 2
-                    and sum(part.size for part in parts) >= _POOL_MIN_MERGE
-                    and pool.usable
-                ):
-                    if self._scratch is None:
-                        self._scratch = SharedScratch(pool)
-                    merged = _pool_merge_tree(pool, self._scratch, parts)
-                    rows, cols, weights = _unpack_merged(merged, self._num_states, cap)
-                    return PairLedger(self._num_states, cap, rows, cols, weights)
-        if parts is None:
-            # Serial path — also the degradation target when the pool's
-            # retry budget is exhausted mid-build.
-            parts = [
-                _leaf_pairs(
-                    label_list, self._num_states, cap, context, remaining,
-                    joined, excluded,
-                )
-                for context, remaining, joined, _estimate, excluded in tasks
-            ]
-        rows, cols, weights = _merge_leaf_results(parts, self._num_states, cap)
+        rows, cols, weights = _join_below_cap(
+            self._rows(), self._num_states, cap, self._budget
+        )
         return PairLedger(self._num_states, cap, rows, cols, weights)
 
 
@@ -1054,13 +829,6 @@ _FORWARD_SWITCH_FACTOR = 4
 #: few of these, never the ``O(B^2)`` pair space at once.
 _FORWARD_CHUNK = 1 << 20
 
-#: Minimum expansion size (preimage-product sum of a backward round, or
-#: membership checks of a forward sweep) before a round fans out to the
-#: worker pool; below it the serial NumPy passes finish faster than task
-#: round-trips.  The prune analogue of ``_POOL_MIN_CANDIDATES``.
-_PRUNE_POOL_MIN_EXPAND = 1 << 22
-
-
 @dataclass
 class PruneStats:
     """Outcome of one doomed-pair fixpoint run.
@@ -1091,9 +859,8 @@ class ImplicationIndex:
     forward *image* row (where each block steps — the forward sweep's
     membership checks).  PR 3 rebuilt the ``argsort``/``bincount``/
     ``cumsum`` triple inside every ``doomed_pair_keys`` call; hoisted
-    here, the index is built once per quotient, reusable across calls,
-    and is one contiguous pack of arrays the parallel engine publishes
-    over shared memory in a single segment.
+    here, the index is built once per quotient and reusable across
+    calls.
 
     Arrays (``E`` events over ``B`` blocks, narrow index dtype):
 
@@ -1126,28 +893,6 @@ class ImplicationIndex:
             self.counts[event] = counts
             self.indptr[event, 0] = 0
             self.indptr[event, 1:] = np.cumsum(counts)
-
-    def shared_arrays(self) -> Dict[str, np.ndarray]:
-        """The arrays to publish for pool workers (one bundle per level)."""
-        return {
-            "order": self.order,
-            "indptr": self.indptr,
-            "counts": self.counts,
-            "images": self.images,
-        }
-
-    @classmethod
-    def _from_arrays(cls, arrays: Dict[str, np.ndarray]) -> "ImplicationIndex":
-        """Worker-side rebuild from the attached shared views (zero-copy)."""
-        index = cls.__new__(cls)
-        index.order = arrays["order"]
-        index.indptr = arrays["indptr"]
-        index.counts = arrays["counts"]
-        index.images = arrays["images"]
-        index.num_events = int(index.order.shape[0])
-        index.num_blocks = int(index.order.shape[1])
-        return index
-
 
 def _expand_backward_raw(
     index: ImplicationIndex,
@@ -1191,63 +936,19 @@ def _expand_backward_raw(
     )
 
 
-def _expand_backward_slice(
-    index: ImplicationIndex,
-    event: int,
-    upper: np.ndarray,
-    lower: np.ndarray,
-    key_dtype: type,
-    doomed: Optional[np.ndarray] = None,
-    dup_free: bool = False,
-) -> np.ndarray:
-    """Sorted, doomed-filtered expansion of one (event, frontier) slice.
+def _forward_sweep(index: ImplicationIndex, doomed: np.ndarray) -> np.ndarray:
+    """Newly doomed keys among all live pairs: one full forward round.
 
-    The pool-task form of :func:`_expand_backward_raw`: keys already
-    doomed are dropped *before* the sort — on late rounds almost
-    everything is, which is what retired the 20M-element global
-    per-round dedup of PR 3 — and the remainder is sorted for the
-    owner's merge pipeline.  ``dup_free`` (no diagonal keys in the
-    frontier, the per-round common case) downgrades the de-duplicating
-    :func:`_sort_unique` to a plain sort.
-    """
-    keys = _expand_backward_raw(index, event, upper, lower, key_dtype)
-    if doomed is not None and doomed.size:
-        keys = _compress_absent(doomed, keys)
-    return np.sort(keys) if dup_free else _sort_unique(keys)
-
-
-def _row_pair_chunks(
-    row_lo: int, row_hi: int, num_items: int, chunk_size: int = _FORWARD_CHUNK
-) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """``(rows, cols)`` chunks of pairs ``i < j`` with ``row_lo <= i < row_hi``.
-
-    The row-range form of :func:`iter_pair_chunks`, in the same condensed
-    order, so forward-sweep outputs concatenate into sorted key arrays.
-    """
-    return _pair_chunk_iter(row_lo, row_hi, num_items, chunk_size)
-
-
-def _forward_sweep(
-    index: ImplicationIndex,
-    doomed: np.ndarray,
-    row_lo: int,
-    row_hi: int,
-    chunk_size: int = _FORWARD_CHUNK,
-) -> np.ndarray:
-    """Newly doomed keys among the live pairs of rows ``[row_lo, row_hi)``.
-
-    One full forward round over the row range: a live (not yet doomed)
-    pair is newly doomed when some event maps it onto a doomed pair.
-    Streams the pair space in ``O(chunk)`` memory; the output comes back
-    sorted (chunks arrive in condensed order) and already filtered
-    against ``doomed``, and row ranges never overlap, so per-range
-    outputs concatenate into the round's fresh set directly.  Keys ride
-    in ``doomed``'s (the level's) key dtype throughout.
+    A live (not yet doomed) pair is newly doomed when some event maps it
+    onto a doomed pair.  Streams the pair space in ``O(chunk)`` memory;
+    the output comes back sorted (chunks arrive in condensed order) and
+    already filtered against ``doomed``.  Keys ride in ``doomed``'s (the
+    level's) key dtype throughout.
     """
     num_blocks = index.num_blocks
     key_dtype = doomed.dtype
     parts: List[np.ndarray] = []
-    for rows, cols in _row_pair_chunks(row_lo, row_hi, num_blocks, chunk_size):
+    for rows, cols in iter_pair_chunks(num_blocks, _FORWARD_CHUNK):
         keys = _pair_keys(rows, cols, num_blocks, key_dtype)
         alive = _sorted_contains(doomed, keys)
         np.logical_not(alive, out=alive)
@@ -1274,46 +975,6 @@ def _forward_sweep(
     return np.concatenate(parts)
 
 
-def _prune_backward_task(
-    index_meta: Dict[str, object],
-    frontier_meta: Dict[str, object],
-    frontier_len: int,
-    doomed_len: int,
-    event: int,
-    lo: int,
-    hi: int,
-    dup_free: bool,
-) -> np.ndarray:
-    """Pool task: expand one (event, frontier-slice) through the shared CSR.
-
-    The frontier scratch holds the round's frontier followed by the
-    current doomed set (published together so workers pre-filter their
-    output before pickling it back).
-    """
-    index = ImplicationIndex._from_arrays(attached_arrays(index_meta))
-    data = attached_arrays(frontier_meta)["data"]
-    frontier = data[:frontier_len]
-    doomed = data[frontier_len : frontier_len + doomed_len]
-    keys = frontier[lo:hi]
-    return _expand_backward_slice(
-        index, event, keys // index.num_blocks, keys % index.num_blocks,
-        data.dtype.type, doomed, dup_free,
-    )
-
-
-def _prune_forward_task(
-    index_meta: Dict[str, object],
-    doomed_meta: Dict[str, object],
-    doomed_len: int,
-    row_lo: int,
-    row_hi: int,
-) -> np.ndarray:
-    """Pool task: forward-sweep one row range against the shared doomed set."""
-    index = ImplicationIndex._from_arrays(attached_arrays(index_meta))
-    doomed = attached_arrays(doomed_meta)["data"][:doomed_len]
-    return _forward_sweep(index, doomed, row_lo, row_hi)
-
-
 def _merge_disjoint_sorted(base: np.ndarray, extra: np.ndarray) -> np.ndarray:
     """O(n + m) merge of two sorted unique key arrays with no common element.
 
@@ -1327,55 +988,8 @@ def _merge_disjoint_sorted(base: np.ndarray, extra: np.ndarray) -> np.ndarray:
     return np.insert(base, np.searchsorted(base, extra), extra)
 
 
-def _merge_fresh_parts(
-    parts: Sequence[np.ndarray], doomed: np.ndarray
-) -> np.ndarray:
-    """Fold per-(event, slice) expansion parts into one sorted fresh array.
-
-    Each part is sorted, internally duplicate-free and pre-filtered
-    against ``doomed``; only cross-part (cross-event) duplicates remain,
-    removed with one membership pass per part.  The result is the set
-    union minus ``doomed`` in sorted order — independent of part
-    granularity and order, which is what keeps the serial and every
-    parallel sharding byte-identical.
-
-    Above the governor's memory watermark the union routes through the
-    external spill merge instead; subtracting ``doomed`` from the spilled
-    union afterwards yields the same set as filtering each part first,
-    so the prune rounds stay byte-identical under forced spilling too.
-    """
-    spilled = _governed_sort_unique(parts)
-    if spilled is not None:
-        return _compress_absent(doomed, spilled)
-    fresh = np.empty(0, dtype=doomed.dtype)
-    for part in parts:
-        if part.size == 0:
-            continue
-        part = _compress_absent(doomed, part)
-        if part.size == 0:
-            continue
-        if fresh.size:
-            part = _compress_absent(fresh, part)
-        fresh = _merge_disjoint_sorted(fresh, part)
-    return fresh
-
-
-def _balanced_cuts(weights: np.ndarray, num_slices: int) -> List[int]:
-    """Deterministic slice boundaries with roughly equal weight per slice."""
-    size = int(weights.size)
-    if size == 0:
-        return [0, 0]
-    cums = np.cumsum(weights.astype(np.int64))
-    total = int(cums[-1])
-    slices = max(1, min(int(num_slices), size))
-    targets = (np.arange(1, slices, dtype=np.int64) * total) // slices
-    cuts = np.searchsorted(cums, targets, side="left") + 1
-    bounds = sorted({int(cut) for cut in cuts if 0 < int(cut) < size})
-    return [0] + bounds + [size]
-
-
 class DoomedPairEngine:
-    """Parallel, incremental doomed-pair pruning fixpoint of one descent.
+    """Incremental doomed-pair pruning fixpoint of one descent.
 
     Merging blocks ``(a, b)`` of a closed partition forces merging
     ``(δ(a, e), δ(b, e))`` for every event ``e`` (the substitution
@@ -1398,14 +1012,6 @@ class DoomedPairEngine:
     set a full forward sweep discovers.  Direction choices therefore
     affect wall-clock only.
 
-    **Parallel**: with a usable :class:`repro.core.shm.SharedWorkerPool`,
-    rounds above :data:`_PRUNE_POOL_MIN_EXPAND` shard over the workers —
-    the index is published once per level, the frontier and doomed set
-    travel through a rewritable :class:`repro.core.shm.SharedScratch`,
-    and tasks carry only slice bounds.  The fixpoint is monotone and the
-    merge is set-based, so every worker count is byte-identical to the
-    serial path.
-
     **Incremental**: one engine serves one descent.  Each level's doomed
     set is seeded from the previous pruned level's keys mapped through
     the refined quotient: within a descent the partitions only coarsen
@@ -1426,12 +1032,10 @@ class DoomedPairEngine:
 
     def __init__(
         self,
-        pool: Optional[SharedWorkerPool] = None,
         budget: int = DEFAULT_CANDIDATE_BUDGET,
         max_rounds: int = 64,
         identity_seed: Optional[np.ndarray] = None,
     ) -> None:
-        self._pool = pool
         self._budget = int(budget)
         self._max_rounds = int(max_rounds)
         # Pre-computed sorted weakest-edge keys of the identity level
@@ -1440,8 +1044,6 @@ class DoomedPairEngine:
         self._prev_labels: Optional[np.ndarray] = None
         self._prev_blocks = 0
         self._prev_doomed: Optional[np.ndarray] = None
-        self._index_bundle = None
-        self._scratch: Optional[SharedScratch] = None
         self.last_stats: Optional[PruneStats] = None
 
     @property
@@ -1501,21 +1103,11 @@ class DoomedPairEngine:
         if quotient.size and doomed.size:
             if index is None:
                 index = ImplicationIndex(quotient, num_blocks)
-            try:
-                doomed = self._fixpoint(index, doomed, stats)
-            finally:
-                self._retire_index()
+            doomed = self._fixpoint(index, doomed, stats)
         self._remember(base_labels, num_blocks, doomed)
         stats.keys = int(doomed.size)
         self.last_stats = stats
         return doomed
-
-    def retire(self) -> None:
-        """Release shared-memory resources (the pool itself lives on)."""
-        self._retire_index()
-        if self._scratch is not None:
-            self._scratch.close()
-            self._scratch = None
 
     # ------------------------------------------------------------------
     def _remember(
@@ -1578,8 +1170,7 @@ class DoomedPairEngine:
             upper = frontier // num_blocks
             lower = frontier % num_blocks
             # O(frontier) cost estimates per event: they drive the
-            # budget gate, the direction choice and the parallel
-            # sharding, all owner-side and deterministic.
+            # budget gate and the direction choice, both deterministic.
             totals_by_event: List[np.ndarray] = []
             for event in range(num_events):
                 counts = index.counts[event]
@@ -1600,7 +1191,7 @@ class DoomedPairEngine:
                     stats.truncated = True
                     break
                 stats.forward_rounds += 1
-                fresh = self._forward_round(index, doomed, forward_cost)
+                fresh = _forward_sweep(index, doomed)
             else:
                 run_events = []
                 tripped = False
@@ -1618,10 +1209,7 @@ class DoomedPairEngine:
                 if not run_events:
                     break
                 stats.rounds += 1
-                fresh = self._backward_round(
-                    index, frontier, doomed, upper, lower,
-                    totals_by_event, run_events,
-                )
+                fresh = _backward_round(index, doomed, upper, lower, run_events)
             if fresh.size == 0:
                 break
             doomed = _merge_disjoint_sorted(doomed, fresh)
@@ -1629,151 +1217,40 @@ class DoomedPairEngine:
         stats.spent = spent
         return doomed
 
-    # ------------------------------------------------------------------
-    def _pool_ready(self, workload: int) -> bool:
-        pool = self._pool
-        return (
-            pool is not None
-            and pool.usable
-            and pool.workers > 1
-            and workload >= _PRUNE_POOL_MIN_EXPAND
-        )
 
-    def _published_index(self, index: ImplicationIndex) -> Dict[str, object]:
-        if self._index_bundle is None or self._index_bundle.closed:
-            self._index_bundle = self._pool.publish(index.shared_arrays())
-        return self._index_bundle.meta
+def _backward_round(
+    index: ImplicationIndex,
+    doomed: np.ndarray,
+    upper: np.ndarray,
+    lower: np.ndarray,
+    run_events: Sequence[int],
+) -> np.ndarray:
+    """One backward round's fresh keys (sorted, not yet in ``doomed``).
 
-    def _retire_index(self) -> None:
-        if self._index_bundle is not None:
-            if self._pool is not None:
-                self._pool.retire(self._index_bundle)
-            self._index_bundle = None
-
-    def _backward_round(
-        self,
-        index: ImplicationIndex,
-        frontier: np.ndarray,
-        doomed: np.ndarray,
-        upper: np.ndarray,
-        lower: np.ndarray,
-        totals_by_event: Sequence[np.ndarray],
-        run_events: Sequence[int],
-    ) -> np.ndarray:
-        """One backward round's fresh keys (sorted, not yet in ``doomed``).
-
-        Serial path: each event's raw expansion is membership-filtered
-        against the doomed set and the round's accumulated fresh keys
-        *before* any sorting, so sort work tracks the genuinely new keys
-        (a few percent of the raw expansion) and nothing ever re-copies
-        the full doomed set mid-round (filtering against ``doomed`` and
-        ``fresh`` separately replaced PR 4's per-event merge into a
-        combined ``seen`` array, whose ``O(doomed)`` copies dominated
-        the big levels).  Pooled path: (event, frontier-slice) tasks
-        pre-filter and sort against the published doomed set
-        worker-side, and the owner folds the parts — through the
-        pool's pairwise merge tree when the round is large, its own
-        merge pipeline otherwise.  The same set either way.
-        """
-        grand_total = sum(int(totals_by_event[event].sum()) for event in run_events)
-        # Diagonal keys (only degenerate seed inputs produce them) are
-        # the one source of within-part duplicates; without them a plain
-        # sort replaces the de-duplicating _sort_unique.
-        dup_free = not bool((upper == lower).any())
-        key_dtype = doomed.dtype
-
-        def serial_round() -> np.ndarray:
-            fresh = np.empty(0, dtype=key_dtype)
-            for event in run_events:
-                keys = _expand_backward_raw(index, event, upper, lower, key_dtype)
-                keys = _compress_absent(doomed, keys)
-                if fresh.size:
-                    keys = _compress_absent(fresh, keys)
-                if keys.size == 0:
-                    continue
-                keys = np.sort(keys) if dup_free else _sort_unique(keys)
-                fresh = _merge_disjoint_sorted(fresh, keys)
-            return fresh
-
-        if not self._pool_ready(grand_total):
-            return serial_round()
-        pool = self._pool
-        if self._scratch is None:
-            self._scratch = SharedScratch(pool)
-
-        def expand_wave() -> List:
-            # Re-invoked per healing attempt: the index meta is re-read
-            # and the frontier payload rewritten, so a replay targets
-            # the respawned segments.
-            index_meta = self._published_index(index)
-            frontier_meta, written = self._scratch.write(
-                np.concatenate((frontier, doomed))
-            )
-            doomed_len = written - frontier.size
-            target = max(grand_total // (pool.workers * 2), 1)
-            futures = []
-            for event in run_events:
-                totals = totals_by_event[event]
-                grand = int(totals.sum())
-                bounds = _balanced_cuts(totals, max(1, grand // target))
-                for lo, hi in zip(bounds[:-1], bounds[1:]):
-                    futures.append(
-                        pool.submit(
-                            _prune_backward_task,
-                            index_meta, frontier_meta, int(frontier.size),
-                            int(doomed_len), event, int(lo), int(hi), dup_free,
-                        )
-                    )
-            return futures
-
-        collected = pool.run_wave("prune_shard", expand_wave)
-        if collected is None:
-            return serial_round()
-        parts = [part for part in collected if part.size]
-        if (
-            len(parts) > 2
-            and sum(part.size for part in parts) >= _POOL_MIN_MERGE
-            and pool.usable
-        ):
-            # Workers pre-filtered every part against the published
-            # doomed set, so the tree's set union *is* the fresh set.
-            return _pool_merge_tree(pool, self._scratch, parts)
-        return _merge_fresh_parts(parts, doomed)
-
-    def _forward_round(
-        self, index: ImplicationIndex, doomed: np.ndarray, forward_cost: int
-    ) -> np.ndarray:
-        num_blocks = index.num_blocks
-        if not self._pool_ready(forward_cost):
-            return _forward_sweep(index, doomed, 0, num_blocks)
-        pool = self._pool
-        if self._scratch is None:
-            self._scratch = SharedScratch(pool)
-
-        def forward_wave() -> List:
-            index_meta = self._published_index(index)
-            doomed_meta, doomed_len = self._scratch.write(doomed)
-            row_weights = np.arange(num_blocks - 1, 0, -1, dtype=np.int64)
-            bounds = _balanced_cuts(row_weights, pool.workers * 2)
-            return [
-                pool.submit(
-                    _prune_forward_task,
-                    index_meta, doomed_meta, int(doomed_len), int(lo), int(hi),
-                )
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-            ]
-
-        collected = pool.run_wave(
-            "prune_shard",
-            forward_wave,
-            serial_fallback=lambda: [_forward_sweep(index, doomed, 0, num_blocks)],
-        )
-        parts = [part for part in collected if part.size]
-        if not parts:
-            return np.empty(0, dtype=doomed.dtype)
-        # Row ranges are disjoint and streamed in condensed order, so
-        # the concatenation is already the sorted fresh set.
-        return np.concatenate(parts)
+    Each event's raw expansion of the frontier ``(upper, lower)`` is
+    membership-filtered against the doomed set and the round's
+    accumulated fresh keys *before* any sorting, so sort work tracks the
+    genuinely new keys (a few percent of the raw expansion) and nothing
+    ever re-copies the full doomed set mid-round (a per-event merge into
+    one combined ``seen`` array copies ``O(doomed)`` per event, which
+    dominated the big levels).
+    """
+    # Diagonal keys (only degenerate seed inputs produce them) are
+    # the one source of within-event duplicates; without them a plain
+    # sort replaces the de-duplicating _sort_unique.
+    dup_free = not bool((upper == lower).any())
+    key_dtype = doomed.dtype
+    fresh = np.empty(0, dtype=key_dtype)
+    for event in run_events:
+        keys = _expand_backward_raw(index, event, upper, lower, key_dtype)
+        keys = _compress_absent(doomed, keys)
+        if fresh.size:
+            keys = _compress_absent(fresh, keys)
+        if keys.size == 0:
+            continue
+        keys = np.sort(keys) if dup_free else _sort_unique(keys)
+        fresh = _merge_disjoint_sorted(fresh, keys)
+    return fresh
 
 
 def doomed_pair_keys(
@@ -1784,7 +1261,6 @@ def doomed_pair_keys(
     budget: int = DEFAULT_CANDIDATE_BUDGET,
     max_rounds: int = 64,
     index: Optional[ImplicationIndex] = None,
-    pool: Optional[SharedWorkerPool] = None,
 ) -> np.ndarray:
     """One-shot form of :class:`DoomedPairEngine` (sorted doomed keys).
 
@@ -1795,7 +1271,7 @@ def doomed_pair_keys(
     sound: every returned key provably dooms its candidate, so a
     truncated fixpoint only prunes less.
     """
-    engine = DoomedPairEngine(pool=pool, budget=budget, max_rounds=max_rounds)
+    engine = DoomedPairEngine(budget=budget, max_rounds=max_rounds)
     return engine.prune(quotient, weak_a, weak_b, num_blocks, index=index)
 
 

@@ -61,6 +61,7 @@ from ..core.resilience import (
     EngineFaultKind,
     chaos_from_env,
     execute_chaos_fault,
+    pid_alive,
 )
 from ..core.sparse import PairLedger
 from .npz_io import (
@@ -116,23 +117,13 @@ def _process_start_time(pid: int) -> Optional[int]:
         return None
 
 
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True
-    return True
-
-
 @dataclass
 class StoreStats:
     """What the store did during one process's use of it.
 
     Folded into the fusion stopwatch as the ``store`` stage, the way
-    pool recovery lands as ``resilience_stats`` — so benchmark records
-    and the chaos harness can assert on cache behaviour (a warm run
+    prune outcomes land as ``prune_stats`` — so benchmark records and
+    the chaos harness can assert on cache behaviour (a warm run
     must show hits and zero quarantines; a post-crash run must show the
     reclaimed lock and the resumed level).
     """
@@ -297,7 +288,7 @@ class ArtifactStore:
                 pid = int(entry.rsplit(".tmp-", 1)[1].split("-")[0])
             except (IndexError, ValueError):
                 continue
-            if pid != os.getpid() and _pid_alive(pid):
+            if pid != os.getpid() and pid_alive(pid):
                 continue
             if pid == os.getpid():
                 continue  # our own in-flight commits are not stale
@@ -340,7 +331,7 @@ class ArtifactStore:
                 pid = int(parts[1])
             except (IndexError, ValueError):
                 continue
-            if pid == os.getpid() or _pid_alive(pid):
+            if pid == os.getpid() or pid_alive(pid):
                 continue
             self._remove_quietly(os.path.join(path, entry))
             removed += 1
@@ -507,7 +498,7 @@ class ArtifactStore:
             # race, which the atomic artifact commits tolerate.
             return True
         pid, start = owner
-        if not _pid_alive(pid):
+        if not pid_alive(pid):
             return True
         if start is not None:
             return _process_start_time(pid) != start

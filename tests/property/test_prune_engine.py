@@ -1,4 +1,4 @@
-"""Property tests for the parallel, incremental doomed-pair engine.
+"""Property tests for the incremental doomed-pair engine.
 
 Four invariants from the engine contract
 (:class:`repro.core.sparse.DoomedPairEngine`):
@@ -11,15 +11,13 @@ Four invariants from the engine contract
   the exact closure check);
 * the incremental cross-level seeding equals a fresh fixpoint at every
   level of a coarsening chain;
-* sharding rounds over a :class:`repro.core.shm.SharedWorkerPool`
-  (workers 1/2/4) and the density-adaptive forward direction are
-  byte-identical to the serial backward fixpoint.
+* the density-adaptive forward direction is byte-identical to the
+  backward fixpoint.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,7 +32,6 @@ from repro.core.partition import (
     quotient_table,
 )
 from repro.core.product import CrossProduct
-from repro.core.shm import SharedWorkerPool
 from repro.core.sparse import DoomedPairEngine, ImplicationIndex, doomed_pair_keys
 from repro.machines import mesi, mod_counter, shift_register
 
@@ -203,22 +200,7 @@ class TestIncrementalSeeding:
         assert np.array_equal(seeded, fresh)
 
 
-class TestParallelPrune:
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_workers_byte_identical(self, workers, monkeypatch):
-        """Sharded rounds return the serial path's arrays exactly."""
-        monkeypatch.setattr(sparse_module, "_PRUNE_POOL_MIN_EXPAND", 0)
-        quotient, weak_rows, weak_cols, n = _level_zero(_protocol_mix())
-        serial = doomed_pair_keys(quotient, weak_rows, weak_cols, n)
-        pool = SharedWorkerPool(workers) if workers > 1 else None
-        try:
-            pooled = doomed_pair_keys(quotient, weak_rows, weak_cols, n, pool=pool)
-        finally:
-            if pool is not None:
-                pool.close()
-        assert pooled.dtype == serial.dtype
-        assert np.array_equal(pooled, serial)
-
+class TestPruneDirections:
     def test_forward_direction_byte_identical(self, monkeypatch):
         """Forcing every round forward finds the same fixpoint."""
         quotient, weak_rows, weak_cols, n = _level_zero(_protocol_mix())
@@ -226,19 +208,6 @@ class TestParallelPrune:
         monkeypatch.setattr(sparse_module, "_FORWARD_SWITCH_FACTOR", 0)
         forward = doomed_pair_keys(quotient, weak_rows, weak_cols, n)
         assert np.array_equal(backward, forward)
-
-    def test_forward_parallel_byte_identical(self, monkeypatch):
-        """Forward sweeps sharded over the pool equal the serial sweep."""
-        monkeypatch.setattr(sparse_module, "_FORWARD_SWITCH_FACTOR", 0)
-        monkeypatch.setattr(sparse_module, "_PRUNE_POOL_MIN_EXPAND", 0)
-        quotient, weak_rows, weak_cols, n = _level_zero(_protocol_mix())
-        serial = doomed_pair_keys(quotient, weak_rows, weak_cols, n)
-        pool = SharedWorkerPool(2)
-        try:
-            pooled = doomed_pair_keys(quotient, weak_rows, weak_cols, n, pool=pool)
-        finally:
-            pool.close()
-        assert np.array_equal(pooled, serial)
 
     @settings(max_examples=40, deadline=None)
     @given(dfsm_strategy(max_states=6, num_events=2), st.data())

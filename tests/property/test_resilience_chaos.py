@@ -1,15 +1,14 @@
-"""Chaos-injection property tests for the self-healing parallel engine.
+"""Chaos-injection property tests for the self-healing worker pool.
 
-The acceptance contract of the resilience layer: a seeded ``REPRO_CHAOS``
-plan kills a worker at least once in **each** pooled stage — ledger leaf
-joins, SP-closure batches, prune-round shards, merge-tree folds and BFS
-frontier shards — and the recovered fusion output stays byte-identical
-to the serial run, with zero ``/dev/shm`` segments left behind and the
-recovery recorded in the ``resilience`` stopwatch stage (the benchmark
-records' ``resilience_stats`` block).
+The acceptance contract of the resilience layer, exercised on its one
+pooled stage — the ``runtime_step`` gather waves of a pooled
+:class:`repro.core.runtime.VectorizedRuntime`: a seeded ``REPRO_CHAOS``
+plan kills, hangs or slows workers, and the fleet's state matrices stay
+byte-identical to a serial fleet, with zero ``/dev/shm`` segments left
+behind and the recovery recorded in the pool's ``resilience`` counters.
 
-Soundness of the replay is by construction: every pooled stage is a pure
-function of published read-only arrays plus a picklable batch, so waves
+Soundness of the replay is by construction: every pooled step is a pure
+function of published read-only arrays plus a picklable slice, so waves
 replayed against respawned segments produce the same bytes, and the
 serial degradation path *is* the reference implementation.
 """
@@ -19,14 +18,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.core.fault_graph as fault_graph_module
-import repro.core.fusion as fusion_module
-import repro.core.product as product_module
-import repro.core.sparse as sparse_module
+import repro.core.runtime as runtime_module
 from repro.core.fusion import generate_fusion
 from repro.core.resilience import KNOWN_STAGES, OWNER_STAGES, live_owned_segments
+from repro.core.runtime import VectorizedRuntime
+from repro.core.shm import SharedWorkerPool
 from repro.machines import mod_counter
-from repro.utils.timing import Stopwatch
+
+INSTANCES = 64
 
 
 def _counters(size: int):
@@ -36,56 +35,59 @@ def _counters(size: int):
     ]
 
 
-@pytest.fixture()
-def open_gates(monkeypatch):
-    """Force every pooled stage on a test-sized machine set.
+@pytest.fixture(scope="module")
+def machines():
+    """A fused machine set: four counters plus their generated backup."""
+    return generate_fusion(_counters(4), f=1).all_machines
 
-    The production gates only decide *routing* (serial vs pool), never
-    results, so opening them preserves byte-identity while making the
-    counters-6 fusion submit work in all five stages (verified by the
-    stage-coverage assertion below).
+
+def _run_fleet(monkeypatch, machines, workers, chaos="", timeout=""):
+    """Step a fleet through an event matrix, a crash and a broadcast.
+
+    Returns the final ``(true, visible, status)`` matrices and the
+    pool's resilience counters (empty for the serial fleet).
     """
-    monkeypatch.setattr(sparse_module, "_POOL_MIN_CANDIDATES", 0)
-    monkeypatch.setattr(sparse_module, "_POOL_MIN_MERGE", 0)
-    monkeypatch.setattr(sparse_module, "_PRUNE_POOL_MIN_EXPAND", 0)
-    monkeypatch.setattr(fusion_module, "_POOL_MIN_SURVIVORS", -(1 << 62))
-    monkeypatch.setattr(fusion_module, "_PRUNE_AFTER_FAILURES", 0)
-    monkeypatch.setattr(fusion_module, "DESCENT_SPARSE_CUTOFF", 1)
-    monkeypatch.setattr(fault_graph_module, "SPARSE_STATE_CUTOFF", 1)
-    monkeypatch.setattr(product_module, "_EXPLORE_POOL_MIN_FRONTIER", 2)
-
-
-def _run_with_chaos(monkeypatch, chaos: str, timeout: str = ""):
-    monkeypatch.setenv("REPRO_CHAOS", chaos)
+    monkeypatch.setattr(runtime_module, "_RUNTIME_POOL_MIN_INSTANCES", 1)
+    if chaos:
+        monkeypatch.setenv("REPRO_CHAOS", chaos)
+    else:
+        monkeypatch.delenv("REPRO_CHAOS", raising=False)
     if timeout:
         monkeypatch.setenv("REPRO_FUSION_TASK_TIMEOUT", timeout)
-    watch = Stopwatch()
-    result = generate_fusion(_counters(6), f=1, workers=2, stopwatch=watch)
-    return result, watch.extras("resilience")
+    generator = np.random.default_rng(42)
+    matrix = generator.integers(0, 4, size=(12, INSTANCES))
+    stream = list(generator.integers(0, 4, size=10))
+    # The pool reads REPRO_CHAOS and the retry/watchdog policy when it
+    # is created, so it is created after the environment is set.
+    pool = SharedWorkerPool(workers) if workers > 1 else None
+    try:
+        with VectorizedRuntime(machines, INSTANCES, pool=pool) as runtime:
+            runtime.apply_event_matrix(matrix)
+            runtime.crash_instances(1, [2, 9])
+            runtime.apply_stream(stream)
+            states = (runtime.true_states, runtime.visible_states, runtime.statuses)
+        stats = pool.resilience.as_counters() if pool is not None else {}
+    finally:
+        if pool is not None:
+            pool.close()
+    return states, stats
 
 
-def _assert_identical(result, reference):
-    assert result.summary() == reference.summary()
-    assert [tuple(p.labels) for p in result.partitions] == [
-        tuple(p.labels) for p in reference.partitions
-    ]
-    for ours, theirs in zip(result.backups, reference.backups):
-        assert np.array_equal(ours.transition_table, theirs.transition_table)
+@pytest.fixture()
+def serial_fleet(monkeypatch, machines):
+    return _run_fleet(monkeypatch, machines, workers=1)[0]
 
 
-#: The stages a *fusion generation* run submits work in; the streaming
-#: runtime's ``runtime_step`` stage never fires during ``generate_fusion``
-#: and gets its own chaos coverage in
-#: ``tests/unit/test_runtime.py::TestRuntimeChaos``.
-FUSION_STAGES = tuple(s for s in KNOWN_STAGES if s != "runtime_step")
+def _assert_identical(states, reference):
+    for ours, theirs in zip(states, reference):
+        assert np.array_equal(ours, theirs)
 
 
 class TestChaosRecovery:
     def test_stage_vocabulary_is_complete(self):
-        assert set(KNOWN_STAGES) == {
-            "ledger_leaf", "closure_batch", "prune_shard", "merge_fold", "bfs_shard",
-            "runtime_step",
-        }
+        # Fusion generation runs in-process, so the streaming runtime's
+        # gather wave is the only pooled stage.
+        assert KNOWN_STAGES == ("runtime_step",)
         # The owner-side stages (artifact-store commits, descent
         # checkpoints, and the resource governor's consult points) are a
         # separate, disjoint vocabulary: worker kills never fire there,
@@ -109,73 +111,72 @@ class TestChaosRecovery:
         spec = ChaosSpec.parse("worker_kill=1.0,max=1,seed=2")
         for stage in OWNER_STAGES:
             assert spec.draw(stage) is None
-        assert spec.draw("ledger_leaf") == ("worker_kill", 0.0)
+        assert spec.draw("runtime_step") == ("worker_kill", 0.0)
 
-    @pytest.mark.parametrize("stage", sorted(FUSION_STAGES))
+    @pytest.mark.parametrize("stage", sorted(KNOWN_STAGES))
     def test_worker_kill_in_each_stage_recovers_byte_identical(
-        self, stage, open_gates, monkeypatch
+        self, stage, machines, serial_fleet, monkeypatch
     ):
         """The acceptance criterion, per stage: one seeded SIGKILL lands
         on a task of exactly this stage; the pool heals, replays, and
-        the fusion equals the serial run with no /dev/shm leak."""
-        reference = generate_fusion(_counters(6), f=1)
-        result, stats = _run_with_chaos(
-            monkeypatch, "worker_kill=1.0,stages=%s,max=1,seed=7" % stage
+        the fleet equals the serial run with no /dev/shm leak."""
+        states, stats = _run_fleet(
+            monkeypatch, machines, 2, "worker_kill=1.0,stages=%s,max=1,seed=7" % stage
         )
-        _assert_identical(result, reference)
+        _assert_identical(states, serial_fleet)
         assert stats["chaos"] >= 1, "the chaos plan never fired in %s" % stage
         assert stats["crashes"] >= 1, "no worker crash was observed"
         assert stats["rebuilds"] >= 1 and stats["retries"] >= 1
         assert stats["degraded"] == 0, "a single kill must heal, not degrade"
         assert live_owned_segments() == ()
 
-    def test_task_hang_recovered_by_watchdog(self, open_gates, monkeypatch):
+    def test_task_hang_recovered_by_watchdog(self, machines, serial_fleet, monkeypatch):
         """A hung task trips ``REPRO_FUSION_TASK_TIMEOUT``; the pool
         kills the stuck workers, heals and replays."""
-        reference = generate_fusion(_counters(6), f=1)
-        result, stats = _run_with_chaos(
+        states, stats = _run_fleet(
             monkeypatch,
-            "task_hang=1.0,stages=ledger_leaf,max=1,seed=3,hang_s=60",
+            machines,
+            2,
+            "task_hang=1.0,stages=runtime_step,max=1,seed=3,hang_s=60",
             timeout="2.0",
         )
-        _assert_identical(result, reference)
+        _assert_identical(states, serial_fleet)
         assert stats["timeouts"] >= 1
         assert stats["rebuilds"] >= 1
         assert live_owned_segments() == ()
 
-    def test_slow_tasks_change_nothing_but_wall_clock(self, open_gates, monkeypatch):
-        reference = generate_fusion(_counters(6), f=1)
-        result, stats = _run_with_chaos(
-            monkeypatch, "slow_task=0.5,max=4,seed=11,slow_s=0.01"
+    def test_slow_tasks_change_nothing_but_wall_clock(
+        self, machines, serial_fleet, monkeypatch
+    ):
+        states, stats = _run_fleet(
+            monkeypatch, machines, 2, "slow_task=0.5,max=4,seed=11,slow_s=0.01"
         )
-        _assert_identical(result, reference)
+        _assert_identical(states, serial_fleet)
         assert stats["chaos"] >= 1
         assert stats["crashes"] == 0 and stats["degraded"] == 0
         assert live_owned_segments() == ()
 
-    def test_unbounded_kills_degrade_to_serial_mid_fusion(
-        self, open_gates, monkeypatch
+    def test_unbounded_kills_degrade_to_serial_stepping(
+        self, machines, serial_fleet, monkeypatch
     ):
-        """With every task of one stage killed (no ``max`` bound), the
-        retry budget runs out and the stage degrades — the fusion still
-        completes serially with identical bytes, and the degradation is
-        recorded in ``resilience_stats``."""
-        reference = generate_fusion(_counters(6), f=1)
+        """With every task killed (no ``max`` bound), the retry budget
+        runs out and the stage degrades — the fleet still finishes
+        serially with identical bytes, and the degradation is counted."""
         monkeypatch.setenv("REPRO_FUSION_MAX_RETRIES", "1")
-        result, stats = _run_with_chaos(
-            monkeypatch, "worker_kill=1.0,stages=ledger_leaf,seed=5"
+        states, stats = _run_fleet(
+            monkeypatch, machines, 2, "worker_kill=1.0,stages=runtime_step,seed=5"
         )
-        _assert_identical(result, reference)
+        _assert_identical(states, serial_fleet)
         assert stats["degraded"] >= 1
         assert stats["crashes"] >= 2  # initial fault + the exhausted retry
         assert live_owned_segments() == ()
 
-    def test_chaos_plan_is_seed_deterministic(self, open_gates, monkeypatch):
+    def test_chaos_plan_is_seed_deterministic(self, machines, monkeypatch):
         """Same seed, same spec ⇒ identical resilience counters."""
         runs = []
         for _ in range(2):
-            _result, stats = _run_with_chaos(
-                monkeypatch, "worker_kill=1.0,stages=prune_shard,max=1,seed=9"
+            _states, stats = _run_fleet(
+                monkeypatch, machines, 2, "worker_kill=1.0,stages=runtime_step,max=1,seed=9"
             )
             runs.append(stats)
         assert runs[0] == runs[1]

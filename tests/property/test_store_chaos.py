@@ -13,8 +13,10 @@ The artifact store's acceptance contract, proven process-for-real:
   restarted run and zero lock files survive the rerun.
 * Two live processes sharing one store serialise on the run lock: one
   computes, the other blocks and then warm-loads the committed result.
-* SIGINT during a hung pooled task tears the worker pool down without
-  stranding a single owned ``/dev/shm`` segment.
+* SIGINT during a hung pooled runtime step tears the worker pool down
+  without stranding a single owned ``/dev/shm`` segment.
+* SIGKILL of a pooled runtime's owner takes its workers and its
+  ``/dev/shm`` segments with it.
 """
 
 from __future__ import annotations
@@ -197,34 +199,65 @@ class TestTwoProcessContention:
         assert _lock_files(store_root) == []
 
 
-class TestSigintTeardown:
-    def test_sigint_mid_hang_leaves_zero_owned_segments(self, tmp_path):
-        """Ctrl-C while a pooled task hangs: the pool must hard-kill its
-        workers and unlink every owned segment instead of deadlocking in
-        the executor join (satellite of the durability PR; the fix is
-        ``SharedWorkerPool.interrupt``)."""
-        child = r"""
-import sys
-from repro.core.fusion import generate_fusion
-from repro.core.resilience import live_owned_segments
+#: Child: a pooled runtime fleet (four counters, 64 instances) built
+#: with 2 workers; run with ``REPRO_RUNTIME_POOL_MIN_INSTANCES=1`` so
+#: every step is a pooled ``runtime_step`` wave.
+_RUNTIME_CHILD_SETUP = r"""
+import numpy as np
+from repro.core.runtime import VectorizedRuntime
 from repro.machines import mod_counter
 machines = [
-    mod_counter(3, count_event=e, events=tuple(range(9)), name="c%d" % e)
-    for e in range(9)
+    mod_counter(3, count_event=e, events=tuple(range(4)), name="c%d" % e)
+    for e in range(4)
 ]
-print("STARTING", flush=True)
+events = np.zeros((4, 64), dtype=np.int64)
+"""
+
+
+def _runtime_child_env(**extra):
+    env = dict(
+        os.environ, PYTHONPATH=_SRC_DIR, REPRO_RUNTIME_POOL_MIN_INSTANCES="1"
+    )
+    env.pop("REPRO_CHAOS", None)
+    env.update(extra)
+    return env
+
+
+def _shm_segments():
+    try:
+        return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
+    except OSError:
+        return set()
+
+
+def _running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie."""
+    try:
+        with open("/proc/%d/stat" % pid) as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except (OSError, IndexError):
+        return False
+    return state != "Z"
+
+
+class TestSigintTeardown:
+    def test_sigint_mid_hang_leaves_zero_owned_segments(self, tmp_path):
+        """Ctrl-C while a pooled runtime step hangs: the pool must
+        hard-kill its workers and unlink every owned segment, so the
+        runtime's ``close()`` cannot deadlock joining the hung wave."""
+        child = _RUNTIME_CHILD_SETUP + r"""
+from repro.core.resilience import live_owned_segments
 try:
-    generate_fusion(machines, 2, workers=2)
+    with VectorizedRuntime(machines, 64, workers=2) as runtime:
+        print("STARTING", flush=True)
+        runtime.apply_event_matrix(events)
     print("FINISHED-UNINTERRUPTED", flush=True)
 except KeyboardInterrupt:
     leaked = live_owned_segments()
     print("LEAKED %r" % (leaked,) if leaked else "CLEAN", flush=True)
 """
-        env = dict(
-            os.environ,
-            PYTHONPATH=_SRC_DIR,
-            REPRO_FUSION_WORKERS="2",
-            REPRO_CHAOS="task_hang=1.0,stages=ledger_leaf,max=1,seed=1,hang_s=120",
+        env = _runtime_child_env(
+            REPRO_CHAOS="task_hang=1.0,stages=runtime_step,max=1,seed=1,hang_s=120",
         )
         proc = subprocess.Popen(
             [sys.executable, "-c", child],
@@ -235,7 +268,7 @@ except KeyboardInterrupt:
         )
         try:
             assert proc.stdout.readline().strip() == "STARTING"
-            # Give the run time to publish bundles and hit the hung wave.
+            # Give the step time to publish its bundles and hit the hung task.
             time.sleep(3.0)
             os.kill(proc.pid, signal.SIGINT)
             out, err = proc.communicate(timeout=60)
@@ -244,3 +277,45 @@ except KeyboardInterrupt:
                 proc.kill()
         assert proc.returncode == 0, err
         assert out.strip() == "CLEAN", out
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="PR_SET_PDEATHSIG is Linux-only"
+)
+class TestOwnerSigkill:
+    def test_sigkilled_owner_takes_workers_and_segments_along(self):
+        """SIGKILL the owner of a pooled runtime mid-life: within 10 s no
+        worker may survive and no segment it published may remain."""
+        child = _RUNTIME_CHILD_SETUP + r"""
+import json, time
+runtime = VectorizedRuntime(machines, 64, workers=2)
+runtime.apply_event_matrix(events)
+print(json.dumps(sorted(runtime._pool._executor._processes)), flush=True)
+time.sleep(120)
+"""
+        before = _shm_segments()
+        proc = subprocess.Popen(
+            [sys.executable, "-c", child],
+            env=_runtime_child_env(),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            workers = json.loads(proc.stdout.readline())
+            assert len(workers) == 2
+            assert _shm_segments() - before, "the pooled step published nothing"
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline:
+            survivors = [pid for pid in workers if _running(pid)]
+            strays = _shm_segments() - before
+            if not survivors and not strays:
+                break
+            time.sleep(0.1)
+        assert survivors == [], "orphaned pool workers: %s" % survivors
+        assert strays == set(), "stranded /dev/shm segments: %s" % sorted(strays)

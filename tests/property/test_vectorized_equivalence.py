@@ -386,7 +386,7 @@ class TestSparseEngineEquivalence:
         vectorized = CrossProduct(machines)
 
         class ScalarOnly(CrossProduct):
-            def _explore(self, initial, event_columns, num_events, pool=None):
+            def _explore(self, initial, event_columns, num_events):
                 return self._explore_scalar(initial, event_columns, num_events)
 
         scalar = ScalarOnly(machines)

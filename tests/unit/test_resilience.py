@@ -9,6 +9,8 @@ negative worker counts, use-after-close, heal/respawn/degrade.
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 import time
 from concurrent.futures import BrokenExecutor
 from concurrent.futures import TimeoutError as PoolTimeoutError
@@ -17,7 +19,7 @@ from multiprocessing import shared_memory
 import numpy as np
 import pytest
 
-from repro.core.exceptions import FusionError
+from repro.core.exceptions import FusionError, SpecParseError
 from repro.core.resilience import (
     RECOVERABLE_POOL_ERRORS,
     ChaosSpec,
@@ -58,12 +60,8 @@ class TestStageOf:
     @pytest.mark.parametrize(
         "task_name, stage",
         [
-            ("_ledger_leaf_task", "ledger_leaf"),
-            ("_merge_sorted_pair_task", "merge_fold"),
-            ("_prune_backward_task", "prune_shard"),
-            ("_prune_forward_task", "prune_shard"),
-            ("_descent_level_task", "closure_batch"),
-            ("_explore_keys_task", "bfs_shard"),
+            ("_runtime_stream_task", "runtime_step"),
+            ("_runtime_matrix_task", "runtime_step"),
         ],
     )
     def test_maps_every_worker_task(self, task_name, stage):
@@ -118,7 +116,7 @@ class TestChaosSpec:
     def test_parse_full_spec(self):
         spec = ChaosSpec.parse(
             "worker_kill=0.2,task_hang=0.1,slow_task=0.3,"
-            "stages=ledger_leaf+merge_fold,max=2,seed=7,hang_s=60,slow_s=0.01"
+            "stages=runtime_step+segment_publish,max=2,seed=7,hang_s=60,slow_s=0.01"
         )
         assert spec.active
         assert spec.injected == 0
@@ -126,7 +124,7 @@ class TestChaosSpec:
     def test_inactive_without_probabilities(self):
         spec = ChaosSpec.parse("seed=3")
         assert not spec.active
-        assert spec.draw("ledger_leaf") is None
+        assert spec.draw("runtime_step") is None
 
     def test_zero_probability_is_inactive(self):
         assert not ChaosSpec.parse("worker_kill=0.0").active
@@ -147,14 +145,23 @@ class TestChaosSpec:
             ChaosSpec.parse(spec)
 
     def test_stage_filter_and_budget(self):
-        spec = ChaosSpec.parse("worker_kill=1.0,stages=prune_shard,max=1,seed=1")
-        assert spec.draw("ledger_leaf") is None  # filtered out
-        assert spec.draw("prune_shard") == ("worker_kill", 0.0)
+        spec = ChaosSpec.parse("worker_kill=1.0,stages=runtime_step,max=1,seed=1")
+        assert spec.draw("task") is None  # filtered out
+        assert spec.draw("runtime_step") == ("worker_kill", 0.0)
         assert spec.injected == 1
-        assert spec.draw("prune_shard") is None  # budget spent
+        assert spec.draw("runtime_step") is None  # budget spent
+
+    @pytest.mark.parametrize(
+        "stage", ["ledger_leaf", "merge_fold", "prune_shard", "closure_batch", "bfs_shard"]
+    )
+    def test_retired_fusion_stages_are_unknown(self, stage):
+        """Fusion generation submits no tasks, so its old stage names
+        are a typed parse error rather than a filter that never fires."""
+        with pytest.raises(SpecParseError, match="unknown stages"):
+            ChaosSpec.parse("worker_kill=1.0,stages=%s" % stage)
 
     def test_draws_are_seed_deterministic(self):
-        stages = ["ledger_leaf", "prune_shard", "bfs_shard", "merge_fold"] * 8
+        stages = ["runtime_step", "task"] * 16
         draws = []
         for _ in range(2):
             spec = ChaosSpec.parse("worker_kill=0.3,task_hang=0.2,seed=42")
@@ -163,16 +170,16 @@ class TestChaosSpec:
         assert any(fault is not None for fault in draws[0])
 
     def test_different_seeds_differ(self):
-        stages = ["ledger_leaf"] * 64
+        stages = ["runtime_step"] * 64
         a = ChaosSpec.parse("worker_kill=0.5,seed=1")
         b = ChaosSpec.parse("worker_kill=0.5,seed=2")
         assert [a.draw(s) for s in stages] != [b.draw(s) for s in stages]
 
     def test_hang_and_slow_durations_travel_with_the_fault(self):
         spec = ChaosSpec.parse("task_hang=1.0,max=1,seed=0,hang_s=123.0")
-        assert spec.draw("ledger_leaf") == ("task_hang", 123.0)
+        assert spec.draw("runtime_step") == ("task_hang", 123.0)
         spec = ChaosSpec.parse("slow_task=1.0,max=1,seed=0,slow_s=0.25")
-        assert spec.draw("ledger_leaf") == ("slow_task", 0.25)
+        assert spec.draw("runtime_step") == ("slow_task", 0.25)
 
     def test_chaos_from_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_CHAOS", raising=False)
@@ -201,9 +208,9 @@ class TestResilienceStats:
 
     def test_degradation_records_the_stage(self):
         stats = ResilienceStats()
-        stats.note_degraded("closure_batch")
+        stats.note_degraded("runtime_step")
         assert stats.degraded == 1
-        assert stats.degraded_stages == ["closure_batch"]
+        assert stats.degraded_stages == ["runtime_step"]
 
     def test_counters_match_the_benchmark_schema(self):
         assert sorted(ResilienceStats().as_counters()) == [
@@ -250,6 +257,29 @@ class TestOwnedSegmentRegistry:
         assert name not in live_owned_segments()
         assert_no_owned_segments()
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
+    def test_pool_start_reaps_segments_of_dead_owners(self):
+        """A segment whose recorded owner pid is dead is unlinked when
+        the next pool starts; live owners' segments are left alone."""
+        from multiprocessing import resource_tracker
+
+        dead = subprocess.Popen([sys.executable, "-c", "pass"])
+        dead.wait()
+        orphan = shared_memory.SharedMemory(
+            name="psm_%d_0badc0de" % dead.pid, create=True, size=64
+        )
+        bundle = SharedArrayBundle.create({"xs": np.arange(8)})
+        try:
+            SharedWorkerPool(max_workers=2).close()
+            assert not _segment_exists(orphan.name)
+            assert _segment_exists(bundle.name)
+        finally:
+            orphan.close()
+            # The reaper unlinked it behind the tracker's back.
+            resource_tracker.unregister(orphan._name, "shared_memory")
+            bundle.close()
+        assert_no_owned_segments()
+
 
 # ----------------------------------------------------------------------
 # Worker-count validation (satellite: no silent clamping)
@@ -290,7 +320,7 @@ class TestUseAfterCloseGuards:
 
     def test_submit_on_degraded_pool_raises(self):
         with SharedWorkerPool(max_workers=2) as pool:
-            pool.degrade("prune_shard")
+            pool.degrade("runtime_step")
             with pytest.raises(FusionError, match="degraded SharedWorkerPool"):
                 pool.submit(sum, (1, 2))
 
@@ -351,18 +381,18 @@ class TestRespawnAndHeal:
     def test_degrade_is_idempotent_and_flips_usable(self):
         with SharedWorkerPool(max_workers=2) as pool:
             assert pool.usable
-            pool.degrade("merge_fold")
-            pool.degrade("merge_fold")
+            pool.degrade("runtime_step")
+            pool.degrade("runtime_step")
             assert not pool.usable
             assert pool.resilience.degraded == 1
-            assert pool.resilience.degraded_stages == ["merge_fold"]
+            assert pool.resilience.degraded_stages == ["runtime_step"]
 
     def test_run_wave_on_degraded_pool_takes_the_fallback(self):
         with SharedWorkerPool(max_workers=2) as pool:
-            pool.degrade("ledger_leaf")
+            pool.degrade("runtime_step")
 
             def never_called():
                 raise AssertionError("degraded pool must not submit")
 
-            assert pool.run_wave("ledger_leaf", never_called, lambda: "serial") == "serial"
-            assert pool.run_wave("ledger_leaf", never_called) is None
+            assert pool.run_wave("runtime_step", never_called, lambda: "serial") == "serial"
+            assert pool.run_wave("runtime_step", never_called) is None

@@ -2,10 +2,9 @@
 
 The equivalence *properties* live in ``tests/property``; this file pins
 the unit-level contract — constructor and argument validation, fault
-injection semantics, the env knobs, shared-memory hygiene — and the
-chaos coverage of the ``runtime_step`` pool stage (referenced by
-``tests/property/test_resilience_chaos.py``, which restricts its own
-kill matrix to the fusion stages).
+injection semantics, the env knobs and shared-memory hygiene.  The
+chaos coverage of the ``runtime_step`` pool stage lives in
+``tests/property/test_resilience_chaos.py``.
 """
 
 from __future__ import annotations
@@ -227,72 +226,6 @@ class TestBatchRecoveryValidation:
             assert list(runtime.consistent_instances()) == [
                 True, True, True, False,
             ]
-
-
-class TestRuntimeChaos:
-    """Chaos coverage for the ``runtime_step`` pool stage.
-
-    The fusion-stage kill matrix lives in
-    ``tests/property/test_resilience_chaos.py``; this class completes it
-    for the streaming runtime: a seeded SIGKILL lands on a runtime
-    gather wave, the pool heals and replays, and the fleet's state
-    matrices stay byte-identical to a serial run — with nothing left in
-    ``/dev/shm``.
-    """
-
-    def _fleet_states(self, monkeypatch, workers, chaos=""):
-        monkeypatch.setattr(runtime_module, "_RUNTIME_POOL_MIN_INSTANCES", 1)
-        if chaos:
-            monkeypatch.setenv("REPRO_CHAOS", chaos)
-        else:
-            monkeypatch.delenv("REPRO_CHAOS", raising=False)
-        machines = _counters(4)
-        generator = np.random.default_rng(42)
-        matrix = generator.integers(0, 4, size=(10, 31))
-        stream = list(generator.integers(0, 4, size=8))
-        with VectorizedRuntime(machines, 31, workers=workers) as runtime:
-            runtime.apply_event_matrix(matrix)
-            runtime.crash_instances(1, [2, 9])
-            runtime.apply_stream(stream)
-            stats = (
-                dict(vars(runtime._pool.resilience))
-                if runtime._pool is not None
-                else {}
-            )
-            return (
-                runtime.true_states,
-                runtime.visible_states,
-                runtime.statuses,
-                stats,
-            )
-
-    def test_worker_kill_in_runtime_step_heals_byte_identical(self, monkeypatch):
-        serial = self._fleet_states(monkeypatch, workers=1)
-        chaotic = self._fleet_states(
-            monkeypatch,
-            workers=2,
-            chaos="worker_kill=1.0,stages=runtime_step,max=1,seed=7",
-        )
-        for ours, theirs in zip(chaotic[:3], serial[:3]):
-            assert np.array_equal(ours, theirs)
-        stats = chaotic[3]
-        assert stats["crashes"] >= 1, "the chaos kill never landed"
-        assert stats["rebuilds"] >= 1 and stats["retries"] >= 1
-        assert stats["degraded"] == 0, "a single kill must heal, not degrade"
-        assert live_owned_segments() == ()
-
-    def test_unbounded_kills_degrade_to_serial_stepping(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FUSION_MAX_RETRIES", "1")
-        serial = self._fleet_states(monkeypatch, workers=1)
-        chaotic = self._fleet_states(
-            monkeypatch,
-            workers=2,
-            chaos="worker_kill=1.0,stages=runtime_step,seed=5",
-        )
-        for ours, theirs in zip(chaotic[:3], serial[:3]):
-            assert np.array_equal(ours, theirs)
-        assert chaotic[3]["degraded"] >= 1
-        assert live_owned_segments() == ()
 
 
 class TestLifecycle:

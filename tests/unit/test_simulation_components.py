@@ -233,7 +233,7 @@ class TestFaultPlans:
 
         injector = FaultInjector(["a", "b"], seed=0)
         spec = injector.engine_chaos(
-            seed=7, worker_kill=1.0, stages=["ledger_leaf"], max_faults=1
+            seed=7, worker_kill=1.0, stages=["runtime_step"], max_faults=1
         )
         assert isinstance(spec, ChaosSpec)
         assert spec.active
@@ -242,9 +242,9 @@ class TestFaultPlans:
         assert FaultKind.KILL_BETWEEN_LEVELS.targets_engine
         assert not FaultKind.CRASH.targets_engine
         # Same seed as the env-spec path, same deterministic draws.
-        reference = ChaosSpec.parse("worker_kill=1.0,stages=ledger_leaf,max=1,seed=7")
-        assert spec.draw("ledger_leaf") == reference.draw("ledger_leaf")
-        assert spec.draw("ledger_leaf") is None and reference.draw("ledger_leaf") is None
+        reference = ChaosSpec.parse("worker_kill=1.0,stages=runtime_step,max=1,seed=7")
+        assert spec.draw("runtime_step") == reference.draw("runtime_step")
+        assert spec.draw("runtime_step") is None and reference.draw("runtime_step") is None
 
 
 class TestClientsAndEnvironment:

@@ -1,11 +1,10 @@
-"""Unit tests for the sparse engine: ledger, cutoffs, and the worker pool.
+"""Unit tests for the sparse engine: ledger, cutoffs, and worker counts.
 
 The property suite (``tests/property/test_vectorized_equivalence.py``)
 establishes sparse-vs-dense equivalence statistically; these tests pin
 down the discrete behaviours — cap clamping and escalation, the refusal
 to materialise dense exports on large sparse graphs, worker-count
-resolution, and the byte-identity of the serial and multi-process
-closure paths.
+resolution, and that fusion generation never starts a worker process.
 """
 
 from __future__ import annotations
@@ -27,21 +26,14 @@ from repro.core.sparse import (
     iter_pair_chunks,
     low_weight_pairs,
 )
-from repro.machines import mod_counter
+from repro.machines import mesi, mod_counter
 
 
 @pytest.fixture
 def forced_sparse(monkeypatch):
-    """Force the sparse graph, descent and pool paths regardless of size."""
-    import repro.core.sparse as sparse_module
-
+    """Force the sparse graph and descent paths regardless of size."""
     monkeypatch.setattr(fault_graph_module, "SPARSE_STATE_CUTOFF", 1)
     monkeypatch.setattr(fusion_module, "DESCENT_SPARSE_CUTOFF", 1)
-    # Disable the minimum-work gates so workers>1 really exercises the
-    # pooled descent and ledger build even on these deliberately small
-    # machines.
-    monkeypatch.setattr(fusion_module, "_POOL_MIN_SURVIVORS", 0)
-    monkeypatch.setattr(sparse_module, "_POOL_MIN_CANDIDATES", 0)
 
 
 def counters(size: int):
@@ -202,7 +194,7 @@ class TestPruneStatsReporting:
     def test_stopwatch_prune_stage_carries_stats(self, forced_sparse):
         from repro.utils.timing import Stopwatch
 
-        from repro.machines import mesi, shift_register
+        from repro.machines import shift_register
 
         machines = [
             mesi(),
@@ -272,7 +264,7 @@ class TestSparseFaultGraph:
 
 
 # ----------------------------------------------------------------------
-# Worker resolution and the pooled descent
+# Worker resolution; fusion never forks
 # ----------------------------------------------------------------------
 class TestWorkerPool:
     def test_resolve_workers_explicit_wins(self):
@@ -299,35 +291,45 @@ class TestWorkerPool:
         ((rows, cols),) = list(iter_pair_chunks(2))
         assert rows.tolist() == [0] and cols.tolist() == [1]
 
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_pool_matches_serial_exactly(self, forced_sparse, workers):
-        """max_workers=1 vs >1 must be byte-identical (same partitions)."""
-        serial = generate_fusion(counters(5), f=1, workers=1)
-        pooled = generate_fusion(counters(5), f=1, workers=workers)
-        assert pooled.summary() == serial.summary()
-        assert [tuple(p.labels) for p in pooled.partitions] == [
-            tuple(p.labels) for p in serial.partitions
-        ]
-        for ours, theirs in zip(pooled.backups, serial.backups):
-            assert np.array_equal(ours.transition_table, theirs.transition_table)
-
-    def test_pool_matches_serial_on_protocol_mix(self, forced_sparse):
-        """A failure-dominated workload actually exercises batched pruning."""
-        from repro.machines import mesi, shift_register
-
-        machines = [
-            mesi(),
-            mod_counter(3, "local_read", events=mesi().events, name="rd-ctr"),
-            shift_register(
-                3, bit_events=("local_read", "local_write"), events=mesi().events, name="sr"
+    @pytest.mark.parametrize(
+        "build, expected",
+        [
+            (
+                lambda: counters(9),
+                {
+                    "originals": ["c%d" % e for e in range(9)], "f": 1,
+                    "top_size": 19683, "num_backups": 1, "backup_sizes": [3],
+                    "fusion_state_space": 3, "initial_dmin": 1, "final_dmin": 2,
+                    "byzantine_faults_tolerated": 0,
+                },
             ),
-        ]
-        serial = generate_fusion(machines, f=1, workers=1)
-        pooled = generate_fusion(machines, f=1, workers=2)
-        assert pooled.summary() == serial.summary()
-        assert [tuple(p.labels) for p in pooled.partitions] == [
-            tuple(p.labels) for p in serial.partitions
-        ]
+            (
+                lambda: [mesi()] + counters(8),
+                {
+                    "originals": ["MESI"] + ["c%d" % e for e in range(8)], "f": 1,
+                    "top_size": 26244, "num_backups": 1, "backup_sizes": [12],
+                    "fusion_state_space": 12, "initial_dmin": 1, "final_dmin": 2,
+                    "byzantine_faults_tolerated": 0,
+                },
+            ),
+        ],
+        ids=["counters-9", "mesi+counters-8"],
+    )
+    def test_fusion_never_forks(self, monkeypatch, build, expected):
+        """``workers=2`` is accepted, but no stage submits to a pool or
+        starts an executor; the summaries are the frozen ones of
+        ``benchmarks/bench_perf_regression.py``."""
+        import concurrent.futures
+
+        from repro.core import shm as shm_module
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("fusion generation tried to start a worker")
+
+        monkeypatch.setattr(shm_module.SharedWorkerPool, "submit", refuse)
+        monkeypatch.setattr(shm_module, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        assert generate_fusion(build(), f=1, workers=2).summary() == expected
 
     def test_sparse_serial_matches_dense_engine(self, forced_sparse):
         sparse = generate_fusion(counters(4), f=1)
