@@ -4,7 +4,9 @@ Maintaining the ledger incrementally — the cached base join plus one
 fold per backup, which is what ``FaultGraph`` does on cap escalation —
 must equal a from-scratch join over all machines, on random machines;
 and :class:`repro.core.sparse.LedgerBuilder` must serve each cap from
-one join that equals :func:`repro.core.sparse.low_weight_pairs`.
+one join that equals :func:`repro.core.sparse.low_weight_pairs`.  The
+fold of overlapping leaf results — in memory or spilled through the
+resource governor's external merge — must equal the plain set union.
 """
 
 from __future__ import annotations
@@ -14,9 +16,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.budget import ResourceGovernor, activate
 from repro.core.fault_graph import FaultGraph
 from repro.core.product import CrossProduct
-from repro.core.sparse import LedgerBuilder, PairLedger, low_weight_pairs
+from repro.core.resilience import ChaosSpec
+from repro.core.sparse import (
+    LedgerBuilder,
+    PairLedger,
+    _merge_leaf_results,
+    _packed_dtype,
+    _weight_bits,
+    low_weight_pairs,
+)
 from repro.machines import mesi, mod_counter, shift_register
 
 from .strategies import partition_strategy
@@ -138,3 +149,53 @@ class TestIncrementalLedgerMaintenance:
         # planned must be over the 4 base machines, never the 5-machine list.
         child.edges_below(4)
         assert calls and all(machine_count == 4 for machine_count, _ in calls)
+
+
+#: State counts whose packed ledger entries ride int32 / int64 at cap 3.
+PACKED_STATES = {"int32": 300, "int64": 50000}
+
+
+class TestLeafResultMerge:
+    """Overlapping leaf outputs fold into the sorted union of their pairs."""
+
+    @pytest.mark.parametrize("packed", sorted(PACKED_STATES))
+    @pytest.mark.parametrize("route", ["memory", "spill"])
+    @pytest.mark.parametrize("num_parts", [3, 5, 9])
+    def test_fold_matches_reference_union(self, num_parts, route, packed, tmp_path):
+        num_states, cap = PACKED_STATES[packed], 3
+        dtype = _packed_dtype(num_states, cap)
+        assert np.dtype(dtype).name == packed
+        bits = _weight_bits(cap)
+        rng = np.random.default_rng(num_parts * 10 + len(route))
+        parts = []
+        for _ in range(num_parts):
+            size = int(rng.integers(0, 800))
+            rows = rng.integers(0, num_states - 1, size=size)
+            cols = rows + 1 + rng.integers(0, num_states - 1 - rows)
+            # A pair always carries the same weight, whichever leaf
+            # rediscovers it — the invariant the packed dedup relies on.
+            weights = (rows + cols) % cap
+            keys = (rows * num_states + cols) << bits | weights
+            parts.append(keys.astype(dtype))
+        union = np.unique(np.concatenate(parts).astype(np.int64))
+        ref_rows = (union >> bits) // num_states
+        ref_cols = (union >> bits) % num_states
+        ref_weights = union & ((1 << bits) - 1)
+
+        in_memory = _merge_leaf_results(parts, num_states, cap)
+        if route == "spill":
+            governor = ResourceGovernor(
+                budget={"memory": 1}, chaos=ChaosSpec({}), spill_dir=str(tmp_path)
+            )
+            with activate(governor):
+                merged = _merge_leaf_results(parts, num_states, cap)
+            assert governor.stats.spills == 1
+        else:
+            merged = in_memory
+        rows, cols, weights = merged
+        assert np.array_equal(rows, ref_rows)
+        assert np.array_equal(cols, ref_cols)
+        assert np.array_equal(weights, ref_weights)
+        for ours, theirs in zip(merged, in_memory):
+            assert ours.dtype == theirs.dtype
+            assert ours.tobytes() == theirs.tobytes()

@@ -12,7 +12,8 @@ Four invariants from the engine contract
 * the incremental cross-level seeding equals a fresh fixpoint at every
   level of a coarsening chain;
 * the density-adaptive forward direction is byte-identical to the
-  backward fixpoint.
+  backward fixpoint, and each round of either direction — and the
+  fixpoint itself — equals a pair-by-pair reference.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from repro.core.partition import (
 )
 from repro.core.product import CrossProduct
 from repro.core.sparse import DoomedPairEngine, ImplicationIndex, doomed_pair_keys
+from repro.core.types import narrow_key_dtype
 from repro.machines import mesi, mod_counter, shift_register
 
 from .strategies import dfsm_strategy
@@ -228,6 +230,94 @@ class TestPruneDirections:
         finally:
             sparse_module._FORWARD_SWITCH_FACTOR = original
         assert np.array_equal(backward, forward)
+
+
+def _brute_force_fresh(quotient, doomed, pairs):
+    """The pairs (of ``pairs``) outside ``doomed`` that some event maps
+    onto a doomed pair — one forward round, spelled out."""
+    fresh = set()
+    for a, b in pairs:
+        if (a, b) in doomed:
+            continue
+        for event in range(quotient.shape[1]):
+            image = tuple(sorted((int(quotient[a, event]), int(quotient[b, event]))))
+            if image in doomed:
+                fresh.add((a, b))
+                break
+    return fresh
+
+
+def _keys_of(pairs, n):
+    return sorted(a * n + b for a, b in pairs)
+
+
+class TestRoundReferences:
+    """Each fixpoint step against a pair-by-pair reference."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(dfsm_strategy(max_states=7, num_events=3), st.data())
+    def test_forward_sweep_matches_brute_force(self, machine, data):
+        n = machine.num_states
+        if n < 2:
+            return
+        quotient = quotient_table(machine, Partition.identity(n))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        doomed = set(data.draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))))
+        keys = np.asarray(_keys_of(doomed, n), dtype=narrow_key_dtype(n))
+        fresh = sparse_module._forward_sweep(ImplicationIndex(quotient, n), keys)
+        assert fresh.dtype == keys.dtype
+        assert fresh.tolist() == _keys_of(_brute_force_fresh(quotient, doomed, pairs), n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(dfsm_strategy(max_states=7, num_events=3), st.data())
+    def test_backward_round_matches_brute_force(self, machine, data):
+        n = machine.num_states
+        if n < 2:
+            return
+        quotient = quotient_table(machine, Partition.identity(n))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        doomed = set(data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=len(pairs))))
+        frontier = sorted(data.draw(st.sets(st.sampled_from(sorted(doomed)), min_size=1)))
+        events = data.draw(
+            st.lists(st.integers(0, quotient.shape[1] - 1), min_size=1, unique=True)
+        )
+        keys = np.asarray(_keys_of(doomed, n), dtype=narrow_key_dtype(n))
+        upper = np.asarray([a for a, _ in frontier], dtype=np.int64)
+        lower = np.asarray([b for _, b in frontier], dtype=np.int64)
+        fresh = sparse_module._backward_round(
+            ImplicationIndex(quotient, n), keys, upper, lower, events
+        )
+        expected = {
+            (a, b)
+            for a, b in pairs
+            if (a, b) not in doomed
+            and any(
+                tuple(sorted((int(quotient[a, e]), int(quotient[b, e])))) in frontier
+                for e in events
+            )
+        }
+        assert fresh.dtype == keys.dtype
+        assert fresh.tolist() == _keys_of(expected, n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(dfsm_strategy(max_states=6, num_events=2), st.data())
+    def test_fixpoint_matches_brute_force_closure(self, machine, data):
+        n = machine.num_states
+        if n < 2:
+            return
+        quotient = quotient_table(machine, Partition.identity(n))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        chosen = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=4))
+        doomed = set(chosen)
+        while True:
+            fresh = _brute_force_fresh(quotient, doomed, pairs)
+            if not fresh:
+                break
+            doomed |= fresh
+        weak_a = np.asarray([p[0] for p in chosen], dtype=np.int64)
+        weak_b = np.asarray([p[1] for p in chosen], dtype=np.int64)
+        keys = doomed_pair_keys(quotient, weak_a, weak_b, n)
+        assert keys.tolist() == _keys_of(doomed, n)
 
 
 class TestImplicationIndex:

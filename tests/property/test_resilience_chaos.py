@@ -41,8 +41,13 @@ def machines():
     return generate_fusion(_counters(4), f=1).all_machines
 
 
-def _run_fleet(monkeypatch, machines, workers, chaos="", timeout=""):
-    """Step a fleet through an event matrix, a crash and a broadcast.
+#: The two kinds of pooled gather wave a runtime submits.
+WAVES = ("event_matrix", "broadcast")
+
+
+def _run_fleet(monkeypatch, machines, workers, chaos="", timeout="", waves=WAVES):
+    """Step a fleet through an event matrix, a crash and a broadcast
+    (``waves`` picks which of the two stepping calls run).
 
     Returns the final ``(true, visible, status)`` matrices and the
     pool's resilience counters (empty for the serial fleet).
@@ -62,9 +67,11 @@ def _run_fleet(monkeypatch, machines, workers, chaos="", timeout=""):
     pool = SharedWorkerPool(workers) if workers > 1 else None
     try:
         with VectorizedRuntime(machines, INSTANCES, pool=pool) as runtime:
-            runtime.apply_event_matrix(matrix)
+            if "event_matrix" in waves:
+                runtime.apply_event_matrix(matrix)
             runtime.crash_instances(1, [2, 9])
-            runtime.apply_stream(stream)
+            if "broadcast" in waves:
+                runtime.apply_stream(stream)
             states = (runtime.true_states, runtime.visible_states, runtime.statuses)
         stats = pool.resilience.as_counters() if pool is not None else {}
     finally:
@@ -128,6 +135,27 @@ class TestChaosRecovery:
         assert stats["crashes"] >= 1, "no worker crash was observed"
         assert stats["rebuilds"] >= 1 and stats["retries"] >= 1
         assert stats["degraded"] == 0, "a single kill must heal, not degrade"
+        assert live_owned_segments() == ()
+
+    @pytest.mark.parametrize("wave", WAVES)
+    def test_worker_kill_in_each_wave_kind_recovers_byte_identical(
+        self, wave, machines, monkeypatch
+    ):
+        """The kill lands on the only wave kind the fleet runs — the
+        per-instance event-matrix gather or the shared-stream composed
+        map — and that wave heals and replays to the serial bytes."""
+        reference, _ = _run_fleet(monkeypatch, machines, 1, waves=(wave,))
+        states, stats = _run_fleet(
+            monkeypatch,
+            machines,
+            2,
+            "worker_kill=1.0,stages=runtime_step,max=1,seed=7",
+            waves=(wave,),
+        )
+        _assert_identical(states, reference)
+        assert stats["chaos"] == 1 and stats["crashes"] >= 1
+        assert stats["rebuilds"] >= 1 and stats["retries"] >= 1
+        assert stats["degraded"] == 0
         assert live_owned_segments() == ()
 
     def test_task_hang_recovered_by_watchdog(self, machines, serial_fleet, monkeypatch):

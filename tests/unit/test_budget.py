@@ -23,6 +23,7 @@ from repro.core.budget import (
     BudgetStats,
     ResourceBudget,
     ResourceGovernor,
+    _dedup_sorted,
     activate,
     current_governor,
     external_sort_unique,
@@ -152,6 +153,27 @@ class TestSpecStringParseErrors:
             assert isinstance(err, SimulationError)
             assert err.knob == "REPRO_NET_CHAOS"
             assert err.token == token
+
+
+class TestDedupSorted:
+    """The one neighbour-diff dedup shared by the merges and the spill."""
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64, np.uint64])
+    def test_matches_numpy_unique(self, dtype):
+        rng = as_generator(77)
+        keys = np.sort(rng.integers(0, 300, size=2000).astype(dtype))
+        out = _dedup_sorted(keys)
+        assert out.dtype == np.dtype(dtype)
+        assert out.tobytes() == np.unique(keys).tobytes()
+
+    def test_short_arrays_pass_through(self):
+        for keys in (np.empty(0, np.int64), np.array([7], np.int32)):
+            assert _dedup_sorted(keys) is keys
+
+    def test_sparse_merges_use_this_copy(self):
+        import repro.core.sparse as sparse_module
+
+        assert sparse_module._dedup_sorted is _dedup_sorted
 
 
 class TestExternalSortUnique:

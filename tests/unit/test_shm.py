@@ -4,14 +4,19 @@ The property suite establishes that parallel and serial engines compute
 identical results; these tests pin the *lifecycle* contracts instead —
 bundles round-trip arrays, attached views are read-only, segments are
 unlinked from ``/dev/shm`` on every exit path (normal close, context
-manager with an exception in flight, garbage collection), and the pool
-refuses use-after-close instead of leaking.
+manager with an exception in flight, garbage collection, Ctrl-C during
+a wave), the pool refuses use-after-close instead of leaking, and its
+workers die with their owner.
 """
 
 from __future__ import annotations
 
+import ctypes
 import gc
+import multiprocessing
 import pickle
+import signal
+import sys
 
 import numpy as np
 import pytest
@@ -21,9 +26,25 @@ from repro.core.shm import (
     SharedArrayBundle,
     SharedScratch,
     SharedWorkerPool,
+    _die_with_owner,
     attached_arrays,
     resolve_workers,
 )
+
+#: ``prctl`` option: read the calling process's parent-death signal.
+_PR_GET_PDEATHSIG = 2
+
+linux_only = pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="PR_SET_PDEATHSIG is Linux-only"
+)
+
+
+def _parent_death_signal() -> int:
+    """Worker task: the signal this process receives when its parent dies."""
+    value = ctypes.c_int(0)
+    libc = ctypes.CDLL(None, use_errno=True)
+    assert libc.prctl(_PR_GET_PDEATHSIG, ctypes.byref(value), 0, 0, 0) == 0
+    return value.value
 
 
 def _segment_exists(name: str) -> bool:
@@ -150,6 +171,49 @@ class TestSharedWorkerPool:
         """The lazily-spawned executor really runs tasks."""
         with SharedWorkerPool(2) as pool:
             assert pool.submit(sum, (1, 2, 3)).result() == 6
+
+    def test_keyboard_interrupt_in_a_wave_tears_the_pool_down(self, monkeypatch):
+        """Ctrl-C while a wave is collected kills the workers and unlinks
+        the bundles before re-raising; the fallback never runs."""
+        pool = SharedWorkerPool(2)
+        name = pool.publish({"xs": np.arange(4)}).name
+
+        def interrupted(_futures):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(pool, "_collect_wave", interrupted)
+        fallback_calls = []
+        with pytest.raises(KeyboardInterrupt):
+            pool.run_wave(
+                "runtime_step",
+                lambda: [pool.submit(sum, (1, 2))],
+                serial_fallback=lambda: fallback_calls.append(1),
+            )
+        assert fallback_calls == []
+        assert not pool.usable
+        assert not _segment_exists(name)
+        with pytest.raises(FusionError):
+            pool.submit(sum, (1,))
+        pool.close()  # already torn down: a no-op, not a join
+
+    @linux_only
+    def test_workers_die_with_their_owner(self):
+        """Every worker carries ``PR_SET_PDEATHSIG = SIGKILL``."""
+        with SharedWorkerPool(2) as pool:
+            signals = [pool.submit(_parent_death_signal) for _ in range(4)]
+            assert {future.result() for future in signals} == {int(signal.SIGKILL)}
+
+    @linux_only
+    def test_worker_of_an_already_dead_owner_kills_itself(self):
+        """The initializer's race guard: a worker whose parent is not
+        the recorded owner (the owner died before ``prctl`` took
+        effect) SIGKILLs itself instead of running orphaned."""
+        child = multiprocessing.get_context("fork").Process(
+            target=_die_with_owner, args=(0,)
+        )
+        child.start()
+        child.join(timeout=10)
+        assert child.exitcode == -signal.SIGKILL
 
 
 class TestSharedScratch:
