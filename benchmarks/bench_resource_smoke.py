@@ -1,7 +1,8 @@
-"""Resource-governor smoke: starve the flagship, finish byte-identical.
+"""Resource smoke: starve the flagship, finish byte-identical.
 
-The CI low-budget job proves the resource governor's degradation
-contract (:mod:`repro.core.budget`) on the ``counters-9 (top=19683)``
+The CI low-budget job proves the graceful-degradation contract of the
+resource governor (:mod:`repro.core.budget`) and of the shared-segment
+publish (:mod:`repro.core.shm`) on the ``counters-9 (top=19683)``
 flagship:
 
 1. an unbounded reference run records the ground-truth partition bytes
@@ -9,11 +10,11 @@ flagship:
 2. the same fusion reruns under a deliberately tiny memory budget — the
    ledger merge must spill at least one fold to external sorted runs on
    scratch;
-3. a pooled 2-worker fleet of that fusion then steps under an active
-   governor and a seeded ``shm_full`` fault against the
-   ``segment_publish`` stage — the runtime's table publish must fall
-   back to a file-backed mmap segment (fusion itself publishes no
-   segments; a smoke that never degrades proves nothing);
+3. a pooled 2-worker fleet of that fusion then steps while
+   ``/dev/shm`` reports no free space (``shm.shm_free_bytes`` patched
+   to 0) — the runtime's table and state publishes must fall back to
+   file-backed mmap segments (fusion itself publishes no segments; a
+   smoke that never degrades proves nothing);
 4. the starved run must finish with partition bytes *and*
    ``prune_stats`` identical to the reference, and the fleet with state
    matrices identical to a serial fleet — graceful degradation may
@@ -46,7 +47,7 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-from repro.core.budget import ResourceGovernor, activate
+import repro.core.shm as shm_module
 from repro.core.fusion import generate_fusion
 from repro.core.resilience import assert_no_owned_segments
 from repro.core.runtime import VectorizedRuntime
@@ -65,10 +66,10 @@ CASE = "counters-9 (top=19683)"
 #: spill windows still make progress.
 MEMORY_BUDGET = "1M"
 
-#: Fires once, on the first shared-segment publish — the pooled
-#: runtime's transition tables: the governor must route that publish to
-#: a file-backed segment instead of ``/dev/shm``.
-CHAOS = "shm_full=1.0,stages=segment_publish,max=1,seed=17"
+#: The free ``/dev/shm`` bytes the pooled fleet sees: none, so every
+#: publish (the runtime's transition tables and state scratch) must go
+#: to a file-backed segment instead.
+SHM_FREE_BYTES = 0
 
 WORKERS = 2
 
@@ -132,42 +133,37 @@ def main() -> int:
     reference_labels = _labels_digest(reference)
     reference_prune = reference_watch.extras("prune")
 
-    print(
-        "starved run: memory=%s, REPRO_CHAOS=%r ..." % (MEMORY_BUDGET, CHAOS)
+    print("starved run: memory=%s ..." % MEMORY_BUDGET)
+    starved_watch = Stopwatch()
+    start = time.perf_counter()
+    starved = generate_fusion(
+        _counters(9),
+        f=1,
+        workers=WORKERS,
+        stopwatch=starved_watch,
+        budget={"memory": MEMORY_BUDGET},
     )
-    os.environ["REPRO_CHAOS"] = CHAOS
-    try:
-        starved_watch = Stopwatch()
-        start = time.perf_counter()
-        starved = generate_fusion(
-            _counters(9),
-            f=1,
-            workers=WORKERS,
-            stopwatch=starved_watch,
-            budget={"memory": MEMORY_BUDGET},
-        )
-        run_seconds = time.perf_counter() - start
+    run_seconds = time.perf_counter() - start
 
-        print("pooled fleet (workers=%d) under the same chaos plan ..." % WORKERS)
-        fleet_machines = starved.all_machines
-        serial_fleet = _run_fleet(fleet_machines, pool=None)
-        governor = ResourceGovernor()
-        pool = SharedWorkerPool(WORKERS)
-        try:
-            with activate(governor):
-                pooled_fleet = _run_fleet(fleet_machines, pool)
-        finally:
-            pool.close()
-            governor.close()
+    print(
+        "pooled fleet (workers=%d) with %d bytes free on /dev/shm ..."
+        % (WORKERS, SHM_FREE_BYTES)
+    )
+    fleet_machines = starved.all_machines
+    serial_fleet = _run_fleet(fleet_machines, pool=None)
+    free_bytes = shm_module.shm_free_bytes
+    shm_module.shm_free_bytes = lambda path="/dev/shm": SHM_FREE_BYTES
+    pool = SharedWorkerPool(WORKERS)
+    try:
+        pooled_fleet = _run_fleet(fleet_machines, pool)
     finally:
-        os.environ.pop("REPRO_CHAOS", None)
+        pool.close()
+        shm_module.shm_free_bytes = free_bytes
 
     stats = {k: int(v) for k, v in starved_watch.extras("resources").items()}
-    for key, value in governor.stats.as_counters().items():
-        merge = max if key.endswith("_peak") else int.__add__
-        stats[key] = merge(stats.get(key, 0), int(value))
+    stats["shm_fallbacks"] = pool.shm_fallbacks
     starved_prune = starved_watch.extras("prune")
-    print("governor stats: %s" % stats)
+    print("resource stats: %s" % stats)
 
     if _labels_digest(starved) != reference_labels:
         failures.append("starved partition bytes differ from the reference")
@@ -191,12 +187,10 @@ def main() -> int:
         failures.append(
             "the memory budget never forced a spill; the smoke proved nothing"
         )
-    if stats.get("shm_fallbacks", 0) < 1:
+    if stats["shm_fallbacks"] < 1:
         failures.append(
-            "the injected shm_full fault never forced a file-backed fallback"
+            "a full /dev/shm never forced a file-backed fallback"
         )
-    if stats.get("chaos", 0) < 1:
-        failures.append("the seeded shm_full fault was never drawn")
 
     try:
         assert_no_owned_segments()
@@ -209,19 +203,20 @@ def main() -> int:
     if not failures:
         record_resources_block({
             "note": (
-                "Resource-governor evidence from benchmarks/"
+                "Resource-degradation evidence from benchmarks/"
                 "bench_resource_smoke.py: the %s fusion reran under "
                 "REPRO_MEMORY_BUDGET=%s and its ledger merges spilled to "
                 "external sorted runs; a %d-worker pooled fleet of the "
-                "result then stepped under a seeded shm_full fault and "
-                "its table publish fell back to a file-backed segment.  "
+                "result then stepped while /dev/shm reported no free "
+                "space, and its publishes fell back to file-backed "
+                "segments.  "
                 "Both finished byte-identical to their references (same "
                 "prune_stats, same fleet states) with zero stranded "
                 "segments." % (CASE, MEMORY_BUDGET, WORKERS)
             ),
             "case": CASE,
             "budget": {"memory": MEMORY_BUDGET},
-            "chaos": CHAOS,
+            "shm_free_bytes": SHM_FREE_BYTES,
             "workers": WORKERS,
             "byte_identical": True,
             "prune_stats_equal": True,

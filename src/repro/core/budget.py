@@ -1,39 +1,35 @@
-"""Resource-exhaustion governor: memory/shm/disk budgets and spill-to-disk.
+"""Resource-exhaustion governor: memory/disk budgets and spill-to-disk.
 
 The engine survives crashes, hangs and hostile networks (PRs 6-9), but
-those defenses assume infinite resources: a full ``/dev/shm`` during
-segment publish, ENOSPC mid-commit, or a ledger that outgrows RAM used
-to die with a raw ``OSError``/``MemoryError``.  This module turns
-resource exhaustion into *graceful degradation*:
+those defenses assume infinite resources: ENOSPC mid-commit, or a
+ledger that outgrows RAM used to die with a raw
+``OSError``/``MemoryError``.  This module turns resource exhaustion into
+*graceful degradation*:
 
 * :func:`parse_byte_size` — typed parsing of the ``REPRO_MEMORY_BUDGET``
-  / ``REPRO_SHM_BUDGET`` / ``REPRO_DISK_BUDGET`` size strings (raises
+  / ``REPRO_DISK_BUDGET`` size strings (raises
   :class:`~repro.core.exceptions.SpecParseError` naming the offending
   token, never a bare ``ValueError``).
-* :class:`ResourceBudget` — the three optional watermarks, read once per
+* :class:`ResourceBudget` — the two optional watermarks, read once per
   fusion from the environment or ``generate_fusion(budget=...)``.
-* :class:`ResourceGovernor` — meters resident bytes of published shared
-  segments and large pair-key arrays against the budget, decides when a
-  merge must spill, and owns the spill directory.  One governor is
-  *activated* per ``generate_fusion`` call (:func:`activate`); the
-  sparse layer consults :func:`current_governor` so no signature in the
-  hot path changes.  Fusion publishes no segments; the shm layer
-  consults the active governor when a caller activates one around a
-  pooled :class:`~repro.core.runtime.VectorizedRuntime`.
+* :class:`ResourceGovernor` — meters large pair-key arrays against the
+  budget, decides when a merge must spill, and owns the spill
+  directory.  One governor is *activated* per ``generate_fusion`` call
+  (:func:`activate`); the sparse layer consults :func:`current_governor`
+  so no signature in the hot path changes.
 * :func:`external_sort_unique` — the spill machinery itself: sorted,
   duplicate-free key runs written to scratch and k-way merged back
   through bounded read windows.  Because the packed pair keys are plain
   integers and set union is associative, the external merge is
   **byte-identical** to the in-memory ``sort + dedup`` it replaces (the
   property suite asserts this on full fusions).
-* :class:`BudgetStats` — spills, fallbacks, retries and peak bytes,
-  folded into the fusion stopwatch as the ``resources`` stage and from
-  there into ``BENCH_perf.json``'s ``resources`` block.
+* :class:`BudgetStats` — spills, retries and peak bytes, folded into
+  the fusion stopwatch as the ``resources`` stage and from there into
+  ``BENCH_perf.json``'s ``resources`` block.
 
-The chaos kinds ``mem_pressure`` and ``shm_full`` are drawn here (owner
-stages ``budget_check`` / ``segment_publish``), so a seeded
-``REPRO_CHAOS`` plan can prove the spill and fallback paths without a
-machine that is actually out of memory.
+The chaos kind ``mem_pressure`` is drawn here (owner stage
+``budget_check``), so a seeded ``REPRO_CHAOS`` plan can prove the spill
+path without a machine that is actually out of memory.
 """
 
 from __future__ import annotations
@@ -45,8 +41,8 @@ import shutil
 import tempfile
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -55,7 +51,6 @@ from .resilience import ChaosSpec, EngineFaultKind, chaos_from_env
 
 __all__ = [
     "MEMORY_BUDGET_ENV",
-    "SHM_BUDGET_ENV",
     "DISK_BUDGET_ENV",
     "BudgetStats",
     "ResourceBudget",
@@ -64,11 +59,9 @@ __all__ = [
     "current_governor",
     "external_sort_unique",
     "parse_byte_size",
-    "shm_free_bytes",
 ]
 
 MEMORY_BUDGET_ENV = "REPRO_MEMORY_BUDGET"
-SHM_BUDGET_ENV = "REPRO_SHM_BUDGET"
 DISK_BUDGET_ENV = "REPRO_DISK_BUDGET"
 
 #: Elements per bounded read window of the external merge.  Each two-run
@@ -133,34 +126,23 @@ def parse_byte_size(raw: str, knob: str) -> int:
     return size
 
 
-def shm_free_bytes(path: str = "/dev/shm") -> Optional[int]:
-    """Free bytes on the shared-memory filesystem, or ``None`` off-Linux."""
-    try:
-        stats = os.statvfs(path)
-    except (OSError, AttributeError):  # pragma: no cover - non-Linux
-        return None
-    return stats.f_bavail * stats.f_frsize
-
-
 @dataclass(frozen=True)
 class ResourceBudget:
-    """The three optional watermarks, in bytes (``None`` = unbounded).
+    """The two optional watermarks, in bytes (``None`` = unbounded).
 
     >>> ResourceBudget.from_mapping({"memory": "1M"}).memory
     1048576
     """
 
     memory: Optional[int] = None
-    shm: Optional[int] = None
     disk: Optional[int] = None
 
     @classmethod
     def from_env(cls) -> "ResourceBudget":
-        """Read the three ``REPRO_*_BUDGET`` environment knobs."""
+        """Read the two ``REPRO_*_BUDGET`` environment knobs."""
         values = {}
         for attr, knob in (
             ("memory", MEMORY_BUDGET_ENV),
-            ("shm", SHM_BUDGET_ENV),
             ("disk", DISK_BUDGET_ENV),
         ):
             raw = os.environ.get(knob, "").strip()
@@ -169,17 +151,17 @@ class ResourceBudget:
 
     @classmethod
     def from_mapping(cls, mapping) -> "ResourceBudget":
-        """Build from ``{"memory": ..., "shm": ..., "disk": ...}``.
+        """Build from ``{"memory": ..., "disk": ...}``.
 
         Values may be byte counts or size strings; unknown keys raise
         :class:`SpecParseError` so typos cannot silently disable a
         budget.
         """
-        values: Dict[str, Optional[int]] = {"memory": None, "shm": None, "disk": None}
+        values: Dict[str, Optional[int]] = {"memory": None, "disk": None}
         for key, value in dict(mapping).items():
             if key not in values:
                 raise SpecParseError(
-                    "budget", str(key), "unknown budget key %r (use memory/shm/disk)" % key
+                    "budget", str(key), "unknown budget key %r (use memory/disk)" % key
                 )
             if value is None:
                 continue
@@ -205,7 +187,7 @@ class ResourceBudget:
 
     @property
     def bounded(self) -> bool:
-        return any(v is not None for v in (self.memory, self.shm, self.disk))
+        return self.memory is not None or self.disk is not None
 
 
 @dataclass
@@ -219,11 +201,9 @@ class BudgetStats:
 
     spills: int = 0  #: merges routed through the external spill path
     spilled_bytes: int = 0  #: total bytes written to spill runs
-    shm_fallbacks: int = 0  #: publishes that fell back to file-backed mmap
     disk_retries: int = 0  #: store commits retried after ENOSPC/EDQUOT
     sweeps: int = 0  #: scratch sweeps performed to free disk space
     mem_peak: int = 0  #: peak observed pair-key working-set bytes
-    shm_peak: int = 0  #: peak resident published-segment bytes
     chaos: int = 0  #: injected resource faults consumed
 
     def as_counters(self) -> Dict[str, int]:
@@ -231,11 +211,9 @@ class BudgetStats:
         return {
             "spills": self.spills,
             "spilled_bytes": self.spilled_bytes,
-            "shm_fallbacks": self.shm_fallbacks,
             "disk_retries": self.disk_retries,
             "sweeps": self.sweeps,
             "mem_peak": self.mem_peak,
-            "shm_peak": self.shm_peak,
             "chaos": self.chaos,
         }
 
@@ -395,11 +373,10 @@ class ResourceGovernor:
     """Meters resident bytes against the budget and owns the spill path.
 
     One governor is created per ``generate_fusion`` call and activated
-    for its duration; the shm layer reports segment publishes/releases
-    of the pooled runtime while one is active, the sparse layer asks :meth:`should_spill` before each large merge
-    and routes through :meth:`spill_merge` when told to.  All methods
-    are cheap no-ops when no budget is configured and no chaos plan is
-    active.
+    for its duration; the sparse layer asks :meth:`should_spill` before
+    each large merge and routes through :meth:`spill_merge` when told
+    to.  All methods are cheap no-ops when no budget is configured and
+    no chaos plan is active.
     """
 
     def __init__(
@@ -413,8 +390,6 @@ class ResourceGovernor:
         self._chaos = chaos if chaos is not None else chaos_from_env()
         self._spill_dir = spill_dir
         self._owns_spill_dir = False
-        self._shm_bytes = 0
-        self._lock = threading.Lock()
 
     # -- spill directory ------------------------------------------------
     def set_spill_dir(self, path: str) -> None:
@@ -438,49 +413,6 @@ class ResourceGovernor:
             shutil.rmtree(self._spill_dir, ignore_errors=True)
             self._spill_dir = None
             self._owns_spill_dir = False
-
-    # -- shared-segment metering ---------------------------------------
-    def note_publish(self, nbytes: int) -> None:
-        with self._lock:
-            self._shm_bytes += int(nbytes)
-            self.stats.shm_peak = max(self.stats.shm_peak, self._shm_bytes)
-
-    def note_release(self, nbytes: int) -> None:
-        with self._lock:
-            self._shm_bytes = max(0, self._shm_bytes - int(nbytes))
-
-    @property
-    def resident_shm_bytes(self) -> int:
-        return self._shm_bytes
-
-    def publish_fallback_reason(self, nbytes: int) -> Optional[str]:
-        """Why the next ``/dev/shm`` publish of ``nbytes`` must not use
-        shared memory — or ``None`` when it may proceed.
-
-        Consulted by the shm layer *before* the segment is created, so a
-        doomed publish never fails halfway through a ``memmove``.  Three
-        triggers: an injected ``shm_full`` chaos fault, the configured
-        ``REPRO_SHM_BUDGET`` watermark, and the actual free space on
-        ``/dev/shm``.
-        """
-        nbytes = int(nbytes)
-        if self._chaos is not None:
-            fault = self._chaos.draw("segment_publish")
-            if fault is not None and fault[0] == EngineFaultKind.SHM_FULL.value:
-                self.stats.chaos += 1
-                return "injected shm_full fault"
-        if self.budget.shm is not None and self._shm_bytes + nbytes > self.budget.shm:
-            return "REPRO_SHM_BUDGET watermark %d bytes, %d resident" % (
-                self.budget.shm,
-                self._shm_bytes,
-            )
-        free = shm_free_bytes()
-        if free is not None and nbytes > free:
-            return "/dev/shm has %d bytes free" % free
-        return None
-
-    def note_shm_fallback(self) -> None:
-        self.stats.shm_fallbacks += 1
 
     # -- memory watermark / spill decision ------------------------------
     def observe_memory(self, nbytes: int) -> None:
@@ -542,7 +474,7 @@ class ResourceGovernor:
 
 
 # ----------------------------------------------------------------------
-# Activation (one governor per fusion, consulted by shm/sparse layers)
+# Activation (one governor per fusion, consulted by the sparse layer)
 # ----------------------------------------------------------------------
 _ACTIVE: List[ResourceGovernor] = []
 _ACTIVE_LOCK = threading.Lock()

@@ -102,8 +102,7 @@ class SpecParseError(FusionError):
     """A configuration spec string failed to parse.
 
     Raised for malformed ``REPRO_CHAOS`` entries, unparsable
-    ``REPRO_MEMORY_BUDGET``/``REPRO_SHM_BUDGET``/``REPRO_DISK_BUDGET``
-    size strings and (through :class:`NetworkSpecParseError`) bad
+    ``REPRO_MEMORY_BUDGET``/``REPRO_DISK_BUDGET`` size strings and (through :class:`NetworkSpecParseError`) bad
     ``REPRO_NET_CHAOS`` values.  Unlike a bare ``ValueError`` it *names
     the offending token* so the error message — and programmatic callers
     — can point at the exact fragment of the knob that is wrong.
@@ -144,7 +143,8 @@ class ResourceExhaustedError(FusionError):
     file-backed segments, and store commits retried with backoff after
     scratch sweeping.  The message — and the attributes — name the
     resource (``"memory"``, ``"shm"`` or ``"disk"``), the watermark that
-    was configured, and the observed usage, so operators can size the
+    was configured (none for ``"shm"``, which has no budget), and the
+    observed usage, so operators can size the
     budget instead of guessing.  The run remains resumable from its last
     committed checkpoint (nothing is quarantined on the way out).
 

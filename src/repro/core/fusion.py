@@ -809,15 +809,15 @@ def generate_fusion(
     budget:
         Optional resource budget governing the run: a
         :class:`repro.core.budget.ResourceBudget`, or a mapping with
-        ``"memory"``/``"shm"``/``"disk"`` keys whose values are byte
-        counts or size strings (``"256M"``).  ``None`` reads the
-        ``REPRO_MEMORY_BUDGET`` / ``REPRO_SHM_BUDGET`` /
-        ``REPRO_DISK_BUDGET`` environment variables.  Above the memory
+        ``"memory"``/``"disk"`` keys whose values are byte counts or
+        size strings (``"256M"``).  ``None`` reads the
+        ``REPRO_MEMORY_BUDGET`` / ``REPRO_DISK_BUDGET`` environment
+        variables.  Above the memory
         watermark the sparse ledger merges spill sorted key runs to
         scratch (byte-identical k-way external merge); disk exhaustion
         retries commits after scratch sweeping and finally
         raises :class:`repro.core.exceptions.ResourceExhaustedError`
-        with the run still resumable.  Spill/fallback counts land in
+        with the run still resumable.  Spill/retry counts land in
         the stopwatch's ``resources`` stage.
 
     Returns

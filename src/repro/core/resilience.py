@@ -23,9 +23,9 @@ composes:
   creates is registered here; a chained ``SIGTERM`` handler and the
   bundles' own finalizers guarantee unlink on every exit path, and
   :func:`assert_no_owned_segments` is the leak check tests and CI call
-  after a run.  Segment names carry the owner's pid
+  after a run.  Segment names carry the owner's pid and pid namespace
   (:func:`owned_segment_name`), so the segments of an owner killed by
-  SIGKILL are reaped by the next pool start
+  SIGKILL are reaped by the next pool start in the same namespace
   (:func:`reap_dead_owner_segments`).
 
 Recovery is sound because every pooled stage is a pure function of
@@ -92,8 +92,6 @@ class EngineFaultKind(enum.Enum):
     KILL_BETWEEN_LEVELS = "kill_between_levels"
     #: Simulated ENOSPC/EDQUOT during an artifact-store commit.
     DISK_FULL = "disk_full"
-    #: Simulated full ``/dev/shm`` (ENOSPC/EMFILE) during segment publish.
-    SHM_FULL = "shm_full"
     #: Simulated memory pressure: the governor treats the next merge as
     #: over its watermark and spills, budget or not.
     MEM_PRESSURE = "mem_pressure"
@@ -117,10 +115,8 @@ KNOWN_STAGES: Tuple[str, ...] = ("runtime_step",)
 OWNER_STAGES: Tuple[str, ...] = (
     "store_commit",
     "descent_level",
-    # Resource-governor consult points (PR 10): drawn owner-side when a
-    # shared segment is about to be published and when a merge decides
-    # whether to spill.
-    "segment_publish",
+    # The resource governor's consult point: drawn owner-side when a
+    # merge decides whether to spill.
     "budget_check",
 )
 
@@ -243,7 +239,6 @@ _DRAW_ORDER = (
     EngineFaultKind.KILL_DURING_WRITE,
     EngineFaultKind.KILL_BETWEEN_LEVELS,
     EngineFaultKind.DISK_FULL,
-    EngineFaultKind.SHM_FULL,
     EngineFaultKind.MEM_PRESSURE,
 )
 
@@ -255,7 +250,6 @@ _OWNER_STAGE_BY_KIND: Dict[EngineFaultKind, str] = {
     EngineFaultKind.KILL_DURING_WRITE: "store_commit",
     EngineFaultKind.KILL_BETWEEN_LEVELS: "descent_level",
     EngineFaultKind.DISK_FULL: "store_commit",
-    EngineFaultKind.SHM_FULL: "segment_publish",
     EngineFaultKind.MEM_PRESSURE: "budget_check",
 }
 
@@ -444,11 +438,10 @@ def execute_chaos_fault(fault: ChaosFault) -> None:
         time.sleep(seconds)
     elif kind == EngineFaultKind.SLOW_TASK.value:
         time.sleep(seconds)
-    # The resource kinds (disk_full / shm_full / mem_pressure) are
-    # consumed owner-side where they are drawn — the store commit path
-    # raises a simulated ENOSPC, the publish path takes the file-backed
-    # fallback, the governor forces a spill — so executing them here is
-    # deliberately a no-op.
+    # The resource kinds (disk_full / mem_pressure) are consumed
+    # owner-side where they are drawn — the store commit path raises a
+    # simulated ENOSPC, the governor forces a spill — so executing them
+    # here is deliberately a no-op.
 
 
 # ----------------------------------------------------------------------
@@ -478,23 +471,34 @@ def pid_alive(pid: int) -> bool:
     return True
 
 
+def _pid_namespace() -> int:
+    """Inode of this process's pid namespace, or 0 where it cannot be read."""
+    try:
+        return os.stat("/proc/self/ns/pid").st_ino
+    except OSError:
+        return 0
+
+
 def owned_segment_name() -> str:
     """A fresh segment name recording this process as its owner.
 
-    ``psm_<pid>_<token>``: the ``psm_`` prefix of the standard library's
-    own names (so leak checks still match), plus the owner pid that
+    ``psm_<pid>_<pidns>_<token>``: the ``psm_`` prefix of the standard
+    library's own names (so leak checks still match), then the owner pid
+    and the inode of its pid namespace (hex) that
     :func:`reap_dead_owner_segments` reads back.
     """
-    return "psm_%d_%s" % (os.getpid(), secrets.token_hex(4))
+    return "psm_%d_%x_%s" % (os.getpid(), _pid_namespace(), secrets.token_hex(4))
 
 
-def _segment_owner(name: str) -> Optional[int]:
-    """The owner pid recorded in a segment name, or ``None``."""
-    prefix, _, rest = name.partition("_")
-    pid, _, token = rest.partition("_")
-    if prefix != "psm" or not pid.isdigit() or not token:
+def _segment_owner(name: str) -> Optional[Tuple[int, int]]:
+    """The ``(pid, pid namespace)`` recorded in a segment name, or ``None``."""
+    parts = name.split("_")
+    if len(parts) != 4 or parts[0] != "psm" or not parts[1].isdigit() or not parts[3]:
         return None
-    return int(pid)
+    try:
+        return int(parts[1]), int(parts[2], 16)
+    except ValueError:
+        return None
 
 
 def reap_dead_owner_segments() -> Tuple[str, ...]:
@@ -502,18 +506,26 @@ def reap_dead_owner_segments() -> Tuple[str, ...]:
 
     The backstop for an owner killed by SIGKILL: no finalizer or signal
     handler runs then, and the multiprocessing resource tracker is not
-    guaranteed to unlink either.  Segments without an owner pid in
-    their name are left alone.  Returns the names unlinked; a system
+    guaranteed to unlink either.  Only segments named by
+    :func:`owned_segment_name` in this process's own pid namespace are
+    considered: ``/dev/shm`` can be shared by containers whose pids mean
+    other processes, so a segment from another namespace is never
+    unlinked, nor is any segment where the namespace cannot be read.  A
+    recorded pid now reused by an unrelated process counts as alive,
+    which keeps the segment.  Returns the names unlinked; a system
     without ``/dev/shm`` reaps nothing.
     """
+    namespace = _pid_namespace()
+    if not namespace:
+        return ()
     try:
         names = os.listdir(_SHM_DIR)
     except OSError:
         return ()
     reaped = []
     for name in names:
-        pid = _segment_owner(name)
-        if pid is None or pid_alive(pid):
+        owner = _segment_owner(name)
+        if owner is None or owner[1] != namespace or pid_alive(owner[0]):
             continue
         try:
             os.unlink(os.path.join(_SHM_DIR, name))

@@ -38,6 +38,7 @@ import ctypes
 import errno
 import itertools
 import mmap
+import multiprocessing
 import os
 import signal
 import sys
@@ -51,7 +52,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .budget import current_governor, shm_free_bytes
 from .exceptions import FusionError, PoolDegradedError, ResourceExhaustedError
 from .resilience import (
     RECOVERABLE_POOL_ERRORS,
@@ -135,7 +135,7 @@ class _FileSegment:
 
     The graceful-degradation target when ``/dev/shm`` is full: same
     ``buf``/``name``/``size``/``close``/``unlink`` surface, but the
-    bytes live in a regular file (the governor's spill directory), so
+    bytes live in a regular file (in the system temp directory), so
     publishing survives shm exhaustion at the cost of going through the
     page cache.  Workers are forked and open the same path, so shared
     ``mmap`` semantics — owner writes visible to attached readers —
@@ -216,21 +216,21 @@ class _FileSegment:
                 pass
 
 
-def _fallback_directory() -> str:
-    """Where file-backed segments live: the active governor's spill
-    directory, the system temp directory otherwise."""
-    governor = current_governor()
-    if governor is not None:
-        return governor.spill_dir()
-    return tempfile.gettempdir()
+def shm_free_bytes(path: str = "/dev/shm") -> Optional[int]:
+    """Free bytes on the shared-memory filesystem, or ``None`` off-Linux."""
+    try:
+        stats = os.statvfs(path)
+    except (OSError, AttributeError):  # pragma: no cover - non-Linux
+        return None
+    return stats.f_bavail * stats.f_frsize
 
 
 def _create_named_segment(size: int) -> shared_memory.SharedMemory:
     """A fresh ``/dev/shm`` segment whose name records this process's pid.
 
-    The pid in the name (:func:`owned_segment_name`) is what lets a
-    later pool start reap the segment if this process dies without
-    unlinking it.
+    The pid and pid namespace in the name (:func:`owned_segment_name`)
+    are what let a later pool start reap the segment if this process
+    dies without unlinking it.
     """
     while True:
         try:
@@ -244,28 +244,21 @@ def _create_named_segment(size: int) -> shared_memory.SharedMemory:
 def _create_segment(size: int):
     """Create a shared segment of ``size`` bytes, degrading gracefully.
 
-    The publish pre-check runs *before* the segment is created, so a
-    doomed publish never fails halfway through the ``memmove``: an
-    injected ``shm_full`` fault, an overrun ``REPRO_SHM_BUDGET``
-    watermark or insufficient free space on ``/dev/shm`` all route the
-    segment to the file-backed fallback up front.  A real ENOSPC/EMFILE
-    from the kernel falls back the same way.  Only when the fallback
-    *also* fails does this raise — a typed
+    The free-space pre-check runs *before* the segment is created, so a
+    doomed publish never fails halfway through the ``memmove``: a
+    segment larger than the free space on ``/dev/shm`` goes to the
+    file-backed fallback (in the system temp directory) up front.  A
+    real ENOSPC/EMFILE from the kernel falls back the same way.  Only
+    when the fallback *also* fails does this raise — a typed
     :class:`ResourceExhaustedError` naming the segment size.
-
-    Returns ``(segment, file_backed)``.
     """
     size = max(int(size), 1)
-    governor = current_governor()
-    if governor is not None:
-        reason = governor.publish_fallback_reason(size)
-    else:
-        free = shm_free_bytes()
-        reason = (
-            "/dev/shm has only %d bytes free" % free
-            if free is not None and size > free
-            else None
-        )
+    free = shm_free_bytes()
+    reason = (
+        "/dev/shm has only %d bytes free" % free
+        if free is not None and size > free
+        else None
+    )
     if reason is None:
         try:
             segment = _create_named_segment(size)
@@ -277,22 +270,17 @@ def _create_segment(size: int):
             )
         else:
             register_owned_segment(segment.name)
-            if governor is not None:
-                governor.note_publish(segment.size)
-            return segment, False
-    if governor is not None:
-        governor.note_shm_fallback()
+            return segment
     try:
-        segment = _FileSegment.create(size, _fallback_directory())
+        return _FileSegment.create(size, tempfile.gettempdir())
     except OSError as exc:
         raise ResourceExhaustedError.for_resource(
             "shm",
-            governor.budget.shm if governor is not None else None,
+            None,
             size,
             "a shared segment of %d bytes could not be published (%s) and "
             "the file-backed fallback failed (%s)" % (size, reason, exc),
         ) from exc
-    return segment, True
 
 
 class SharedArrayBundle:
@@ -339,8 +327,7 @@ class SharedArrayBundle:
     def create(cls, arrays: Dict[str, np.ndarray]) -> "SharedArrayBundle":
         """Pack ``arrays`` (copied) into a fresh shared segment.
 
-        Pre-checks free ``/dev/shm`` space (and the shm budget of the
-        active governor, if any) before creating the segment;
+        Pre-checks free ``/dev/shm`` space before creating the segment;
         an over-capacity publish falls back to a file-backed mmap
         segment instead of failing mid-``memmove``, and only a failed
         fallback raises — a typed :class:`ResourceExhaustedError`
@@ -355,7 +342,7 @@ class SharedArrayBundle:
             offset = _align(offset)
             layout[name] = (array.dtype.str, tuple(array.shape), offset)
             offset += array.nbytes
-        segment, _file_backed = _create_segment(max(offset, 1))
+        segment = _create_segment(max(offset, 1))
         bundle = cls(segment, layout, owner=True)
         for name, array in sources.items():
             bundle.arrays[name][...] = array
@@ -388,13 +375,18 @@ class SharedArrayBundle:
             "segment": self._segment.name,
             "layout": dict(self._layout),
         }
-        if isinstance(self._segment, _FileSegment):
+        if self.file_backed:
             meta["backing"] = "file"
         return meta
 
     @property
     def name(self) -> str:
         return self._segment.name
+
+    @property
+    def file_backed(self) -> bool:
+        """True when the payload lives in the file-backed fallback."""
+        return isinstance(self._segment, _FileSegment)
 
     @property
     def closed(self) -> bool:
@@ -426,7 +418,7 @@ class SharedArrayBundle:
         if not self._owner:
             raise FusionError("only the owning side can respawn a bundle")
         old_segment = self._segment
-        fresh, _file_backed = _create_segment(old_segment.size)
+        fresh = _create_segment(old_segment.size)
         nbytes = min(len(fresh.buf), len(old_segment.buf))
         fresh.buf[:nbytes] = old_segment.buf[:nbytes]
         self._finalizer.detach()
@@ -448,10 +440,6 @@ class SharedArrayBundle:
 
 
 def _cleanup_segment(segment, owner: bool) -> None:
-    if owner and not isinstance(segment, _FileSegment):
-        governor = current_governor()
-        if governor is not None:
-            governor.note_release(segment.size)
     try:
         segment.close()
     except Exception:  # pragma: no cover - teardown best effort
@@ -538,6 +526,17 @@ def _drain_attach_cache() -> None:  # pragma: no cover - interpreter teardown
 #: ``prctl`` option: deliver a signal to this process when its parent dies.
 _PR_SET_PDEATHSIG = 1
 
+#: Workers are always forked, whatever the interpreter's default start
+#: method (``forkserver`` on Linux from Python 3.14): the worker
+#: initializer takes its parent to be the owner, and the attach path
+#: relies on sharing the owner's resource tracker.  ``None`` (the
+#: default) where ``fork`` does not exist.
+_FORK_CONTEXT = (
+    multiprocessing.get_context("fork")
+    if "fork" in multiprocessing.get_all_start_methods()
+    else None
+)
+
 
 def _die_with_owner(owner_pid: int) -> None:
     """Worker initializer: SIGKILL this worker when its owner dies.
@@ -546,8 +545,10 @@ def _die_with_owner(owner_pid: int) -> None:
     owner's stdout pipe and the resource tracker's pipe open — so the
     tracker never unlinks the owner's segments.  The signal fires when
     the thread that forked the worker exits, so a pool must be used
-    from the thread that submits to it.  Linux only (``prctl`` through
-    ``ctypes``); elsewhere this does nothing.
+    from the thread that submits to it.  The race guard below takes the
+    parent to be the owner, which holds because workers are forked
+    (:data:`_FORK_CONTEXT`).  Linux only (``prctl`` through ``ctypes``);
+    elsewhere this does nothing.
     """
     if not sys.platform.startswith("linux"):
         return
@@ -594,6 +595,8 @@ class SharedWorkerPool:
         self._config = config if config is not None else ResilienceConfig.from_env()
         self._chaos = chaos if chaos is not None else chaos_from_env()
         self.resilience = ResilienceStats()
+        #: Publishes that fell back to a file-backed segment.
+        self.shm_fallbacks = 0
         reap_dead_owner_segments()
 
     # ------------------------------------------------------------------
@@ -616,18 +619,16 @@ class SharedWorkerPool:
         """Create a bundle whose lifetime is tied to this pool.
 
         A full ``/dev/shm`` transparently produces a file-backed bundle
-        (see :func:`_create_segment`); when even the fallback fails the
-        pool degrades — every later stage takes its byte-identical
-        serial path, exactly like an unhealable crash — and the typed
-        error propagates to the caller's wave handling.
+        (see :func:`_create_segment`), counted in :attr:`shm_fallbacks`;
+        when even the fallback fails the typed
+        :class:`ResourceExhaustedError` propagates, and :meth:`run_wave`
+        degrades the stage to its byte-identical serial path.
         """
         if self._closed:
             raise FusionError("cannot publish on a closed SharedWorkerPool")
-        try:
-            bundle = SharedArrayBundle.create(arrays)
-        except ResourceExhaustedError:
-            self.degrade("segment_publish")
-            raise
+        bundle = SharedArrayBundle.create(arrays)
+        if bundle.file_backed:
+            self.shm_fallbacks += 1
         self._bundles.append(bundle)
         return bundle
 
@@ -652,6 +653,7 @@ class SharedWorkerPool:
         if self._executor is None:
             self._executor = ProcessPoolExecutor(
                 max_workers=self._max_workers,
+                mp_context=_FORK_CONTEXT,
                 initializer=_die_with_owner,
                 initargs=(os.getpid(),),
             )

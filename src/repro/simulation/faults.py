@@ -53,7 +53,6 @@ class FaultKind(enum.Enum):
     KILL_DURING_WRITE = "kill_during_write"
     KILL_BETWEEN_LEVELS = "kill_between_levels"
     DISK_FULL = "disk_full"
-    SHM_FULL = "shm_full"
     MEM_PRESSURE = "mem_pressure"
     DROP = "drop"
     DUPLICATE = "duplicate"
@@ -81,7 +80,6 @@ _ENGINE_KINDS = frozenset(
         FaultKind.KILL_DURING_WRITE,
         FaultKind.KILL_BETWEEN_LEVELS,
         FaultKind.DISK_FULL,
-        FaultKind.SHM_FULL,
         FaultKind.MEM_PRESSURE,
     }
 )
@@ -255,25 +253,24 @@ class FaultInjector:
         kill_during_write: float = 0.0,
         kill_between_levels: float = 0.0,
         disk_full: float = 0.0,
-        shm_full: float = 0.0,
         mem_pressure: float = 0.0,
         stages: Optional[Sequence[str]] = None,
         max_faults: Optional[int] = None,
     ) -> "ChaosSpec":
         """A seeded chaos plan for the *engine* (pool workers and store).
 
-        Engine faults strike the processes computing the fusion rather
-        than the simulated servers, so they live in a
-        :class:`repro.core.resilience.ChaosSpec` handed to
-        ``generate_fusion``'s worker pool instead of a :class:`FaultPlan`.
+        Engine faults strike the engine's own processes rather than the
+        simulated servers, so they live in a
+        :class:`repro.core.resilience.ChaosSpec` (handed to a
+        :class:`repro.core.shm.SharedWorkerPool`, or set as
+        ``REPRO_CHAOS``) instead of a :class:`FaultPlan`.
         ``worker_kill``/``task_hang``/``slow_task`` target pool workers;
         ``kill_during_write``/``kill_between_levels`` SIGKILL the owner
         process during an artifact-store commit or right after a
         descent-level checkpoint, exercising crash durability.
-        ``disk_full``/``shm_full``/``mem_pressure`` simulate resource
-        exhaustion at the matching owner stages — a store commit that
-        hits ENOSPC, a ``/dev/shm`` publish that must fall back to a
-        file-backed segment, a merge that must spill to scratch —
+        ``disk_full``/``mem_pressure`` simulate resource exhaustion at
+        the matching owner stages — a store commit that hits ENOSPC, a
+        merge that must spill to scratch —
         exercising the resource governor's degradation paths
         (:mod:`repro.core.budget`).  The spec's draws are deterministic
         in ``seed``, exactly like :meth:`random_plan` is in the
@@ -289,7 +286,6 @@ class FaultInjector:
                 EngineFaultKind.KILL_DURING_WRITE: kill_during_write,
                 EngineFaultKind.KILL_BETWEEN_LEVELS: kill_between_levels,
                 EngineFaultKind.DISK_FULL: disk_full,
-                EngineFaultKind.SHM_FULL: shm_full,
                 EngineFaultKind.MEM_PRESSURE: mem_pressure,
             },
             stages=tuple(stages) if stages is not None else None,

@@ -15,10 +15,15 @@ serial degradation path *is* the reference implementation.
 
 from __future__ import annotations
 
+import glob
+import os
+import tempfile
+
 import numpy as np
 import pytest
 
 import repro.core.runtime as runtime_module
+import repro.core.shm as shm_module
 from repro.core.fusion import generate_fusion
 from repro.core.resilience import KNOWN_STAGES, OWNER_STAGES, live_owned_segments
 from repro.core.runtime import VectorizedRuntime
@@ -50,7 +55,8 @@ def _run_fleet(monkeypatch, machines, workers, chaos="", timeout="", waves=WAVES
     (``waves`` picks which of the two stepping calls run).
 
     Returns the final ``(true, visible, status)`` matrices and the
-    pool's resilience counters (empty for the serial fleet).
+    pool's resilience counters plus its ``shm_fallbacks`` (empty for
+    the serial fleet).
     """
     monkeypatch.setattr(runtime_module, "_RUNTIME_POOL_MIN_INSTANCES", 1)
     if chaos:
@@ -73,7 +79,11 @@ def _run_fleet(monkeypatch, machines, workers, chaos="", timeout="", waves=WAVES
             if "broadcast" in waves:
                 runtime.apply_stream(stream)
             states = (runtime.true_states, runtime.visible_states, runtime.statuses)
-        stats = pool.resilience.as_counters() if pool is not None else {}
+        stats = (
+            dict(pool.resilience.as_counters(), shm_fallbacks=pool.shm_fallbacks)
+            if pool is not None
+            else {}
+        )
     finally:
         if pool is not None:
             pool.close()
@@ -96,11 +106,11 @@ class TestChaosRecovery:
         # gather wave is the only pooled stage.
         assert KNOWN_STAGES == ("runtime_step",)
         # The owner-side stages (artifact-store commits, descent
-        # checkpoints, and the resource governor's consult points) are a
+        # checkpoints, and the resource governor's spill check) are a
         # separate, disjoint vocabulary: worker kills never fire there,
         # owner-side kinds only there.
         assert set(OWNER_STAGES) == {
-            "store_commit", "descent_level", "segment_publish", "budget_check",
+            "store_commit", "descent_level", "budget_check",
         }
         assert not set(OWNER_STAGES) & set(KNOWN_STAGES)
 
@@ -120,30 +130,15 @@ class TestChaosRecovery:
             assert spec.draw(stage) is None
         assert spec.draw("runtime_step") == ("worker_kill", 0.0)
 
-    @pytest.mark.parametrize("stage", sorted(KNOWN_STAGES))
-    def test_worker_kill_in_each_stage_recovers_byte_identical(
-        self, stage, machines, serial_fleet, monkeypatch
-    ):
-        """The acceptance criterion, per stage: one seeded SIGKILL lands
-        on a task of exactly this stage; the pool heals, replays, and
-        the fleet equals the serial run with no /dev/shm leak."""
-        states, stats = _run_fleet(
-            monkeypatch, machines, 2, "worker_kill=1.0,stages=%s,max=1,seed=7" % stage
-        )
-        _assert_identical(states, serial_fleet)
-        assert stats["chaos"] >= 1, "the chaos plan never fired in %s" % stage
-        assert stats["crashes"] >= 1, "no worker crash was observed"
-        assert stats["rebuilds"] >= 1 and stats["retries"] >= 1
-        assert stats["degraded"] == 0, "a single kill must heal, not degrade"
-        assert live_owned_segments() == ()
-
     @pytest.mark.parametrize("wave", WAVES)
-    def test_worker_kill_in_each_wave_kind_recovers_byte_identical(
+    def test_worker_kill_in_each_wave_recovers_byte_identical(
         self, wave, machines, monkeypatch
     ):
-        """The kill lands on the only wave kind the fleet runs — the
-        per-instance event-matrix gather or the shared-stream composed
-        map — and that wave heals and replays to the serial bytes."""
+        """The acceptance criterion, per wave kind of the one pooled
+        stage (``runtime_step``): one seeded SIGKILL lands on the only
+        wave the fleet runs — the per-instance event-matrix gather or
+        the shared-stream composed map; the pool heals, replays, and the
+        fleet equals the serial run with no /dev/shm leak."""
         reference, _ = _run_fleet(monkeypatch, machines, 1, waves=(wave,))
         states, stats = _run_fleet(
             monkeypatch,
@@ -153,9 +148,10 @@ class TestChaosRecovery:
             waves=(wave,),
         )
         _assert_identical(states, reference)
-        assert stats["chaos"] == 1 and stats["crashes"] >= 1
+        assert stats["chaos"] == 1, "the chaos plan never fired"
+        assert stats["crashes"] >= 1, "no worker crash was observed"
         assert stats["rebuilds"] >= 1 and stats["retries"] >= 1
-        assert stats["degraded"] == 0
+        assert stats["degraded"] == 0, "a single kill must heal, not degrade"
         assert live_owned_segments() == ()
 
     def test_task_hang_recovered_by_watchdog(self, machines, serial_fleet, monkeypatch):
@@ -198,6 +194,29 @@ class TestChaosRecovery:
         assert stats["degraded"] >= 1
         assert stats["crashes"] >= 2  # initial fault + the exhausted retry
         assert live_owned_segments() == ()
+
+    @pytest.mark.parametrize(
+        "chaos",
+        ["", "worker_kill=1.0,stages=runtime_step,max=1,seed=7"],
+        ids=["healthy", "worker_kill"],
+    )
+    def test_full_dev_shm_steps_on_file_segments(
+        self, chaos, machines, serial_fleet, monkeypatch
+    ):
+        """With no free space on ``/dev/shm`` every publish — and, after a
+        kill, every respawn — falls back to a file-backed segment; the
+        fleet still equals the serial run and no segment or file is
+        left behind."""
+        monkeypatch.setattr(shm_module, "shm_free_bytes", lambda path="/dev/shm": 0)
+        states, stats = _run_fleet(monkeypatch, machines, 2, chaos)
+        _assert_identical(states, serial_fleet)
+        assert stats["shm_fallbacks"] >= 2, "tables and state scratch were not file-backed"
+        assert stats["degraded"] == 0
+        if chaos:
+            assert stats["crashes"] >= 1 and stats["republished"] >= 1
+        assert live_owned_segments() == ()
+        stray = os.path.join(tempfile.gettempdir(), "repro-seg-%d-*" % os.getpid())
+        assert glob.glob(stray) == []
 
     def test_chaos_plan_is_seed_deterministic(self, machines, monkeypatch):
         """Same seed, same spec ⇒ identical resilience counters."""

@@ -3,14 +3,14 @@
 Covers the typed size/spec parsing (every ``REPRO_*`` knob must raise a
 :class:`SpecParseError` naming the offending token, never a bare
 ``ValueError``), the external-merge spill machinery's byte-identity,
-the governor's watermark decisions, the ``/dev/shm`` publish pre-check
-and file-backed fallback, and the store's ENOSPC retry-then-typed-raise
-plan with the run left resumable.
+the governor's watermark decisions, and the store's ENOSPC
+retry-then-typed-raise plan with the run left resumable.  (The
+``/dev/shm`` publish fallback is :mod:`repro.core.shm`'s and is tested
+in ``test_shm.py``.)
 """
 
 from __future__ import annotations
 
-import errno
 import os
 
 import numpy as np
@@ -19,7 +19,6 @@ import pytest
 from repro.core.budget import (
     DISK_BUDGET_ENV,
     MEMORY_BUDGET_ENV,
-    SHM_BUDGET_ENV,
     BudgetStats,
     ResourceBudget,
     ResourceGovernor,
@@ -37,7 +36,6 @@ from repro.core.exceptions import (
     SpecParseError,
 )
 from repro.core.resilience import ChaosSpec, EngineFaultKind
-from repro.core.shm import SharedArrayBundle
 from repro.utils.rng import as_generator
 
 
@@ -68,7 +66,6 @@ class TestResourceBudget:
         "knob,attr",
         [
             (MEMORY_BUDGET_ENV, "memory"),
-            (SHM_BUDGET_ENV, "shm"),
             (DISK_BUDGET_ENV, "disk"),
         ],
     )
@@ -79,7 +76,7 @@ class TestResourceBudget:
         assert budget.bounded
 
     @pytest.mark.parametrize(
-        "knob", [MEMORY_BUDGET_ENV, SHM_BUDGET_ENV, DISK_BUDGET_ENV]
+        "knob", [MEMORY_BUDGET_ENV, DISK_BUDGET_ENV]
     )
     def test_each_env_knob_rejects_garbage_with_token(self, knob, monkeypatch):
         monkeypatch.setenv(knob, "sixty-four megs")
@@ -89,7 +86,7 @@ class TestResourceBudget:
         assert excinfo.value.token == "sixty-four megs"
 
     def test_unset_env_is_unbounded(self, monkeypatch):
-        for knob in (MEMORY_BUDGET_ENV, SHM_BUDGET_ENV, DISK_BUDGET_ENV):
+        for knob in (MEMORY_BUDGET_ENV, DISK_BUDGET_ENV):
             monkeypatch.delenv(knob, raising=False)
         budget = ResourceBudget.from_env()
         assert budget == ResourceBudget()
@@ -98,30 +95,33 @@ class TestResourceBudget:
     def test_mapping_accepts_ints_and_strings(self):
         budget = ResourceBudget.from_mapping({"memory": "1M", "disk": 4096})
         assert budget.memory == 1 << 20
-        assert budget.shm is None
         assert budget.disk == 4096
 
-    def test_mapping_rejects_unknown_keys_and_nonpositive(self):
+    @pytest.mark.parametrize("key", ["memroy", "shm"])
+    def test_mapping_rejects_unknown_keys_and_nonpositive(self, key):
+        # ``shm`` is no budget: publishes fall back on free space alone.
         with pytest.raises(SpecParseError) as excinfo:
-            ResourceBudget.from_mapping({"memroy": "1M"})
-        assert excinfo.value.token == "memroy"
+            ResourceBudget.from_mapping({key: "1M"})
+        assert excinfo.value.token == key
         with pytest.raises(SpecParseError):
             ResourceBudget.from_mapping({"memory": 0})
 
     def test_coerce(self):
         budget = ResourceBudget(memory=1)
         assert ResourceBudget.coerce(budget) is budget
-        assert ResourceBudget.coerce({"shm": 7}).shm == 7
+        assert ResourceBudget.coerce({"disk": 7}).disk == 7
 
 
 class TestSpecStringParseErrors:
     """Satellite: every chaos/budget env knob fails with a typed error."""
 
-    def test_chaos_unknown_key_names_token(self):
+    # ``shm_full`` is no fault kind: publishes fall back on free space.
+    @pytest.mark.parametrize("kind", ["wroker_kill", "shm_full"])
+    def test_chaos_unknown_key_names_token(self, kind):
         with pytest.raises(SpecParseError) as excinfo:
-            ChaosSpec.parse("wroker_kill=0.5")
+            ChaosSpec.parse("%s=0.5" % kind)
         assert excinfo.value.knob == "REPRO_CHAOS"
-        assert excinfo.value.token == "wroker_kill"
+        assert excinfo.value.token == kind
 
     def test_chaos_bad_value_names_token(self):
         with pytest.raises(SpecParseError) as excinfo:
@@ -245,27 +245,6 @@ class TestGovernor:
         assert governor.stats.spills == 1
         assert governor.stats.spilled_bytes == sum(p.nbytes for p in parts)
 
-    def test_shm_budget_watermark_forces_fallback(self):
-        governor = ResourceGovernor(budget={"shm": 1000}, chaos=ChaosSpec({}))
-        assert governor.publish_fallback_reason(500) is None
-        governor.note_publish(800)
-        reason = governor.publish_fallback_reason(500)
-        assert reason is not None and "REPRO_SHM_BUDGET" in reason
-        governor.note_release(800)
-        assert governor.publish_fallback_reason(500) is None
-        assert governor.stats.shm_peak == 800
-
-    def test_shm_full_chaos_forces_fallback(self):
-        chaos = ChaosSpec(
-            {EngineFaultKind.SHM_FULL: 1.0},
-            stages=("segment_publish",),
-            max_faults=1,
-            seed=4,
-        )
-        governor = ResourceGovernor(budget={}, chaos=chaos)
-        assert governor.publish_fallback_reason(64) == "injected shm_full fault"
-        assert governor.publish_fallback_reason(64) is None
-
     def test_close_removes_private_spill_dir(self):
         governor = ResourceGovernor(budget={})
         scratch = governor.spill_dir()
@@ -276,80 +255,6 @@ class TestGovernor:
     def test_stats_counters_are_ints(self):
         for value in BudgetStats().as_counters().values():
             assert isinstance(value, int)
-
-
-class TestShmFallback:
-    """Satellite + tentpole: publish pre-check and file-backed fallback."""
-
-    def _arrays(self):
-        return {
-            "a": np.arange(100, dtype=np.int64),
-            "b": np.linspace(0.0, 1.0, 33),
-        }
-
-    def test_publish_falls_back_to_file_segment(self):
-        chaos = ChaosSpec(
-            {EngineFaultKind.SHM_FULL: 1.0},
-            stages=("segment_publish",),
-            max_faults=1,
-            seed=2,
-        )
-        governor = ResourceGovernor(budget={}, chaos=chaos)
-        with activate(governor):
-            bundle = SharedArrayBundle.create(self._arrays())
-            try:
-                meta = bundle.meta
-                assert meta["backing"] == "file"
-                attached = SharedArrayBundle.attach(meta)
-                np.testing.assert_array_equal(
-                    attached.arrays["a"], self._arrays()["a"]
-                )
-                np.testing.assert_array_equal(
-                    attached.arrays["b"], self._arrays()["b"]
-                )
-                attached.close()
-            finally:
-                bundle.close()
-            assert not os.path.exists(meta["segment"])
-        assert governor.stats.shm_fallbacks == 1
-        governor.close()
-
-    def test_shm_backed_publish_is_metered(self):
-        governor = ResourceGovernor(budget={}, chaos=ChaosSpec({}))
-        with activate(governor):
-            bundle = SharedArrayBundle.create(self._arrays())
-            try:
-                assert "backing" not in bundle.meta
-                assert governor.resident_shm_bytes > 0
-                assert governor.stats.shm_peak > 0
-            finally:
-                bundle.close()
-            assert governor.resident_shm_bytes == 0
-
-    def test_double_failure_raises_typed_with_segment_size(self, monkeypatch):
-        chaos = ChaosSpec(
-            {EngineFaultKind.SHM_FULL: 1.0},
-            stages=("segment_publish",),
-            max_faults=1,
-            seed=2,
-        )
-        governor = ResourceGovernor(budget={}, chaos=chaos)
-        import repro.core.shm as shm_mod
-
-        def refuse(cls, size, directory):
-            raise OSError(errno.ENOSPC, "No space left on device")
-
-        monkeypatch.setattr(
-            shm_mod._FileSegment, "create", classmethod(refuse)
-        )
-        with activate(governor):
-            with pytest.raises(ResourceExhaustedError) as excinfo:
-                SharedArrayBundle.create(self._arrays())
-        err = excinfo.value
-        assert err.resource == "shm"
-        assert err.observed > 0
-        assert "%d bytes" % err.observed in str(err)
-        governor.close()
 
 
 class TestStoreDiskRetry:
@@ -427,12 +332,12 @@ class TestStoreDiskRetry:
 
 
 class TestFaultWiring:
-    """The three resource kinds flow through FaultKind and the injector."""
+    """The two resource kinds flow through FaultKind and the injector."""
 
     def test_fault_kind_mirrors_engine_kinds(self):
         from repro.simulation.faults import FaultKind
 
-        for name in ("DISK_FULL", "SHM_FULL", "MEM_PRESSURE"):
+        for name in ("DISK_FULL", "MEM_PRESSURE"):
             kind = FaultKind[name]
             assert kind.value == EngineFaultKind[name].value
             assert kind.targets_engine
@@ -443,20 +348,19 @@ class TestFaultWiring:
 
         injector = FaultInjector(["s1", "s2"], seed=1)
         spec = injector.engine_chaos(
-            seed=5, disk_full=1.0, shm_full=1.0, mem_pressure=1.0, max_faults=3
+            seed=5, disk_full=1.0, mem_pressure=1.0, max_faults=2
         )
         assert spec.active
         drawn = {
             spec.draw(stage)[0]
-            for stage in ("store_commit", "segment_publish", "budget_check")
+            for stage in ("store_commit", "budget_check")
         }
-        assert drawn == {"disk_full", "shm_full", "mem_pressure"}
+        assert drawn == {"disk_full", "mem_pressure"}
 
     def test_resource_kinds_draw_only_at_their_owner_stage(self):
         spec = ChaosSpec(
             {EngineFaultKind.DISK_FULL: 1.0}, max_faults=10, seed=0
         )
-        assert spec.draw("segment_publish") is None
         assert spec.draw("budget_check") is None
         fault = spec.draw("store_commit")
         assert fault is not None and fault[0] == "disk_full"

@@ -116,7 +116,7 @@ class TestChaosSpec:
     def test_parse_full_spec(self):
         spec = ChaosSpec.parse(
             "worker_kill=0.2,task_hang=0.1,slow_task=0.3,"
-            "stages=runtime_step+segment_publish,max=2,seed=7,hang_s=60,slow_s=0.01"
+            "stages=runtime_step+budget_check,max=2,seed=7,hang_s=60,slow_s=0.01"
         )
         assert spec.active
         assert spec.injected == 0
@@ -152,11 +152,16 @@ class TestChaosSpec:
         assert spec.draw("runtime_step") is None  # budget spent
 
     @pytest.mark.parametrize(
-        "stage", ["ledger_leaf", "merge_fold", "prune_shard", "closure_batch", "bfs_shard"]
+        "stage",
+        [
+            "ledger_leaf", "merge_fold", "prune_shard", "closure_batch", "bfs_shard",
+            "segment_publish",
+        ],
     )
     def test_retired_fusion_stages_are_unknown(self, stage):
-        """Fusion generation submits no tasks, so its old stage names
-        are a typed parse error rather than a filter that never fires."""
+        """Fusion generation submits no tasks, and no publish draws a
+        fault, so these old stage names are a typed parse error rather
+        than a filter that never fires."""
         with pytest.raises(SpecParseError, match="unknown stages"):
             ChaosSpec.parse("worker_kill=1.0,stages=%s" % stage)
 
@@ -257,26 +262,47 @@ class TestOwnedSegmentRegistry:
         assert name not in live_owned_segments()
         assert_no_owned_segments()
 
-    @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
-    def test_pool_start_reaps_segments_of_dead_owners(self):
-        """A segment whose recorded owner pid is dead is unlinked when
-        the next pool starts; live owners' segments are left alone."""
+    @pytest.mark.skipif(
+        not os.path.isdir("/dev/shm") or not os.path.exists("/proc/self/ns/pid"),
+        reason="needs /dev/shm and pid namespaces",
+    )
+    def test_pool_start_reaps_only_own_namespace_segments_of_dead_owners(self):
+        """A segment whose recorded owner pid is dead in this pid
+        namespace is unlinked when the next pool starts.  Live owners'
+        segments, and a dead pid recorded under another namespace (a
+        container sharing ``/dev/shm``, where that pid is another
+        process) or in a name without a namespace, are left alone."""
         from multiprocessing import resource_tracker
 
         dead = subprocess.Popen([sys.executable, "-c", "pass"])
         dead.wait()
+        namespace = os.stat("/proc/self/ns/pid").st_ino
         orphan = shared_memory.SharedMemory(
-            name="psm_%d_0badc0de" % dead.pid, create=True, size=64
+            name="psm_%d_%x_0badc0de" % (dead.pid, namespace), create=True, size=64
         )
+        survivors = [
+            shared_memory.SharedMemory(name=name, create=True, size=64)
+            for name in (
+                "psm_%d_%x_0badc0de" % (dead.pid, namespace + 1),
+                "psm_%d_0badc0de" % dead.pid,
+                "psm_%d_zz_0badc0de" % dead.pid,
+            )
+        ]
         bundle = SharedArrayBundle.create({"xs": np.arange(8)})
+        assert bundle.name.startswith("psm_%d_%x_" % (os.getpid(), namespace))
         try:
             SharedWorkerPool(max_workers=2).close()
             assert not _segment_exists(orphan.name)
+            for survivor in survivors:
+                assert _segment_exists(survivor.name), survivor.name
             assert _segment_exists(bundle.name)
         finally:
             orphan.close()
             # The reaper unlinked it behind the tracker's back.
             resource_tracker.unregister(orphan._name, "shared_memory")
+            for survivor in survivors:
+                survivor.close()
+                survivor.unlink()
             bundle.close()
         assert_no_owned_segments()
 

@@ -12,16 +12,22 @@ workers die with their owner.
 from __future__ import annotations
 
 import ctypes
+import errno
 import gc
 import multiprocessing
+import os
 import pickle
 import signal
+import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
 
-from repro.core.exceptions import FusionError
+import repro.core.shm as shm_module
+from repro.core.exceptions import FusionError, ResourceExhaustedError
+from repro.core.resilience import live_owned_segments
 from repro.core.shm import (
     SharedArrayBundle,
     SharedScratch,
@@ -45,6 +51,11 @@ def _parent_death_signal() -> int:
     libc = ctypes.CDLL(None, use_errno=True)
     assert libc.prctl(_PR_GET_PDEATHSIG, ctypes.byref(value), 0, 0, 0) == 0
     return value.value
+
+
+def _payload_sum(meta) -> int:
+    """Worker task: the sum of a published bundle's ``xs`` array."""
+    return int(attached_arrays(meta)["xs"].sum())
 
 
 def _segment_exists(name: str) -> bool:
@@ -214,6 +225,93 @@ class TestSharedWorkerPool:
         child.start()
         child.join(timeout=10)
         assert child.exitcode == -signal.SIGKILL
+
+    @pytest.mark.skipif(
+        "forkserver" not in multiprocessing.get_all_start_methods(),
+        reason="needs the forkserver start method",
+    )
+    def test_workers_are_forked_whatever_the_default_start_method(self):
+        """The initializer takes the worker's parent to be the owner.
+        With ``forkserver`` as the interpreter default (Python 3.14 on
+        Linux), a pool that followed the default would fork its workers
+        from the server, and each would SIGKILL itself at start."""
+        script = textwrap.dedent(
+            """
+            import multiprocessing, os
+            from repro.core.shm import SharedWorkerPool
+            multiprocessing.set_start_method("forkserver", force=True)
+            with SharedWorkerPool(2) as pool:
+                pids = {pool.submit(os.getppid).result(timeout=60) for _ in range(4)}
+            print(pids == {os.getpid()})
+            """
+        )
+        src = os.path.dirname(
+            os.path.dirname(os.path.dirname(os.path.abspath(shm_module.__file__)))
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "True"
+
+
+class TestShmFallback:
+    """A ``/dev/shm`` that cannot hold a segment degrades the publish to
+    a file-backed mmap segment; only a failed fallback raises."""
+
+    def _arrays(self):
+        return {"xs": np.arange(100, dtype=np.int64), "ys": np.linspace(0.0, 1.0, 33)}
+
+    def test_no_free_space_falls_back_to_a_file_segment(self, monkeypatch):
+        monkeypatch.setattr(shm_module, "shm_free_bytes", lambda path="/dev/shm": 0)
+        bundle = SharedArrayBundle.create(self._arrays())
+        try:
+            meta = bundle.meta
+            assert bundle.file_backed and meta["backing"] == "file"
+            assert live_owned_segments() == ()
+            attached = SharedArrayBundle.attach(meta)
+            for name, array in self._arrays().items():
+                np.testing.assert_array_equal(attached.arrays[name], array)
+            attached.close()
+        finally:
+            bundle.close()
+        assert not os.path.exists(meta["segment"])
+
+    def test_kernel_enospc_falls_back_too(self, monkeypatch):
+        def full(size):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(shm_module, "_create_named_segment", full)
+        with SharedArrayBundle.create(self._arrays()) as bundle:
+            assert bundle.file_backed
+
+    def test_pool_counts_fallbacks_and_workers_read_them(self, monkeypatch):
+        with SharedWorkerPool(2) as pool:
+            pool.publish({"xs": np.arange(4)})
+            assert pool.shm_fallbacks == 0
+            monkeypatch.setattr(shm_module, "shm_free_bytes", lambda path="/dev/shm": 0)
+            bundle = pool.publish({"xs": np.arange(10)})
+            assert bundle.file_backed and pool.shm_fallbacks == 1
+            assert pool.submit(_payload_sum, bundle.meta).result(timeout=60) == 45
+
+    def test_failed_fallback_raises_typed_with_segment_size(self, monkeypatch):
+        def refuse(cls, size, directory):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(shm_module, "shm_free_bytes", lambda path="/dev/shm": 0)
+        monkeypatch.setattr(shm_module._FileSegment, "create", classmethod(refuse))
+        with pytest.raises(ResourceExhaustedError) as excinfo:
+            SharedArrayBundle.create(self._arrays())
+        err = excinfo.value
+        assert err.resource == "shm" and err.watermark is None
+        assert err.observed > 0
+        assert "%d bytes" % err.observed in str(err)
 
 
 class TestSharedScratch:

@@ -280,20 +280,6 @@ def _refuse_workers(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
 
 
-def _labels_bytes(result):
-    return [np.ascontiguousarray(p.labels).tobytes() for p in result.partitions]
-
-
-#: Small machine sets that stay on the dense engine.
-DENSE_CASES = {
-    "counters-6": lambda: counters(6),
-    "mesi-mix": lambda: [mesi()] + [
-        mod_counter(3, "local_read", events=mesi().events, name="rd-ctr"),
-        mod_counter(2, "local_write", events=mesi().events, name="wr-ctr"),
-    ],
-}
-
-
 class TestWorkerPool:
     def test_resolve_workers_explicit_wins(self):
         assert resolve_workers(0) == 0
@@ -343,35 +329,19 @@ class TestWorkerPool:
         ],
         ids=["counters-9", "mesi+counters-8"],
     )
-    def test_fusion_never_forks(self, monkeypatch, build, expected):
-        """``workers=2`` is accepted, but no stage submits to a pool or
-        starts an executor; the summaries are the frozen ones of
+    @pytest.mark.parametrize("workers", [2, 4, "env"])
+    def test_fusion_never_forks(self, monkeypatch, build, expected, workers):
+        """Any ``workers=`` count, or ``REPRO_FUSION_WORKERS`` (``env``),
+        is accepted, but no stage submits to a pool or starts an
+        executor; the summaries are the frozen ones of
         ``benchmarks/bench_perf_regression.py``."""
         _refuse_workers(monkeypatch)
-        assert generate_fusion(build(), f=1, workers=2).summary() == expected
-
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    @pytest.mark.parametrize("case", sorted(DENSE_CASES))
-    def test_workers_argument_never_changes_results(self, monkeypatch, case, workers):
-        """On the dense engine too, any ``workers=`` yields the serial
-        run's partitions byte for byte without starting a worker."""
-        reference = generate_fusion(DENSE_CASES[case](), f=1, workers=0)
-        _refuse_workers(monkeypatch)
-        result = generate_fusion(DENSE_CASES[case](), f=1, workers=workers)
-        assert result.summary() == reference.summary()
-        assert _labels_bytes(result) == _labels_bytes(reference)
-
-    @pytest.mark.parametrize("raw", ["2", "4"])
-    def test_env_worker_count_never_forks(self, monkeypatch, raw):
-        """``REPRO_FUSION_WORKERS`` is still read and validated, and it
-        changes nothing about a fusion either."""
-        reference = generate_fusion(counters(6), f=2, workers=0)
-        _refuse_workers(monkeypatch)
-        monkeypatch.setenv("REPRO_FUSION_WORKERS", raw)
-        assert resolve_workers(None) == int(raw)
-        result = generate_fusion(counters(6), f=2)
-        assert result.summary() == reference.summary()
-        assert _labels_bytes(result) == _labels_bytes(reference)
+        if workers == "env":
+            monkeypatch.setenv("REPRO_FUSION_WORKERS", "2")
+            result = generate_fusion(build(), f=1)
+        else:
+            result = generate_fusion(build(), f=1, workers=workers)
+        assert result.summary() == expected
 
     def test_sparse_serial_matches_dense_engine(self, forced_sparse):
         sparse = generate_fusion(counters(4), f=1)
