@@ -18,7 +18,8 @@ runs in-process and uses none of this.
 * :class:`SharedWorkerPool` — a lazily-spawned ``ProcessPoolExecutor``
   plus the bundles its tasks read, closed together in one ``finally``.
   Its workers die with their owner (``PR_SET_PDEATHSIG`` on Linux), and
-  a pool start reaps ``psm_*`` segments left by owners that died.
+  a pool start reaps ``psm_*`` segments left by owners in its pid
+  namespace that died.
 * :class:`SharedScratch` — a reusable, growable shared array for
   per-step payloads (the fleet's state matrices), rewritten in place
   between task waves instead of churning one fresh segment per step
@@ -573,7 +574,8 @@ class SharedWorkerPool:
     the executor and every live bundle in one place — call it from a
     ``finally`` block; a ``weakref.finalize`` on each bundle backstops
     segment unlinking regardless.  Creating a pool first unlinks the
-    ``psm_*`` segments of owners that died without unlinking them.
+    ``psm_*`` segments of owners in its pid namespace that died without
+    unlinking them.
     """
 
     def __init__(
