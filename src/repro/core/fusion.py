@@ -12,17 +12,15 @@ still covers every weakest edge of the current fault graph, then adds the
 machine reached and repeats until ``dmin(A ∪ F) > f``.  The number of
 machines produced is exactly ``required_dmin(f) - dmin(A)``.
 
-The descent runs on one of two engines, chosen per lattice level by the
-current block count:
-
-* the **dense** engine (small levels) scans the materialised pair index
-  arrays and prunes failure-dominated levels with a boolean ``(B, B)``
-  implication fixpoint — exactly the previous PR's code path;
-* the **sparse** engine (levels above :data:`DESCENT_SPARSE_CUTOFF`
-  blocks) enumerates merge candidates lazily in the same order, prunes
-  with the sparse backward fixpoint of
-  :func:`repro.core.sparse.doomed_pair_keys`, and closes the surviving
-  candidates in batches — so memory never caps ``|top|``.
+Every lattice level runs one scan (:func:`_scan_level`): merge
+candidates stream in lexicographic pair order, with no ``O(B^2)`` pair
+list, into one batched pair-closure kernel
+(:func:`repro.core.partition.close_merges`), which closes a chunk of
+candidates together and drops each the round it merges a weakest pair.
+Failure-dominated levels are pruned first, by the sparse backward
+fixpoint of :class:`repro.core.sparse.DoomedPairEngine` or, on small
+unseeded levels, by the dense ``(B, B)`` :func:`_doomed_pairs`
+fixpoint — so memory never caps ``|top|``.
 
 Generation runs in-process, like the paper's sequential greedy walk:
 sharding its stages over worker processes was measured slower than
@@ -30,8 +28,9 @@ serial on every large case.  ``generate_fusion``'s ``workers=``
 argument is still validated (:func:`resolve_workers`), but worker
 processes only serve :class:`repro.core.runtime.VectorizedRuntime`.
 
-Both engines accept candidates in the same lexicographic order and prune
-only provably-failing candidates, so their results are byte-identical;
+Both prunes are sound and the candidates are closed in a fixed order,
+so the chosen partitions are byte-identical whichever prune or chunking
+a level uses; ``tests/integration/test_partition_hashes.py``,
 ``tests/property/test_vectorized_equivalence.py`` and the frozen
 summaries in ``benchmarks/bench_perf_regression.py`` enforce that.
 
@@ -47,11 +46,11 @@ from __future__ import annotations
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -67,13 +66,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from .budget import ResourceBudget, ResourceGovernor, activate
 from .dfsm import DFSM
 from .exceptions import FusionError, FusionExistenceError
-from .fault_graph import FaultGraph, condensed_indices
+from .fault_graph import FaultGraph
 from .fault_tolerance import required_dmin
-from .lattice import lower_cover
 from .partition import (
     Partition,
-    closure_of_labels,
+    WeakPairs,
+    close_merges,
     machine_from_partition,
+    merge_batch_limit,
     partition_from_machine,
     quotient_table,
 )
@@ -227,25 +227,21 @@ _DOOMED_MAX_ROUNDS = 64
 _PRUNE_BUDGET = DEFAULT_CANDIDATE_BUDGET
 
 #: Rejected candidates tolerated per level before switching from the
-#: optimistic sequential scan to the bulk doomed-pair prune.  Low enough
+#: optimistic scan to the bulk doomed-pair prune.  Low enough
 #: that failure-dominated levels (protocol mixes) amortise the fixpoint
 #: almost immediately, high enough that success-on-first-pair levels
 #: (counter families) never pay for it.
 _PRUNE_AFTER_FAILURES = 8
 
-#: Lattice levels with more blocks than this run the sparse scan: lazy
-#: pair enumeration, sparse doomed-pair pruning and batched closures,
-#: with no ``O(B^2)`` allocation.  Levels at or below it run the dense
-#: scan of the previous engine unchanged.
+#: Lattice levels with more blocks than this always prune with the
+#: sparse :class:`DoomedPairEngine` fixpoint; smaller levels that the
+#: engine cannot seed from the level above use the dense ``(B, B)``
+#: :func:`_doomed_pairs` fixpoint instead.
 DESCENT_SPARSE_CUTOFF = 4096
 
-#: Pair-enumeration chunk size of the sparse scan (peak enumeration
+#: Pair-enumeration chunk size of the level scan (peak enumeration
 #: memory per level is a few of these, not ``O(B^2)``).
 _PAIR_CHUNK = 16384
-
-#: Surviving candidates per closure batch: survivors are gathered from
-#: the enumeration chunks and closed this many at a time.
-_CLOSURE_BATCH = 64
 
 
 def _doomed_pairs(
@@ -298,239 +294,133 @@ def _doomed_pairs(
     return doomed, stats
 
 
-# ----------------------------------------------------------------------
-# Batched closure evaluation
-# ----------------------------------------------------------------------
-def _evaluate_pair_batch(
-    quotient: np.ndarray,
-    weak_pair: Tuple[np.ndarray, np.ndarray],
-    pairs: np.ndarray,
-    first_only: bool,
-) -> List[Tuple[int, np.ndarray]]:
-    """SP-close each candidate merge in ``pairs`` (a ``(k, 2)`` array).
+class _PairQueue:
+    """One level's candidate block pairs, in lexicographic order.
 
-    Returns ``(offset, closed_block_labels)`` for every qualifying
-    candidate (closure separates all weakest pairs), in order.  With
-    ``first_only`` the batch stops at its first hit — sound for the
-    ``"first"`` strategy because batches are consumed in candidate
-    order, so the first hit of the first hitting batch is the globally
-    first qualifying candidate.
+    Pairs stream from :func:`repro.core.sparse.iter_pair_chunks`, so no
+    level allocates its ``O(B^2)`` pair list; once :meth:`keep` installs
+    the prune's filter, only surviving pairs are handed out.
     """
-    merge_seed = np.arange(quotient.shape[0], dtype=np.int64)
-    hits: List[Tuple[int, np.ndarray]] = []
-    for offset, (a, b) in enumerate(pairs.tolist()):
-        merge_seed[b] = a
-        closed = closure_of_labels(quotient, merge_seed, stop_if_merges=weak_pair)
-        merge_seed[b] = b
-        if closed is not None:
-            hits.append((offset, closed))
-            if first_only:
-                break
-    return hits
+
+    def __init__(self, num_blocks: int) -> None:
+        self._chunks = iter_pair_chunks(num_blocks, _PAIR_CHUNK)
+        self._rows = self._cols = np.empty(0, dtype=np.int64)
+        self._alive: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+
+    def keep(self, alive: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> None:
+        """Hand out only the pairs ``(rows, cols)`` whose ``alive`` mask is set."""
+        self._alive = alive
+        mask = alive(self._rows, self._cols)
+        self._rows, self._cols = self._rows[mask], self._cols[mask]
+
+    def more(self) -> bool:
+        """True while an (alive) pair remains."""
+        while not self._rows.size:
+            try:
+                rows, cols = next(self._chunks)
+            except StopIteration:
+                return False
+            if self._alive is not None:
+                mask = self._alive(rows, cols)
+                rows, cols = rows[mask], cols[mask]
+            self._rows, self._cols = rows, cols
+        return True
+
+    def take(self, size: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The next ``size`` pairs (fewer only when the level runs out)."""
+        rows: List[np.ndarray] = []
+        cols: List[np.ndarray] = []
+        while size > 0 and self.more():
+            rows.append(self._rows[:size])
+            cols.append(self._cols[:size])
+            self._rows, self._cols = self._rows[size:], self._cols[size:]
+            size -= rows[-1].size
+        return np.concatenate(rows), np.concatenate(cols)
 
 
-def _scan_level_sparse(
+def _scan_level(
     quotient: np.ndarray,
     base_labels: np.ndarray,
-    weak_a: np.ndarray,
-    weak_b: np.ndarray,
+    weak: WeakPairs,
     num_blocks: int,
     first_mode: bool,
     measure,
     engine: DoomedPairEngine,
     note_prune: Callable[[PruneStats], None],
 ) -> Tuple[Optional[Partition], List[Partition]]:
-    """Scan one large lattice level without any ``O(B^2)`` structure.
+    """Close one lattice level's merge candidates, in lexicographic order.
 
-    Mirrors the dense scan exactly: candidates are the block pairs in
-    lexicographic order; the first :data:`_PRUNE_AFTER_FAILURES`
-    rejections are paid optimistically, then the descent's
-    :class:`repro.core.sparse.DoomedPairEngine` prunes in bulk —
-    seeded from the previous level — and only survivors are closed, in
-    :data:`_CLOSURE_BATCH`-sized batches.  Returns ``(chosen,
-    improving)`` with the same semantics as the dense scan: ``chosen``
-    is the first qualifying candidate in first mode, ``improving`` the
-    deduplicated qualifying candidates otherwise.
+    Candidates go to the batched pair-closure kernel
+    (:func:`repro.core.partition.close_merges`) in geometric chunks:
+
+    1. optimistically, chunks of 1, 2 and then the rest of the
+       :data:`_PRUNE_AFTER_FAILURES` budget — a level whose first pair
+       qualifies (the counter families) pays for one closure;
+    2. once that many candidates failed, the doomed-pair prune removes
+       every remaining pair whose closure provably merges a weakest
+       pair: the descent's :class:`DoomedPairEngine` above
+       :data:`DESCENT_SPARSE_CUTOFF` blocks or when it can seed from the
+       level above, the dense :func:`_doomed_pairs` fixpoint otherwise;
+    3. the survivors follow in chunks that double from 1 up to
+       :func:`repro.core.partition.merge_batch_limit` — survivors
+       mostly qualify where the prune is tight, so first mode closes
+       few beyond the one it takes.
+
+    Returns ``(chosen, improving)``: ``chosen`` is the lowest-index
+    qualifying candidate in first mode, ``improving`` the deduplicated
+    qualifying candidates otherwise.  Closed partitions are unique and
+    the prune is sound, so the chunking never changes either.
     """
-    weak_pair = (weak_a, weak_b)
-    chunk_iter = iter_pair_chunks(num_blocks, _PAIR_CHUNK)
-    current_rows = np.empty(0, dtype=np.int64)
-    current_cols = np.empty(0, dtype=np.int64)
-    position = 0
-
-    def refill() -> bool:
-        nonlocal current_rows, current_cols, position
-        try:
-            current_rows, current_cols = next(chunk_iter)
-        except StopIteration:
-            return False
-        position = 0
-        return True
-
+    queue = _PairQueue(num_blocks)
     improving: List[Partition] = []
     seen: set = set()
-
-    def record(closed: np.ndarray) -> Partition:
-        candidate = Partition(closed[base_labels])
-        if not first_mode and candidate not in seen:
-            seen.add(candidate)
-            improving.append(candidate)
-        return candidate
-
-    # Phase 1 — optimistic sequential scan, identical to the dense path.
-    merge_seed = np.arange(num_blocks, dtype=np.int64)
     failures = 0
-    while failures < _PRUNE_AFTER_FAILURES:
-        if position >= current_rows.size and not refill():
-            return (None, improving)  # level exhausted during the scan
-        a = int(current_rows[position])
-        b = int(current_cols[position])
-        position += 1
-        merge_seed[b] = a
+
+    def close(size: int) -> Optional[Partition]:
+        """Close the next ``size`` candidates; the first hit in first mode."""
+        nonlocal failures
+        rows, cols = queue.take(size)
         with measure("closure"):
-            closed = closure_of_labels(quotient, merge_seed, stop_if_merges=weak_pair)
-        merge_seed[b] = b
-        if closed is None:
-            failures += 1
-            continue
-        candidate = record(closed)
-        if first_mode:
-            return (candidate, improving)
-
-    # Phase 2 — sparse doomed-pair prune over the implication adjacency
-    # (incremental across levels).
-    with measure("prune"):
-        doomed = engine.prune(
-            quotient, weak_a, weak_b, num_blocks, base_labels=base_labels
-        )
-    note_prune(engine.last_stats)
-
-    def surviving_batches() -> Iterator[np.ndarray]:
-        """Surviving candidates after the prune, in order, batched."""
-        nonlocal position
-        pending: List[np.ndarray] = []
-        pending_count = 0
-        while True:
-            if position >= current_rows.size:
-                if not refill():
-                    break
-            rows = current_rows[position:]
-            cols = current_cols[position:]
-            position = current_rows.size
-            alive = ~sorted_key_membership(doomed, rows, cols, num_blocks)
-            if not alive.any():
-                continue
-            survivors = np.stack((rows[alive], cols[alive]), axis=1)
-            pending.append(survivors)
-            pending_count += survivors.shape[0]
-            while pending_count >= _CLOSURE_BATCH:
-                block = np.concatenate(pending, axis=0)
-                yield block[:_CLOSURE_BATCH]
-                pending = [block[_CLOSURE_BATCH:]]
-                pending_count -= _CLOSURE_BATCH
-        if pending_count:
-            yield np.concatenate(pending, axis=0)
-
-    # Phase 3 — close the survivors, batched.
-    for batch in surviving_batches():
-        with measure("closure"):
-            hits = _evaluate_pair_batch(quotient, weak_pair, batch, first_mode)
-        for _, closed in hits:
-            candidate = record(closed)
+            ok, closed = close_merges(quotient, rows, cols, weak)
+        failures += int(ok.size - np.count_nonzero(ok))
+        for index in np.flatnonzero(ok).tolist():
+            candidate = Partition(closed[index][base_labels])
             if first_mode:
-                return (candidate, improving)
+                return candidate
+            if candidate not in seen:
+                seen.add(candidate)
+                improving.append(candidate)
+        return None
+
+    sizes = chain((1, 2), repeat(_PRUNE_AFTER_FAILURES))
+    while failures < _PRUNE_AFTER_FAILURES and queue.more():
+        chosen = close(min(next(sizes), _PRUNE_AFTER_FAILURES - failures))
+        if chosen is not None:
+            return (chosen, improving)
+    if not queue.more():
+        return (None, improving)
+
+    if num_blocks > DESCENT_SPARSE_CUTOFF or engine.seedable:
+        with measure("prune"):
+            keys = engine.prune(
+                quotient, weak.lo, weak.hi, num_blocks, base_labels=base_labels
+            )
+        note_prune(engine.last_stats)
+        queue.keep(lambda rows, cols: ~sorted_key_membership(keys, rows, cols, num_blocks))
+    else:
+        with measure("prune"):
+            doomed, prune_stats = _doomed_pairs(quotient, weak.lo, weak.hi, num_blocks)
+        note_prune(prune_stats)
+        queue.keep(lambda rows, cols: ~doomed[rows, cols])
+
+    size = 1
+    limit = merge_batch_limit(num_blocks)
+    while queue.more():
+        chosen = close(size)
+        if chosen is not None:
+            return (chosen, improving)
+        size = min(2 * size, limit)
     return (None, improving)
-
-
-def _scan_level_dense(
-    quotient: np.ndarray,
-    base_labels: np.ndarray,
-    weak_a: np.ndarray,
-    weak_b: np.ndarray,
-    num_blocks: int,
-    first_mode: bool,
-    measure,
-    engine: DoomedPairEngine,
-    note_prune: Callable[[PruneStats], None],
-) -> Tuple[Optional[Partition], List[Partition]]:
-    """Scan one small lattice level with the materialised pair arrays.
-
-    This is the previous engine's level scan — optimistic lexicographic
-    evaluation, then a bulk prune and a vectorised survivor sweep — with
-    one addition: when the descent's :class:`DoomedPairEngine` already
-    carries a pruned level (the sparse levels above this one), the prune
-    continues that engine downwards, so the mapped seed is re-verified
-    in a round or two instead of re-deriving the dense ``(B, B)``
-    boolean fixpoint from scratch.  Unseeded descents (small tops that
-    never ran a sparse level) keep the dense :func:`_doomed_pairs` path
-    of the previous engine unchanged.
-    """
-    pair_rows, pair_cols = condensed_indices(num_blocks)
-    num_pairs = pair_rows.size
-    chosen: Optional[Partition] = None
-    improving: List[Partition] = []
-    seen: set = set()
-
-    merge_seed = np.arange(num_blocks, dtype=np.int64)
-    weak_pair = (weak_a, weak_b)
-
-    def evaluate(index: int) -> bool:
-        """Close pair ``index``; True iff it qualifies (covers all weakest).
-
-        The closure aborts (returning ``None``) the moment it merges a
-        weakest pair, so rejected candidates cost one or two fixpoint
-        rounds instead of a full closure.
-        """
-        merge_seed[pair_cols[index]] = pair_rows[index]
-        with measure("closure"):
-            closed_blocks = closure_of_labels(
-                quotient, merge_seed, stop_if_merges=weak_pair
-            )
-        merge_seed[pair_cols[index]] = pair_cols[index]
-        if closed_blocks is None:
-            return False
-        candidate = Partition(closed_blocks[base_labels])
-        if first_mode:
-            nonlocal chosen
-            chosen = candidate
-        elif candidate not in seen:
-            seen.add(candidate)
-            improving.append(candidate)
-        return True
-
-    # Optimistic sequential scan; bail into the bulk prune once the
-    # level shows it is failure-dominated.
-    failures = 0
-    index = 0
-    while index < num_pairs and failures < _PRUNE_AFTER_FAILURES:
-        qualified = evaluate(index)
-        if qualified and first_mode:
-            break
-        if not qualified:
-            failures += 1
-        index += 1
-    if chosen is None and index < num_pairs:
-        if engine.seedable:
-            with measure("prune"):
-                doomed_keys = engine.prune(
-                    quotient, weak_a, weak_b, num_blocks, base_labels=base_labels
-                )
-            note_prune(engine.last_stats)
-            alive = ~sorted_key_membership(
-                doomed_keys, pair_rows[index:], pair_cols[index:], num_blocks
-            )
-        else:
-            with measure("prune"):
-                doomed, prune_stats = _doomed_pairs(
-                    quotient, weak_a, weak_b, num_blocks
-                )
-            note_prune(prune_stats)
-            alive = ~doomed[pair_rows[index:], pair_cols[index:]]
-        remaining = index + np.nonzero(alive)[0]
-        for survivor in remaining.tolist():
-            if evaluate(survivor) and first_mode:
-                break
-    return (chosen, improving)
 
 
 def _descend(
@@ -557,8 +447,8 @@ def _descend(
     evaluated in three stages:
 
     1. the weakest edges are projected into the quotient's block space
-       (one fancy-indexing pass);
-    2. pairs are scanned optimistically in lexicographic order — on
+       and deduplicated into :class:`repro.core.partition.WeakPairs`;
+    2. pairs are closed optimistically in lexicographic order — on
        workloads where an early candidate qualifies (the counter
        families) this is all that ever runs;
     3. after :data:`_PRUNE_AFTER_FAILURES` rejected candidates the
@@ -566,11 +456,8 @@ def _descend(
        closure provably re-merges a weakest edge, and only the survivors
        are closed and checked.
 
-    Levels with at most :data:`DESCENT_SPARSE_CUTOFF` blocks run the
-    stages on materialised pair arrays and the dense fixpoint
-    (:func:`_scan_level_dense`); larger levels run the identical
-    candidate order through lazy enumeration, the sparse fixpoint and
-    batched closures (:func:`_scan_level_sparse`).
+    :func:`_scan_level` runs the stages, feeding the batched closure
+    kernel in geometric chunks.
 
     The default ``"first"`` strategy stops at the first qualifying
     candidate — the paper's nondeterministic ``∃F ∈ C`` choice resolved
@@ -632,22 +519,15 @@ def _descend(
             break
         quotient = quotient_table(top, current)
         base_labels = current.labels
-        num_blocks = current.num_blocks
-        # Weakest edges in the quotient's block space.  The current
-        # partition always separates them (level 0 is the identity and
-        # every chosen candidate separates them by construction).
-        weak_a = base_labels[weak_rows]
-        weak_b = base_labels[weak_cols]
-        if num_blocks > DESCENT_SPARSE_CUTOFF:
-            chosen, improving = _scan_level_sparse(
-                quotient, base_labels, weak_a, weak_b, num_blocks,
-                first_mode, measure, engine, note_prune,
-            )
-        else:
-            chosen, improving = _scan_level_dense(
-                quotient, base_labels, weak_a, weak_b, num_blocks,
-                first_mode, measure, engine, note_prune,
-            )
+        # Weakest edges in the quotient's block space, deduplicated once
+        # per level.  The current partition always separates them (level
+        # 0 is the identity and every chosen candidate separates them by
+        # construction).
+        weak = WeakPairs(base_labels[weak_rows], base_labels[weak_cols], current.num_blocks)
+        chosen, improving = _scan_level(
+            quotient, base_labels, weak, current.num_blocks,
+            first_mode, measure, engine, note_prune,
+        )
         if chosen is None and improving:
             chosen = strategy(graph, improving)
         if chosen is None:

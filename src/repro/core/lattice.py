@@ -16,8 +16,7 @@ materialised in full.  This module provides:
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -25,10 +24,9 @@ from .dfsm import DFSM
 from .exceptions import PartitionError
 from .partition import (
     Partition,
-    closed_coarsening,
+    close_merges,
     is_closed_partition,
     machine_from_partition,
-    merge_blocks_and_close,
     quotient_table,
 )
 from .types import StateLabel
@@ -69,9 +67,10 @@ def lower_cover(machine: DFSM, partition: Optional[Partition] = None) -> List[Pa
     """Lower cover of a closed partition of ``machine`` (Definition 2).
 
     For every pair of blocks of ``partition``, the two blocks are merged
-    and the largest closed partition below the merge is computed
-    (:func:`closed_coarsening`); the maximal elements among the results
-    that are strictly below ``partition`` form the lower cover.
+    and the largest closed partition below the merge is computed (all
+    pairs in one :func:`repro.core.partition.close_merges` call); the
+    maximal elements among the results that are strictly below
+    ``partition`` form the lower cover.
 
     Parameters
     ----------
@@ -102,22 +101,15 @@ def lower_cover(machine: DFSM, partition: Optional[Partition] = None) -> List[Pa
     # Work on the quotient machine: merging two blocks of a closed
     # partition and closing is equivalent to merging the corresponding
     # quotient states and closing there, then pulling the result back.
-    # Distinct block pairs routinely close to the same partition, so
-    # candidates are deduplicated as they appear: the retained list grows
-    # with the number of *distinct* closures instead of holding all
-    # O(B^2) pullbacks (each of which is a full n-element vector) at
-    # once.  First-appearance order is preserved, so the result is
-    # unchanged.
+    # One kernel call closes every block pair; distinct pairs routinely
+    # close to the same partition, so candidates are deduplicated in
+    # first-appearance order before any pullback is kept.
     quotient = quotient_table(machine, partition)
+    rows, cols = np.triu_indices(partition.num_blocks, k=1)
+    _, closed = close_merges(quotient, rows, cols)
+    _, first = np.unique(closed, axis=0, return_index=True)
     base_labels = partition.labels
-    candidates: List[Partition] = []
-    seen: Set[Partition] = set()
-    for block_a, block_b in combinations(range(partition.num_blocks), 2):
-        closed_blocks = merge_blocks_and_close(quotient, block_a, block_b)
-        candidate = Partition(closed_blocks[base_labels])
-        if candidate not in seen:
-            seen.add(candidate)
-            candidates.append(candidate)
+    candidates = [Partition(closed[index][base_labels]) for index in np.sort(first)]
     return _maximal_partitions(candidates)
 
 

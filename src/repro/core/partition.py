@@ -36,7 +36,10 @@ from .types import StateLabel
 __all__ = [
     "Partition",
     "closed_coarsening",
+    "close_merges",
     "closure_of_labels",
+    "merge_batch_limit",
+    "WeakPairs",
     "quotient_table",
     "merge_blocks_and_close",
     "is_closed_partition",
@@ -272,55 +275,22 @@ class Partition:
     def meet(self, other: "Partition") -> "Partition":
         """Greatest lower bound: finest partition coarser than both.
 
-        Computed as the connected components of the union of the two
-        equivalence relations, by alternating group-minimum smoothing:
-        every element repeatedly takes the smallest component id seen in
-        its block under either operand until a fixpoint.  The fixpoint is
-        constant on each block of both operands, hence on every connected
-        component, so it equals the classical union-find answer.  Again
-        closed for closed operands.
-
-        Minimum ids travel one block-hop per sweep, so chain-structured
-        overlaps could need O(n) sweeps; after a bounded number of sweeps
-        the remaining components are finished off with scalar union-find,
-        keeping the worst case near-linear while the common case stays a
-        few vectorised passes.
+        The connected components of the union of the two equivalence
+        relations: every element is paired with the first member of its
+        block under each operand, and the pairs are unioned by the
+        closure kernel's vectorised components pass (min-label hooking
+        plus pointer jumping), so chain-shaped overlaps cost a few
+        rounds, not one sweep per link.  Again closed for closed
+        operands.
         """
         self._check_compatible(other)
         n = self.num_elements
-        max_sweeps = 16
-        component = np.arange(n, dtype=np.int64)
-        for _ in range(max_sweeps):
-            changed = False
-            for partition in (self, other):
-                labels = partition._labels
-                mins = np.full(partition._num_blocks, n, dtype=np.int64)
-                np.minimum.at(mins, labels, component)
-                smoothed = mins[labels]
-                if not np.array_equal(smoothed, component):
-                    component = smoothed
-                    changed = True
-            if not changed:
-                return Partition(component)
-        # Deep chain: fall back to scalar union-find (near-linear, exact).
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for labels in (self._labels, other._labels):
-            first_of_block: Dict[int, int] = {}
-            for element, label in enumerate(labels.tolist()):
-                if label in first_of_block:
-                    ra, rb = find(first_of_block[label]), find(element)
-                    if ra != rb:
-                        parent[rb] = ra
-                else:
-                    first_of_block[label] = element
-        return Partition([find(i) for i in range(n)])
+        elements = np.arange(n, dtype=np.int64)
+        heads = np.concatenate(
+            [_first_of_each_block(p._labels)[p._labels] for p in (self, other)]
+        )
+        _union_pairs(elements, np.concatenate((elements, elements)), heads)
+        return Partition(elements)
 
     def merge_elements(self, a: int, b: int) -> "Partition":
         """Return the partition obtained by merging the blocks of ``a`` and ``b``."""
@@ -355,62 +325,223 @@ def is_closed_partition(machine: DFSM, partition: Partition) -> bool:
     return bool(np.array_equal(successors[first][labels], successors))
 
 
-#: Below this many table cells the scalar worklist closure beats the
-#: vectorised fixpoint (NumPy per-call overhead dominates tiny inputs).
-_SCALAR_CLOSURE_CUTOFF = 96
+#: Cells (candidates x blocks) of one kernel pass: the ``(k, B)`` label
+#: table is the closure's only per-candidate state, so this bounds its
+#: memory (512 KiB of int64) whatever the level size.
+_CLOSURE_CELLS = 1 << 16
 
 
-def _closure_labels_scalar(
-    table: np.ndarray, seed_pairs: Iterable[Tuple[int, int]], n: int
-) -> np.ndarray:
-    """Reference union-find closure (pair propagation on a worklist).
+def merge_batch_limit(num_blocks: int) -> int:
+    """Most candidate merges of a ``num_blocks``-row table closed in one pass."""
+    return max(1, _CLOSURE_CELLS // max(1, int(num_blocks)))
 
-    Implements the classical construction: whenever two states are
-    identified, their successors under every event are identified as
-    well.  Each union retires one equivalence class, so the total work is
-    ``O(n · |events| · alpha)``.  Kept as the small-input fast path and as
-    the reference implementation the property tests compare against.
+
+def _union_pairs(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Union the pairs ``(a[i], b[i])`` into the forest ``parent``, in place.
+
+    ``parent`` maps every element of ``a`` and ``b`` straight to its
+    root, the smallest member of its class.  Vectorised connected
+    components: each round hooks the larger root of every still-split
+    pair onto the smallest root it is paired with (``np.minimum.at``),
+    then pointer jumping repoints the touched elements at their new
+    roots.  Roots only move to smaller ids, so hooking never closes a
+    cycle and every root stays the minimum of its class.  On return the
+    elements of ``a`` and ``b`` (and every hooked root) point at their
+    final root; any other member of a hooked class is one jump away.
     """
-    parent = list(range(n))
+    nodes = np.concatenate((a, b))
+    while True:
+        root_a = parent[a]
+        root_b = parent[b]
+        split = root_a != root_b
+        if not split.any():
+            return
+        a = a[split]
+        b = b[split]
+        root_a = root_a[split]
+        root_b = root_b[split]
+        np.minimum.at(parent, np.maximum(root_a, root_b), np.minimum(root_a, root_b))
+        up = parent[nodes]
+        while True:
+            jumped = parent[up]
+            if np.array_equal(jumped, up):
+                break
+            up = jumped
+        parent[nodes] = up
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    num_events = table.shape[1]
-    worklist: List[Tuple[int, int]] = list(seed_pairs)
-    while worklist:
-        a, b = worklist.pop()
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            continue
-        parent[rb] = ra
-        for ei in range(num_events):
-            worklist.append((int(table[ra, ei]), int(table[rb, ei])))
-    return np.asarray([find(i) for i in range(n)], dtype=np.int64)
+class WeakPairs:
+    """Element pairs a closure must keep apart, indexed by endpoint.
+
+    Algorithm 2 builds one per lattice level from the weakest edges
+    projected into the level's block space.  Many top-state edges
+    project onto one block pair, so the pairs are deduplicated into
+    unique ``(min, max)`` keys (:attr:`lo` / :attr:`hi`); a CSR over both
+    endpoints then lets a closure round check only the pairs incident to
+    the elements it moved.  A pair that is already collapsed
+    (``a == b``) makes every closure fail.
+    """
+
+    __slots__ = ("lo", "hi", "collapsed", "_partners", "_indptr")
+
+    def __init__(self, a: np.ndarray, b: np.ndarray, num_elements: int) -> None:
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        # Sort-based dedup: ``np.unique``'s hash path is far slower on
+        # the ~10^6 distinct keys of a large top level.
+        keys = np.sort(np.minimum(a, b) * num_elements + np.maximum(a, b))
+        distinct = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+        keys = keys[distinct]
+        self.lo = keys // num_elements
+        self.hi = keys % num_elements
+        self.collapsed = bool((self.lo == self.hi).any())
+        # Both orientations of every pair, sorted by endpoint: a plain
+        # sort of packed keys beats an argsort of the endpoints.
+        both = np.sort(np.concatenate((keys, self.hi * num_elements + self.lo)))
+        self._partners = both % num_elements
+        self._indptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(both // num_elements, minlength=num_elements)))
+        )
+
+    def merged_rows(self, flat: np.ndarray, moved: np.ndarray, width: int) -> np.ndarray:
+        """Rows of a flattened ``(k, width)`` label table in which a pair
+        incident to one of the ``moved`` flat positions shares a label
+        (a row may repeat)."""
+        local = moved % width
+        starts = self._indptr[local]
+        counts = self._indptr[local + 1] - starts
+        total = int(counts.sum())
+        if total == 0:
+            return np.empty(0, dtype=np.int64)
+        owner = np.repeat(moved, counts)
+        offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+        partner = self._partners[np.repeat(starts, counts) + offsets]
+        partner += owner - owner % width
+        return owner[flat[owner] == flat[partner]] // width
 
 
-def _merge_label_pairs(labels: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Merge the blocks named by the pairs ``(u[i], v[i])`` of a canonical
-    label vector, returning a new canonical vector."""
-    num_blocks = int(labels.max()) + 1
-    keys = np.unique(u * num_blocks + v)
-    parent = list(range(num_blocks))
+def _close_rows(
+    quotient: np.ndarray,
+    labels: np.ndarray,
+    moved: np.ndarray,
+    weak: Optional[WeakPairs],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Pair closure of every row of a ``(k, B)`` label table at once.
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    ``labels`` names each element by the smallest member of its class;
+    ``moved`` lists the flat positions not at their root.  The invariant
+    is that ``Q[x, e]`` and ``Q[root(x), e]`` share a class for every
+    element ``x`` whose pairs were pushed.  The first round pushes them
+    for every moved element; later rounds push only for the roots the
+    previous round hooked, because every other member of a hooked class
+    already agrees with its old root.  Each round unions its pairs with
+    :func:`_union_pairs` and repoints every member with one gather, so
+    work follows the merges, not the table.
 
-    for key in keys.tolist():
-        ra, rb = find(key // num_blocks), find(key % num_blocks)
-        if ra != rb:
-            parent[rb] = ra
-    roots = np.asarray([find(g) for g in range(num_blocks)], dtype=np.int64)
-    return _canonicalise(roots[labels])
+    With ``weak``, a row drops out the round it merges one of those
+    pairs (merges only accumulate, so its finished closure would merge
+    it too).  Returns ``(ok, labels)``; the labels of rows that are not
+    ``ok`` are partial.
+    """
+    num_rows, width = labels.shape
+    offsets = np.arange(num_rows, dtype=np.int64)[:, None] * width
+    flat = (labels + offsets).ravel()
+    ok = np.ones(num_rows, dtype=bool)
+    if weak is not None and weak.collapsed:
+        ok[:] = False
+        return ok, labels
+    pushers = moved
+    while moved.size:
+        if weak is not None:
+            failed = weak.merged_rows(flat, moved, width)
+            if failed.size:
+                ok[failed] = False
+                pushers = pushers[ok[pushers // width]]
+                if not pushers.size:
+                    break
+        base = (pushers - pushers % width)[:, None]
+        pushed_u = (quotient[pushers % width] + base).ravel()
+        pushed_v = (quotient[flat[pushers] % width] + base).ravel()
+        root_u = flat[pushed_u]
+        root_v = flat[pushed_v]
+        split = root_u != root_v
+        if not split.any():
+            break
+        parent = flat.copy()
+        _union_pairs(parent, root_u[split], root_v[split])
+        merged = parent[flat]
+        moved = np.flatnonzero(merged != flat)
+        pushers = moved[flat[moved] == moved]
+        flat = merged
+    return ok, flat.reshape(num_rows, width) - offsets
+
+
+def close_merges(
+    quotient: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    weak: Optional[WeakPairs] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Close the candidate merges ``(rows[i], cols[i])`` of one table together.
+
+    This is Hartmanis & Stearns' pair closure: for each candidate, the
+    finest substitution-property partition of the table's states in
+    which ``rows[i]`` and ``cols[i]`` share a block.  All candidates are
+    closed in one batch (at most :func:`merge_batch_limit` per pass), a
+    ``(k, B)`` label table holding each block's smallest member as its
+    label.
+
+    ``weak`` (optional) names pairs every accepted closure must keep
+    apart.  Returns ``(ok, labels)``: ``ok[i]`` is False exactly when
+    candidate ``i``'s closure merges a ``weak`` pair, and ``labels[i]``
+    is its closed label vector (partial when not ``ok``).  Canonical
+    labels follow with :class:`Partition` (or ``labels[i][base]`` first,
+    to pull a quotient closure back to the top states).
+
+    >>> import numpy as np
+    >>> mod4 = np.array([[1], [2], [3], [0]])  # one event: s -> s + 1 mod 4
+    >>> ok, labels = close_merges(mod4, np.array([0, 0]), np.array([1, 2]))
+    >>> labels.tolist()
+    [[0, 0, 0, 0], [0, 1, 0, 1]]
+    >>> close_merges(mod4, np.array([0, 0]), np.array([1, 2]),
+    ...              WeakPairs(np.array([0]), np.array([1]), 4))[0].tolist()
+    [False, True]
+    """
+    quotient = np.asarray(quotient, dtype=np.int64)
+    width = quotient.shape[0]
+    lo = np.minimum(rows, cols).astype(np.int64)
+    hi = np.maximum(rows, cols).astype(np.int64)
+    ok = np.empty(lo.size, dtype=bool)
+    labels = np.empty((lo.size, width), dtype=np.int64)
+    step = merge_batch_limit(width)
+    for start in range(0, lo.size, step):
+        seeds_lo = lo[start:start + step]
+        seeds_hi = hi[start:start + step]
+        seeded = np.arange(seeds_lo.size, dtype=np.int64)
+        table = np.broadcast_to(np.arange(width, dtype=np.int64), (seeds_lo.size, width)).copy()
+        table[seeded, seeds_hi] = seeds_lo
+        moved = (seeded * width + seeds_hi)[seeds_lo != seeds_hi]
+        ok[start:start + step], labels[start:start + step] = _close_rows(
+            quotient, table, moved, weak
+        )
+    return ok, labels
+
+
+def _smallest_member_labels(labels: np.ndarray) -> np.ndarray:
+    """Label every element by the smallest member of its block."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    return first[inverse.ravel()].astype(np.int64)
+
+
+def _canonical_from_smallest(labels: np.ndarray) -> np.ndarray:
+    """Canonical (first-appearance) labels of a smallest-member vector.
+
+    A block first appears at its smallest member, so block ``r``'s
+    canonical id is the number of roots below ``r``.
+    """
+    roots = labels == np.arange(labels.size)
+    return (np.cumsum(roots) - 1)[labels]
 
 
 def closure_of_labels(
@@ -418,85 +549,40 @@ def closure_of_labels(
     labels: np.ndarray,
     stop_if_merges: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> Optional[np.ndarray]:
-    """Vectorised SP closure: coarsen ``labels`` until it is closed.
-
-    Repeatedly compares, for every event at once, each state's successor
-    block with the successor block of its own block's representative and
-    merges every disagreeing pair of blocks, until no event splits a
-    block.  Each round is a handful of NumPy operations over the whole
-    ``(n, |events|)`` table and every round retires at least one block, so
-    the loop terminates after at most ``n`` rounds (in practice after the
-    propagation depth of the machine, which is small).
+    """SP closure: coarsen ``labels`` until it is closed (one kernel row).
 
     Returns the canonical label vector of the finest closed partition
     coarser than (i.e. below, in the paper's order) ``labels``.
 
-    ``stop_if_merges`` is an optional pair of parallel index arrays; if at
-    any round the evolving partition merges one of those element pairs,
-    ``None`` is returned immediately.  Merges only ever accumulate, so
-    this is exactly "the finished closure would merge them too" — it lets
-    Algorithm 2 abandon doomed merge candidates after the first round
-    that glues a weakest edge together instead of closing them fully.
+    ``stop_if_merges`` is an optional pair of parallel index arrays; if
+    the evolving partition merges one of those element pairs, ``None``
+    is returned as soon as the round that merged it ends.  Merges only
+    ever accumulate, so this is exactly "the finished closure would
+    merge them too".
     """
-    labels = _canonicalise(np.asarray(labels, dtype=np.int64))
-    if stop_if_merges is not None:
-        forbid_a, forbid_b = stop_if_merges
-        if forbid_a.size and (labels[forbid_a] == labels[forbid_b]).any():
-            return None
-    if table.size == 0:
-        return labels
-    while True:
-        successors = labels[table]  # (n, E) successor block per state/event
-        first = _first_of_each_block(labels)
-        reference = successors[first][labels]  # block representative's successors
-        disagree = reference != successors
-        if not disagree.any():
-            return labels
-        labels = _merge_label_pairs(labels, successors[disagree], reference[disagree])
-        if stop_if_merges is not None and forbid_a.size and (
-            labels[forbid_a] == labels[forbid_b]
-        ).any():
-            return None
-
-
-def _closure_labels(
-    table: np.ndarray, seed_pairs: Iterable[Tuple[int, int]], n: int
-) -> np.ndarray:
-    """Smallest SP coarsening of the identity forced by ``seed_pairs``.
-
-    Dispatches between the scalar worklist (tiny tables) and the
-    vectorised fixpoint (everything else); both compute the identical
-    partition, differing only in label numbering, which every caller
-    canonicalises away.
-    """
-    table = np.asarray(table)
-    if table.size <= _SCALAR_CLOSURE_CUTOFF:
-        return _closure_labels_scalar(table, seed_pairs, n)
-    labels = np.arange(n, dtype=np.int64)
-    seeds = np.asarray(list(seed_pairs), dtype=np.int64).reshape(-1, 2)
-    if seeds.size == 0:
-        return labels
-    labels = _merge_label_pairs(labels, seeds[:, 0], seeds[:, 1])
-    return closure_of_labels(table, labels)
+    table = np.asarray(table, dtype=np.int64)
+    smallest = _smallest_member_labels(np.asarray(labels))
+    weak = None if stop_if_merges is None else WeakPairs(*stop_if_merges, smallest.size)
+    moved = np.flatnonzero(smallest != np.arange(smallest.size))
+    ok, closed = _close_rows(table, smallest[None, :], moved, weak)
+    return _canonical_from_smallest(closed[0]) if ok[0] else None
 
 
 def closed_coarsening(machine: DFSM, partition: Partition) -> Partition:
     """Largest closed partition less than or equal to ``partition``.
 
-    Starting from ``partition``, blocks are repeatedly merged whenever an
-    event maps one block into two different blocks, until the result is
-    closed.  This is the operation used to enumerate lower covers
-    (Definition 2) and follows the classical SP-partition construction of
-    Hartmanis & Stearns: the result is the *finest* closed partition that
-    is coarser than (i.e. below, in the paper's order) the input.
+    Starting from ``partition``, blocks are merged whenever an event maps
+    one block into two different blocks, until the result is closed.
+    This is the operation used to enumerate lower covers (Definition 2)
+    and follows the classical SP-partition construction of Hartmanis &
+    Stearns: the result is the *finest* closed partition that is coarser
+    than (i.e. below, in the paper's order) the input.
     """
     if partition.num_elements != machine.num_states:
         raise PartitionError(
             "partition has %d elements but machine %s has %d states"
             % (partition.num_elements, machine.name, machine.num_states)
         )
-    # The input grouping is already an equivalence; the vectorised fixpoint
-    # coarsens it directly until the substitution property holds.
     return Partition(closure_of_labels(machine.transition_table, partition.labels))
 
 
@@ -523,8 +609,7 @@ def merge_blocks_and_close(
     blocks ``block_a`` and ``block_b`` are together.  Pull the result back
     to top states with ``result[partition.labels]``.
     """
-    return _closure_labels(quotient, [(block_a, block_b)], quotient.shape[0])
-
+    return close_merges(quotient, np.array([block_a]), np.array([block_b]))[1][0]
 
 # ----------------------------------------------------------------------
 # Algorithm 1: set representation of a machine A <= T

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, settings
 
 from repro import CrossProduct, FaultGraph, generate_fusion
 from repro.machines import (
@@ -84,3 +85,11 @@ def fig1_fusion_result(fig1_counters):
 def fig2_fusion_result(fig2_machines_pair):
     """Algorithm 2 output for the Figure 2 machines at f=2."""
     return generate_fusion(fig2_machines_pair, f=2)
+
+
+# A heavier hypothesis profile for the closure-oracle CI step
+# (``--hypothesis-profile=oracle``); tests that pin ``max_examples``
+# themselves keep their own count.
+settings.register_profile(
+    "oracle", max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)

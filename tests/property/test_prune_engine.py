@@ -29,6 +29,7 @@ from repro.core.fault_graph import FaultGraph
 from repro.core.fusion import generate_fusion
 from repro.core.partition import (
     Partition,
+    WeakPairs,
     closure_of_labels,
     quotient_table,
 )
@@ -131,6 +132,36 @@ class TestTruncationSoundness:
         assert [tuple(p.labels) for p in truncated.partitions] == [
             tuple(p.labels) for p in reference.partitions
         ]
+
+
+class TestDeduplicatedWeakPairs:
+    @settings(max_examples=50, deadline=None)
+    @given(dfsm_strategy(max_states=6, num_events=2), st.data())
+    def test_prune_of_deduplicated_pairs_is_unchanged(self, machine, data):
+        """The descent feeds the prune one ``(min, max)`` key per block
+        pair (:class:`WeakPairs`); keys and stats match the raw,
+        repeated, either-way-round projection."""
+        n = machine.num_states
+        if n < 2:
+            return
+        state = st.integers(0, n - 1)
+        raw = data.draw(
+            st.lists(st.tuples(state, state).filter(lambda p: p[0] != p[1]), min_size=1, max_size=12)
+        )
+        raw_a = np.asarray([p[0] for p in raw], dtype=np.int64)
+        raw_b = np.asarray([p[1] for p in raw], dtype=np.int64)
+        weak = WeakPairs(raw_a, raw_b, n)
+        assert len(set(zip(weak.lo.tolist(), weak.hi.tolist()))) == weak.lo.size
+        assert set(zip(weak.lo.tolist(), weak.hi.tolist())) == {
+            (min(a, b), max(a, b)) for a, b in raw
+        }
+        quotient = quotient_table(machine, Partition.identity(n))
+        raw_engine, dedup_engine = DoomedPairEngine(), DoomedPairEngine()
+        assert np.array_equal(
+            raw_engine.prune(quotient, raw_a, raw_b, n),
+            dedup_engine.prune(quotient, weak.lo, weak.hi, n),
+        )
+        assert raw_engine.last_stats == dedup_engine.last_stats
 
 
 class TestIncrementalSeeding:

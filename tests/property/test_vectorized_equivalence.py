@@ -26,7 +26,6 @@ from repro import CrossProduct, FaultGraph, Partition, generate_fusion
 from repro.core.fault_graph import condensed_indices, separation_matrix
 from repro.core.fusion import _doomed_pairs
 from repro.core.partition import (
-    _closure_labels_scalar,
     closed_coarsening,
     closure_of_labels,
     is_closed_partition,
@@ -41,6 +40,7 @@ from repro.core.sparse import (
 )
 
 from .strategies import dfsm_strategy, machine_set_strategy, partition_strategy
+from .test_closure_oracle import is_closed_oracle, pair_closure_oracle, seed_pairs_of
 
 
 # ----------------------------------------------------------------------
@@ -144,23 +144,28 @@ class TestPartitionOperations:
         # Definitional sanity: the meet is below both operands.
         assert meet <= first and meet <= second
 
+    def test_meet_of_a_deep_chain_matches_reference(self):
+        """Blocks {0,1},{2,3},.. against {1,2},{3,4},..: one component,
+        reached only through a chain of n overlaps."""
+        n = 2001
+        first = Partition(np.arange(n) // 2)
+        second = Partition((np.arange(n) + 1) // 2)
+        meet = first.meet(second)
+        assert meet == Partition.single_block(n)
+        assert meet == ref_meet(first, second)
+        shifted = Partition(np.arange(n) // 3)
+        assert first.meet(shifted) == ref_meet(first, shifted)
+
     @given(machine_partition_strategy())
     def test_closure_matches_scalar_reference(self, pair):
         machine, partition = pair
         table = machine.transition_table
-        n = machine.num_states
-        seeds = []
-        firsts = {}
-        for element, label in enumerate(partition.labels.tolist()):
-            if label in firsts:
-                seeds.append((firsts[label], element))
-            else:
-                firsts[label] = element
-        reference = Partition(_closure_labels_scalar(table, seeds, n))
+        reference = pair_closure_oracle(table, seed_pairs_of(partition), machine.num_states)
         fast = Partition(closure_of_labels(table, partition.labels))
         assert fast == reference
         assert fast == closed_coarsening(machine, partition)
         assert is_closed_partition(machine, fast)
+        assert is_closed_oracle(table, fast.labels)
 
 
 # ----------------------------------------------------------------------
