@@ -519,7 +519,7 @@ def close_merges(
         seeds_lo = lo[start:start + step]
         seeds_hi = hi[start:start + step]
         seeded = np.arange(seeds_lo.size, dtype=np.int64)
-        table = np.broadcast_to(np.arange(width, dtype=np.int64), (seeds_lo.size, width)).copy()
+        table = np.tile(np.arange(width, dtype=np.int64), (seeds_lo.size, 1))
         table[seeded, seeds_hi] = seeds_lo
         moved = (seeded * width + seeds_hi)[seeds_lo != seeds_hi]
         ok[start:start + step], labels[start:start + step] = _close_rows(
