@@ -71,6 +71,7 @@ from .fault_tolerance import required_dmin
 from .partition import (
     Partition,
     WeakPairs,
+    _first_of_each_block,
     close_merges,
     machine_from_partition,
     merge_batch_limit,
@@ -480,7 +481,11 @@ def _descend(
     merely prunes less on its first level, it can never change which
     candidate is chosen.
     """
-    weak_rows, weak_cols = graph.weakest_edge_arrays()
+    # The weakest edges as pairs of the previous level's blocks (of top
+    # states before the first level): each level projects the previous
+    # level's distinct pairs, not every top-state edge again.
+    weak_a, weak_b = graph.weakest_edge_arrays()
+    previous: Optional[np.ndarray] = None
     if resume is not None:
         level, labels = resume
         current = Partition(np.asarray(labels))
@@ -523,7 +528,12 @@ def _descend(
         # per level.  The current partition always separates them (level
         # 0 is the identity and every chosen candidate separates them by
         # construction).
-        weak = WeakPairs(base_labels[weak_rows], base_labels[weak_cols], current.num_blocks)
+        to_block = (
+            base_labels if previous is None
+            else base_labels[_first_of_each_block(previous)]
+        )
+        weak = WeakPairs(to_block[weak_a], to_block[weak_b], current.num_blocks)
+        weak_a, weak_b, previous = weak.lo, weak.hi, base_labels
         chosen, improving = _scan_level(
             quotient, base_labels, weak, current.num_blocks,
             first_mode, measure, engine, note_prune,
