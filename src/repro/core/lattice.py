@@ -27,6 +27,7 @@ from .partition import (
     close_merges,
     is_closed_partition,
     machine_from_partition,
+    merge_batch_limit,
     quotient_table,
 )
 from .types import StateLabel
@@ -67,10 +68,10 @@ def lower_cover(machine: DFSM, partition: Optional[Partition] = None) -> List[Pa
     """Lower cover of a closed partition of ``machine`` (Definition 2).
 
     For every pair of blocks of ``partition``, the two blocks are merged
-    and the largest closed partition below the merge is computed (all
-    pairs in one :func:`repro.core.partition.close_merges` call); the
-    maximal elements among the results that are strictly below
-    ``partition`` form the lower cover.
+    and the largest closed partition below the merge is computed (by
+    batched :func:`repro.core.partition.close_merges` calls, one per
+    full batch of pairs); the maximal elements among the results that
+    are strictly below ``partition`` form the lower cover.
 
     Parameters
     ----------
@@ -101,15 +102,24 @@ def lower_cover(machine: DFSM, partition: Optional[Partition] = None) -> List[Pa
     # Work on the quotient machine: merging two blocks of a closed
     # partition and closing is equivalent to merging the corresponding
     # quotient states and closing there, then pulling the result back.
-    # One kernel call closes every block pair; distinct pairs routinely
-    # close to the same partition, so candidates are deduplicated in
+    # Kernel calls close the block pairs a full batch at a time, so the
+    # ``(pairs, B)`` label table never outgrows one batch.  Distinct pairs
+    # routinely close to the same partition (a closure's smallest-member
+    # labels identify it), so candidates are deduplicated in
     # first-appearance order before any pullback is kept.
     quotient = quotient_table(machine, partition)
     rows, cols = np.triu_indices(partition.num_blocks, k=1)
-    _, closed = close_merges(quotient, rows, cols)
-    _, first = np.unique(closed, axis=0, return_index=True)
+    step = merge_batch_limit(partition.num_blocks)
     base_labels = partition.labels
-    candidates = [Partition(closed[index][base_labels]) for index in np.sort(first)]
+    candidates: List[Partition] = []
+    seen: Set[bytes] = set()
+    for start in range(0, rows.size, step):
+        _, closed = close_merges(quotient, rows[start:start + step], cols[start:start + step])
+        for labels in closed:
+            key = labels.tobytes()
+            if key not in seen:
+                seen.add(key)
+                candidates.append(Partition(labels[base_labels]))
     return _maximal_partitions(candidates)
 
 
