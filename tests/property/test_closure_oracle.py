@@ -40,8 +40,7 @@ import repro.core.fusion as fusion_module
 import repro.core.partition as partition_module
 from repro import Partition, closed_coarsening, generate_fusion
 from repro.core.partition import WeakPairs, close_merges, closure_of_labels
-from repro.machines import mesi, mod_counter, parity_checker, tcp_simplified
-
+from ..integration.test_partition_hashes import CASES
 from .strategies import dfsm_strategy, partition_strategy
 
 ORACLE = settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -195,31 +194,12 @@ class TestHypothesisMachines:
 # ----------------------------------------------------------------------
 # Every lattice level of real descents
 # ----------------------------------------------------------------------
-ZOO_EVENTS = ("a", "b", "c")
-
-
-def _zoo():
-    return [
-        tcp_simplified(events=ZOO_EVENTS),
-        mesi(events=ZOO_EVENTS),
-        parity_checker("a", events=ZOO_EVENTS, name="parity-a"),
-        mod_counter(3, count_event="b", events=ZOO_EVENTS, name="count-b"),
-    ]
-
-
-def _counters6():
-    return [
-        mod_counter(3, count_event=e, events=tuple(range(6)), name="c%d" % e)
-        for e in range(6)
-    ]
-
-
 def _descent_levels():
     """(label, quotient, weak a, weak b) of every level the descents visit."""
     levels = []
     scan = fusion_module._scan_level
 
-    for name, build in (("zoo", _zoo), ("counters-6", _counters6)):
+    for name in ("zoo", "counters-6"):
         for f in (1, 2, 3):
 
             def recording(quotient, base_labels, weak, num_blocks, *args, _tag=(name, f)):
@@ -230,7 +210,7 @@ def _descent_levels():
                 return scan(quotient, base_labels, weak, num_blocks, *args)
 
             with mock.patch.object(fusion_module, "_scan_level", recording):
-                generate_fusion(build(), f)
+                generate_fusion(CASES[name](), f)
     return levels
 
 
@@ -268,10 +248,10 @@ def test_levels_cover_both_families():
     assert len(LEVELS) >= 12
 
 
-@pytest.mark.parametrize("build", [_zoo, _counters6], ids=["zoo", "counters-6"])
-def test_descent_does_not_depend_on_pass_cuts(build):
+@pytest.mark.parametrize("case", ["zoo", "counters-6"])
+def test_descent_does_not_depend_on_pass_cuts(case):
     """One candidate per kernel pass chooses the same partitions."""
-    reference = generate_fusion(build(), 2).partitions
+    reference = generate_fusion(CASES[case](), 2).partitions
     with mock.patch.object(partition_module, "_CLOSURE_CELLS", 1):
-        cut = generate_fusion(build(), 2).partitions
+        cut = generate_fusion(CASES[case](), 2).partitions
     assert [p.labels.tobytes() for p in cut] == [p.labels.tobytes() for p in reference]
