@@ -15,8 +15,10 @@ trajectory to beat:
 The stage breakdown attributes the fault-graph cost explicitly:
 ``graph_assemble`` is graph construction plus folding in existing
 backups, and ``ledger_build`` is the initial ``dmin`` — i.e. the sparse
-pair-ledger pigeonhole joins (the dominant pre-descent cost at large
-``|top|``), or the condensed-vector min scan on dense cases.
+pair ledger's Hamming ball around each top state (the dominant
+pre-descent cost at large ``|top|``), or the condensed-vector min scan
+on dense cases.  The pigeonhole joins named below built that ledger
+until the ball replaced them; the ledgers are byte-identical.
 
 ``PRE_PR_BASELINE_SECONDS`` pins the wall-clock numbers measured at the
 seed commit (278f16b, pre-vectorisation) on the reference container, and

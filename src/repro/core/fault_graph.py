@@ -25,12 +25,14 @@ vector is ``O(n^2)`` and caps ``|top|`` at a few thousand states, but the
 fusion algorithm only ever consumes the *low-weight* end of the spectrum
 (``dmin`` and the weakest edges).  Sparse mode therefore stores a
 :class:`repro.core.sparse.PairLedger`: exact weights for every pair
-below a cap, found by a recursive pigeonhole join over machine groups
-in ``O(nnz)``, with the cap escalated on the rare occasions a caller
-asks about heavier edges — incrementally, through the chain-shared
-:class:`repro.core.sparse.LedgerBuilder`: only the base machines are
-re-joined (cached per cap) and machines added since are folded back in,
-never a full rebuild.  All answers remain exact —
+below a cap.  A pair's weight over the base machines is the Hamming
+distance between two label tuples, so the ledger is the Hamming ball of
+radius ``cap - 1`` around each state, found by one key lookup per
+shifted label tuple.  The cap is escalated on the rare occasions a
+caller asks about heavier edges — incrementally, through the
+chain-shared :class:`repro.core.sparse.LedgerBuilder`: the ball runs
+over the base machines only (cached per cap) and machines added since
+are folded back in, never a full rebuild.  All answers remain exact —
 the two modes are byte-identical, which
 ``tests/property/test_vectorized_equivalence.py`` checks on random
 machines.
@@ -231,12 +233,12 @@ class FaultGraph:
             raise PartitionError("weight_cap must be at least 1")
         self._ledger: Optional[PairLedger] = _ledger
         if self._sparse:
-            # The builder is the shared join substrate of a whole
+            # The builder is the shared ledger source of a whole
             # ``with_partition`` chain: the *base* machines (this graph's
-            # partitions, for a fresh graph) are joined at most once per
-            # cap, and descendants treat their added backups as fold
+            # partitions, for a fresh graph) get at most one Hamming ball
+            # per cap, and descendants treat their added backups as fold
             # deltas on top (see :meth:`_ensure_ledger`).  Construction
-            # is free — no join runs until a weight query needs one.
+            # is free — no ball runs until a weight query needs one.
             self._builder = (
                 _builder
                 if _builder is not None
@@ -313,7 +315,7 @@ class FaultGraph:
 
         Uses the product's cached component partitions directly, avoiding
         both the lockstep walks of Algorithm 1 and re-canonicalising the
-        projections on every fusion call; a sparse graph's ledger joins
+        projections on every fusion call; a sparse graph's ledger balls
         likewise reuse the product's cached narrow label matrix
         (:meth:`CrossProduct.component_label_matrix`).
         """
@@ -435,29 +437,21 @@ class FaultGraph:
         most ``m`` times, so ``cap == m`` already classifies every pair).
 
         (Re)builds are incremental: the shared :class:`LedgerBuilder`
-        joins only the *base* machines — a cached result after the first
-        time any graph in this ``with_partition`` chain asked for that
-        cap — and the partitions added since (the backups of a running
-        fusion) are folded in with one vectorised pass each.  A pair's
-        total weight is at least its base weight, so the base ledger at
-        ``cap`` contains every pair the folded ledger keeps, and folding
-        is exact: the result is byte-identical to a from-scratch join
-        over all machines (property-tested).
+        runs the Hamming ball over only the *base* machines — a cached
+        result after the first time any graph in this ``with_partition``
+        chain asked for that cap — and the partitions added since (the
+        backups of a running fusion) are folded in with one vectorised
+        pass each.  A pair's total weight is at least its base weight,
+        so the base ledger at ``cap`` contains every pair the folded
+        ledger keeps, and folding is exact: the result is byte-identical
+        to a from-scratch ledger over all machines (property-tested).
         """
         num_machines = self.num_machines
         wanted = max(self._weight_cap, min_cap or 1)
         wanted = min(wanted, num_machines)
         ledger = self._ledger
         if ledger is None or ledger.cap < wanted:
-            if self._builder is not None and 0 < wanted <= self._base_count:
-                ledger = self._builder.ledger(
-                    wanted, self._partitions[self._base_count :]
-                )
-            else:
-                # More exactness wanted than the base machines can
-                # pigeonhole (cap must stay ≤ the join's machine count):
-                # fall back to the full join over every partition.
-                ledger = PairLedger.from_partitions(self._partitions, self._n, wanted)
+            ledger = self._builder.ledger(wanted, self._partitions[self._base_count :])
             self._ledger = ledger
         return ledger
 
@@ -465,10 +459,10 @@ class FaultGraph:
         """Adopt a warm base ledger into the shared builder (sparse mode).
 
         Called by the artifact store before the first weight query so a
-        resumed or warm-cache fusion skips the pigeonhole join for caps
+        resumed or warm-cache fusion skips the Hamming ball for caps
         already on disk.  No-op (False) on dense graphs or mismatched
         ledgers; exactness is unaffected either way — a seeded ledger is
-        byte-identical to the join it replaces.
+        byte-identical to the ball it replaces.
         """
         if not self._sparse or self._builder is None:
             return False

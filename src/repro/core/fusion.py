@@ -265,9 +265,13 @@ def _doomed_pairs(
     which is what turns the per-level scan from thousands of Python
     union-find closures into one NumPy fixpoint.
 
-    This is the dense form, used for levels up to
-    :data:`DESCENT_SPARSE_CUTOFF` blocks; larger levels use the sparse
-    :class:`repro.core.sparse.DoomedPairEngine` fixpoint instead.  The
+    This is the dense form, used for levels of at most
+    :data:`DESCENT_SPARSE_CUTOFF` blocks that the descent's
+    :class:`repro.core.sparse.DoomedPairEngine` cannot seed from a level
+    above.  Larger levels, and every level once the engine is seedable,
+    use the engine.  On the small unseeded levels of the zoo-fleet
+    fusions the engine took about twice the dense fixpoint's prune time
+    for the same doomed set, so the block count selects.  The
     returned :class:`repro.core.sparse.PruneStats` mirrors the sparse
     engine's (``spent`` counts the dense rounds' ``B^2 * E`` sweeps) so
     every level's prune is accounted uniformly.
@@ -579,7 +583,7 @@ def _result_from_store(
     ``None`` on any miss or malformed artifact (which is quarantined) —
     the caller then recomputes and recommits.  The reconstruction is
     cheap: backups are quotients of the warm product, and the fault
-    graph is reassembled lazily (no pair joins run until someone asks
+    graph is reassembled lazily (no ledger is built until someone asks
     for a ``dmin`` the persisted ledgers cannot answer).
     """
     loaded = store.load_result(digest, runkey)
@@ -674,8 +678,8 @@ def generate_fusion(
         (the per-stage breakdown ``benchmarks/bench_perf_regression.py``
         reports).  ``graph_assemble`` covers fault-graph construction
         and folding in existing backups; ``ledger_build`` is the initial
-        ``dmin`` — the sparse pair-ledger join, or the condensed-vector
-        min scan on dense graphs.
+        ``dmin`` — the sparse pair ledger's Hamming ball, or the
+        condensed-vector min scan on dense graphs.
     workers:
         Validated by :func:`resolve_workers` (a negative count or a
         malformed ``REPRO_FUSION_WORKERS`` raises :class:`FusionError`)
@@ -769,7 +773,7 @@ def generate_fusion(
                 max_backups=max_backups,
             )
             # Warm fast path: a finished result for this exact run
-            # reconstructs without a lock or a single join.
+            # reconstructs without a lock or a single ledger build.
             with measure("store_load"):
                 warm = _result_from_store(
                     artifacts, digest, runkey, machines, product, target_dmin
@@ -822,7 +826,7 @@ def generate_fusion(
                 )
             persisted_caps: set = set()
             if artifacts is not None:
-                # Seed the graph's ledger builder before any join runs;
+                # Seed the graph's ledger builder before any ball runs;
                 # a warm cap makes the matching ``dmin`` escalation free.
                 with measure("store_load"):
                     ledgers = artifacts.load_base_ledgers(digest)
@@ -849,7 +853,7 @@ def generate_fusion(
 
             with measure("ledger_build"):
                 # dmin is lazy; computing it here charges the sparse pair
-                # ledger's pigeonhole joins (or the dense condensed-vector
+                # ledger's Hamming ball (or the dense condensed-vector
                 # min) to this stage instead of leaking it into unmeasured
                 # time.  Later escalations and per-backup updates reuse this
                 # build through the graph's LedgerBuilder.

@@ -410,11 +410,10 @@ class CrossProduct:
         """The ``(num_components, |top|)`` canonical partition-label matrix.
 
         Row ``i`` is :meth:`component_partitions`\\ ``[i].labels`` in the
-        narrow index dtype the sparse engine's leaf passes use (``int32``
-        whenever ``|top|`` fits) — exactly the matrix the ledger build
-        publishes over shared memory.  Cached and read-only, so repeated
-        fusion calls over one product (and every cap escalation within a
-        call) share a single conversion.
+        narrow index dtype (``int32`` whenever ``|top|`` fits): the label
+        tuples whose Hamming ball is the sparse ledger.  Cached and
+        read-only, so repeated fusion calls over one product (and every
+        cap escalation within a call) share a single conversion.
         """
         if self._label_matrix is None:
             partitions = self.component_partitions()

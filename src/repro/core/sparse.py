@@ -18,16 +18,15 @@ index/value arrays (CSR/COO style) because the container ships no
 * :func:`coblock_pair_arrays` — the co-block pairs of a partition as COO
   index arrays, ``O(nnz)``;
 * :func:`low_weight_pairs` — every pair separated by fewer than ``cap``
-  machines, found *without* touching the ``O(B^2)`` pair space via a
-  *recursive* pigeonhole join over machine groups: each join whose
-  co-block pair count is still large is refined by a further pigeonhole
-  split of the not-yet-joined machines, so candidate enumeration tracks
-  the genuinely low-weight pair structure instead of the first join's
-  block sizes;
+  machines, found *without* touching the ``O(B^2)`` pair space: a
+  pair's weight is the Hamming distance between two states' label
+  tuples, so the pairs are the Hamming ball of radius ``cap - 1``
+  around each state, found by mixed-radix key shifts and
+  ``searchsorted`` lookups;
 * :class:`LedgerBuilder` — the shared source of base ledgers for a fixed
-  machine list: plans the join into independent leaf tasks, runs them,
-  and caches the result per cap so cap-escalation retries and per-backup
-  rebuilds never re-run a join they already paid for;
+  machine list: runs the ball and caches the result per cap so
+  cap-escalation retries and per-backup rebuilds never re-run a ball
+  they already paid for;
 * :class:`PairLedger` — the sparse fault-graph storage built on top of
   :func:`low_weight_pairs`: exact weights for every pair below a cap,
   with vectorised incremental folds;
@@ -75,7 +74,7 @@ import numpy as np
 
 from .budget import _dedup_sorted, current_governor
 from .exceptions import PartitionError
-from .partition import Partition, _canonicalise, _first_of_each_block
+from .partition import Partition, _first_of_each_block
 from .types import narrow_index_dtype, narrow_key_dtype
 
 __all__ = [
@@ -89,7 +88,6 @@ __all__ = [
     "condensed_indices",
     "doomed_pair_keys",
     "iter_pair_chunks",
-    "join_labels",
     "low_weight_pairs",
 ]
 
@@ -233,26 +231,12 @@ def iter_pair_chunks(
         yield rows, cols
 
 
-def join_labels(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Canonical labels of the join (coarsest common refinement) of two
-    block-label vectors: two elements share a joined block iff they share
-    a block in both operands."""
-    paired = first.astype(np.int64) * (int(second.max()) + 1) + second
-    return _canonicalise(paired)
-
-
-def coblock_pair_arrays(
-    labels: np.ndarray, sort: bool = True
-) -> Tuple[np.ndarray, np.ndarray]:
+def coblock_pair_arrays(labels: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """All pairs ``i < j`` sharing a block of ``labels``, in condensed order.
 
     Memory and time are ``O(nnz)`` where ``nnz = sum_b C(|block_b|, 2)``;
-    nothing proportional to the full pair space is touched.  With
-    ``sort=False`` the pairs come back grouped by block instead of in
-    condensed order (callers that re-sort anyway skip a full argsort).
-    Pairs come back in the narrow index dtype of the state count, so the
-    big candidate enumerations of the ledger leaves move 4-byte lanes
-    end to end instead of converting 8-byte gathers afterwards.
+    nothing proportional to the full pair space is touched.  Pairs come
+    back in the narrow index dtype of the state count.
     """
     labels = np.asarray(labels, dtype=np.int64)
     index_dtype = narrow_index_dtype(labels.size)
@@ -278,123 +262,9 @@ def coblock_pair_arrays(
         return empty, empty
     rows = np.concatenate(rows_parts)
     cols = np.concatenate(cols_parts)
-    if not sort:
-        return rows, cols
     keys = _pair_keys(rows, cols, labels.size, narrow_key_dtype(labels.size))
     sorter = np.argsort(keys, kind="stable")
     return rows[sorter], cols[sorter]
-
-
-def _coblock_pair_estimate(labels: np.ndarray) -> int:
-    """Number of pairs :func:`coblock_pair_arrays` would return, in O(n)."""
-    counts = np.bincount(labels)
-    return int((counts * (counts - 1) // 2).sum())
-
-
-#: Above this many co-block candidate pairs a pigeonhole join is refined
-#: by a further split of the not-yet-joined machines instead of being
-#: enumerated directly.  Each refinement level multiplies the number of
-#: leaf tasks by at most ``cap`` while shrinking every leaf's candidate
-#: set, so the constant trades duplicate-candidate overlap (small leaves)
-#: against wasted weight passes over doomed candidates (big leaves);
-#: ``2^22`` pairs ≈ 50 MB of transient int32 leaf state.
-_LEAF_PAIR_TARGET = 1 << 22
-
-#: Leaf index/weight dtypes: pair indices fit ``int32`` whenever the
-#: state count does (always, in practice; the shared rule is
-#: :func:`repro.core.types.narrow_index_dtype`), and weights are bounded
-#: by the machine count.  Both halve the memory traffic of the candidate
-#: passes.  Since PR 5 the narrow dtypes flow through to the public
-#: arrays too (``low_weight_pairs``/``PairLedger`` rows and cols are
-#: ``int32`` below the threshold) — weights stay ``int64`` there.
-_LEAF_WEIGHT_DTYPE = np.int16
-_index_dtype = narrow_index_dtype
-
-def _plan_leaf_tasks(
-    label_list: Sequence[np.ndarray],
-    cap: int,
-    budget: int,
-    leaf_target: Optional[int] = None,
-) -> List[Tuple[Tuple[int, ...], Tuple[int, ...], np.ndarray, int, Tuple[Tuple[int, ...], ...]]]:
-    """Split the pigeonhole join into independent leaf tasks.
-
-    Each task is ``(context_ids, remaining_ids, joined, estimate,
-    excluded_groups)``: candidates are the co-block pairs of ``joined``
-    — the join of the *context* machines, computed here while sizing
-    the node (the size, ``estimate``, is the leaf's candidate count) —
-    and their exact weights come from folding the *remaining* machines.
-    A pair separated by fewer than ``cap`` machines agrees with every
-    machine of at least one of ``cap`` disjoint groups (pigeonhole);
-    while a group join's candidate estimate exceeds ``leaf_target`` and
-    at least ``cap`` machines remain unjoined, the same argument splits
-    the remainder again — the pair must also agree with one of ``cap``
-    subgroups of the remaining machines — so blocks shrink geometrically
-    until enumeration is cheap.
-
-    ``excluded_groups`` makes the leaves *disjoint*: at every split, a
-    qualifying pair belongs to the first group it fully agrees with, so
-    each child carries its earlier siblings as exclusions and drops any
-    candidate with zero separations inside one of them (such a pair is
-    emitted — exactly once — under that earlier sibling instead).
-    Every pair below the cap is still found (pigeonhole gives it *some*
-    zero-separation group at every split, and the first one keeps it),
-    so the merged output set is exactly the PR 3 behaviour — but the
-    merge no longer sees each pair once per group that happens to
-    co-block it, which was a ~3x duplication factor (90M -> 31M keys)
-    on `mesi+counters-10`'s ledger build.
-
-    Tasks are returned in deterministic (depth-first, round-robin)
-    order and are independent: their merged output does not depend on
-    the order they run in.
-
-    Raises :class:`CandidateBudgetError` when a leaf that can no longer
-    be split (fewer than ``cap`` machines remain) still exceeds
-    ``budget``.
-    """
-    if leaf_target is None:
-        # Resolved at call time so tests can patch the module constant
-        # down and force deep recursion on small machines.
-        leaf_target = _LEAF_PAIR_TARGET
-    tasks: List[
-        Tuple[Tuple[int, ...], Tuple[int, ...], np.ndarray, int, Tuple[Tuple[int, ...], ...]]
-    ] = []
-
-    def expand(
-        context_ids: Tuple[int, ...],
-        joined: Optional[np.ndarray],
-        remaining_ids: Tuple[int, ...],
-        excluded: Tuple[Tuple[int, ...], ...],
-    ) -> None:
-        estimate = _coblock_pair_estimate(joined) if joined is not None else None
-        if len(remaining_ids) >= cap and (estimate is None or estimate > leaf_target):
-            for group_index in range(cap):
-                members = remaining_ids[group_index::cap]  # round-robin split
-                others = tuple(
-                    mi for k, mi in enumerate(remaining_ids) if k % cap != group_index
-                )
-                earlier = tuple(
-                    remaining_ids[k::cap] for k in range(group_index)
-                )
-                sub_joined = joined
-                for machine_index in members:
-                    labels = label_list[machine_index]
-                    sub_joined = (
-                        labels if sub_joined is None else join_labels(sub_joined, labels)
-                    )
-                expand(context_ids + members, sub_joined, others, excluded + earlier)
-            return
-        # A leaf always has a context: the top-level call (joined=None)
-        # can split, because cap <= number of machines.
-        if estimate > budget:
-            raise CandidateBudgetError(
-                "sparse enumeration would materialise %d candidate pairs "
-                "(budget %d); the machine set is not sparse at cap=%d"
-                % (estimate, budget, cap)
-            )
-        tasks.append((context_ids, remaining_ids, joined, estimate, excluded))
-
-    expand((), None, tuple(range(len(label_list))), ())
-    return tasks
 
 
 def _weight_bits(cap: int) -> int:
@@ -425,100 +295,148 @@ def _packed_dtype(num_states: int, cap: int) -> type:
     return np.int64
 
 
-def _leaf_pairs(
-    label_list: Sequence[np.ndarray],
-    num_states: int,
-    cap: int,
-    context_ids: Sequence[int],
-    remaining_ids: Sequence[int],
-    joined: np.ndarray,
-    excluded: Sequence[Tuple[int, ...]] = (),
-) -> np.ndarray:
-    """Run one planned leaf: enumerate, weigh, filter.
+def _ball_parts(
+    label_rows: Sequence[np.ndarray], num_states: int, cap: int, budget: int
+) -> List[np.ndarray]:
+    """Packed entries of every pair at Hamming distance below ``cap``.
 
-    Candidates agree with every context machine by construction, so only
-    the remaining machines can add weight.  Their separations accumulate
-    one vectorised pass at a time, compressing away candidates as soon
-    as they reach the cap (weights only ever grow): on sparse workloads
-    the candidate set collapses after the first few machines, so later
-    passes touch a fraction of it.  Returns the *packed* entries of the
-    surviving pairs — ``(row * num_states + col) << bits | weight`` in
-    :func:`_packed_dtype` — unsorted but duplicate-free (one join's
-    co-block pairs are distinct, and the ``excluded`` sibling groups of
-    the plan make even distinct leaves disjoint).
+    Row ``c`` of ``label_rows`` gives every state's block in machine
+    ``c``, so a state is a tuple of labels and a pair's weight is the
+    Hamming distance between two tuples.  Each state is keyed by the
+    mixed radix of its tuple.  For every coordinate set ``S`` with
+    ``|S| < cap``, shifting each coordinate of ``S`` to every other
+    label yields the keys of all tuples that differ from the state on
+    ``S`` alone; ``searchsorted`` in the sorted state keys keeps those
+    that are states.  The lowest coordinate of ``S`` shifts upward only,
+    so every pair is found from exactly one of its ends and the parts
+    are disjoint.  Pairs of equal tuples (weight 0) are the co-block
+    pairs of the runs of equal keys.
 
-    A pair with zero separations inside an ``excluded`` group belongs to
-    that (earlier) group's subtree and is dropped here.  The masks ride
-    the same per-machine separation passes the weights use: a machine in
-    an excluded group clears the group's zero-separation mask wherever
-    it separates the pair, and context members of an excluded group
-    never separate (candidates agree with the whole context), so a
-    group wholly inside the context excludes every candidate at once.
+    Constant rows separate nothing and are dropped.  The leading rows
+    whose key space fits int64 are keyed; the rest are compared on each
+    hit, so the search is exact for any partitions.
 
-    ``joined`` is the join of the context machines, which the planner
-    computed while sizing the leaf.
+    Raises :class:`CandidateBudgetError`, before enumerating anything,
+    when the lookups plus the pairs inside key runs exceed ``budget``.
+    Returns unsorted parts of packed entries ``(row * num_states + col)
+    << bits | weight`` in :func:`_packed_dtype`, for
+    :func:`_merge_leaf_results`.
     """
+    columns = [row for row in label_rows if row.size and row.max() > 0]
+    radices = [int(row.max()) + 1 for row in columns]
+    strides: List[int] = []
+    space = 1
+    for radix in radices:
+        if space * radix > 1 << 63:
+            break
+        strides.append(space)
+        space *= radix
+    keyed = len(strides)
+    radius = min(cap - 1, keyed)
+
+    keys = np.zeros(num_states, dtype=np.int64)
+    for column, stride in zip(columns, strides):
+        keys += column.astype(np.int64) * stride
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    new_run = np.ones(num_states, dtype=bool)
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new_run[1:])
+    run_keys = np.compress(new_run, sorted_keys)
+    run_start = np.flatnonzero(new_run)
+    run_len = np.diff(np.append(run_start, num_states))
+    repeated = run_keys.size < num_states
+
+    # The candidate count, from the column radices alone: ``tail[d]``
+    # is the number of shift combinations over ``d``-subsets of the
+    # columns after ``c`` (their elementary symmetric sums).
+    candidates = int((run_len * (run_len - 1) // 2).sum())
+    tail = [1] + [0] * radius
+    for c in reversed(range(keyed)):
+        upward = (radices[c] - 1) * num_states - int(columns[c].sum())
+        candidates += upward * sum(tail[:radius])
+        for d in range(radius, 0, -1):
+            tail[d] += tail[d - 1] * (radices[c] - 1)
+    if candidates > budget:
+        raise CandidateBudgetError(
+            "sparse enumeration would look up %d candidate pairs "
+            "(budget %d); the machine set is not sparse at cap=%d"
+            % (candidates, budget, cap)
+        )
+
     packed_dtype = _packed_dtype(num_states, cap)
-    empty = np.empty(0, dtype=packed_dtype)
-    context_set = frozenset(context_ids)
-    remaining_set = frozenset(remaining_ids)
-    # One machine can sit in several excluded groups (an ancestor
-    # split's group and a deeper split's subgroup of it), so each
-    # machine maps to *all* of its groups — dropping to one group would
-    # leave the others' masks uncleared and silently discard pairs.
-    groups_of_machine: Dict[int, List[int]] = {}
-    num_groups = 0
-    for group in excluded:
-        if not any(mi in remaining_set for mi in group):
-            # Every group member is in the context (candidates agree
-            # with all of them), so the whole leaf belongs to the
-            # earlier sibling's subtree.
-            assert all(mi in context_set for mi in group)
-            return empty
-        group_index = num_groups
-        num_groups += 1
-        for mi in group:
-            if mi in remaining_set:
-                groups_of_machine.setdefault(mi, []).append(group_index)
-    rows, cols = coblock_pair_arrays(joined, sort=False)
-    if rows.size == 0:
-        return empty
-    index_dtype = _index_dtype(num_states)
-    rows = rows.astype(index_dtype, copy=False)
-    cols = cols.astype(index_dtype, copy=False)
-    weights = np.zeros(rows.size, dtype=_LEAF_WEIGHT_DTYPE)
-    zero_masks = [np.ones(rows.size, dtype=bool) for _ in range(num_groups)]
-    seen_machines = 0
-    for machine_index in remaining_ids:
-        labels = label_list[machine_index]
-        separated = labels[rows] != labels[cols]
-        weights += separated
-        for group_index in groups_of_machine.get(machine_index, ()):
-            zero_masks[group_index] &= ~separated
-        seen_machines += 1
-        if seen_machines >= cap and rows.size:
-            keep = weights < cap
-            if keep.mean() < 0.75:
-                rows = np.compress(keep, rows)
-                cols = np.compress(keep, cols)
-                weights = np.compress(keep, weights)
-                zero_masks = [np.compress(keep, mask) for mask in zero_masks]
-    keep = weights < cap
-    for mask in zero_masks:
-        # Zero separations inside an earlier sibling group: that
-        # group's subtree emits the pair, not this leaf.
-        keep &= ~mask
-    rows = np.compress(keep, rows)
-    cols = np.compress(keep, cols)
-    weights = np.compress(keep, weights)
-    # No overflow in the narrow case: key << bits | weight is bounded
-    # by num_states**2 << bits, which _packed_dtype already vetted.
-    keys = rows.astype(packed_dtype) * num_states + cols
     bits = _weight_bits(cap)
-    if bits:
-        keys <<= bits
-        keys |= weights.astype(packed_dtype)
-    return keys
+    parts: List[np.ndarray] = []
+
+    def emit(ends: np.ndarray, others: np.ndarray, weight: int) -> None:
+        rows = np.minimum(ends, others)
+        cols = np.maximum(ends, others)
+        weights = np.full(rows.size, weight, dtype=packed_dtype)
+        for column in columns[keyed:]:
+            weights += column[rows] != column[cols]
+        if keyed < len(columns):
+            keep = weights < cap
+            rows, cols, weights = (np.compress(keep, a) for a in (rows, cols, weights))
+        packed = rows.astype(packed_dtype) * num_states + cols
+        packed <<= bits
+        packed |= weights
+        parts.append(packed)
+
+    # The search runs in key order: shifting one coordinate of an
+    # ascending run of keys by a fixed amount keeps it ascending, and
+    # ``searchsorted`` is several times faster on ascending queries.
+    # Each shift is split into its non-wrapping and wrapping halves, so
+    # every query array is a few ascending runs.
+    sorted_columns = [column[order] for column in columns[:keyed]]
+
+    def visit(queries: np.ndarray, ranks: np.ndarray, last: int, depth: int) -> None:
+        if depth:
+            positions = np.searchsorted(run_keys, queries)
+            np.minimum(positions, run_keys.size - 1, out=positions)
+            hit = run_keys[positions] == queries
+            runs = np.compress(hit, positions)
+            found = order[np.compress(hit, ranks)]
+            if repeated:
+                counts = run_len[runs]
+                starts = np.repeat(run_start[runs], counts)
+                firsts = np.repeat(np.cumsum(counts) - counts, counts)
+                offsets = np.arange(starts.size) - firsts
+                emit(np.repeat(found, counts), order[starts + offsets], depth)
+            else:
+                emit(found, order[runs], depth)
+        if depth == radius or not ranks.size:
+            return
+        for c in range(last + 1, keyed):
+            radix, stride = radices[c], strides[c]
+            labels = sorted_columns[c][ranks]
+            shifted_queries: List[np.ndarray] = []
+            shifted_ranks: List[np.ndarray] = []
+            for shift in range(1, radix):
+                wraps = labels >= radix - shift
+                halves = [(~wraps, shift)]
+                if depth:  # the lowest coordinate of a set shifts upward only
+                    halves.append((wraps, shift - radix))
+                for keep, move in halves:
+                    shifted_queries.append(np.compress(keep, queries) + move * stride)
+                    shifted_ranks.append(np.compress(keep, ranks))
+            visit(
+                np.concatenate(shifted_queries),
+                np.concatenate(shifted_ranks),
+                c,
+                depth + 1,
+            )
+
+    if repeated:
+        run_of_state = np.empty(num_states, dtype=np.int64)
+        run_of_state[order] = np.cumsum(new_run) - 1
+        emit(*coblock_pair_arrays(run_of_state), 0)
+    ranks = np.arange(num_states, dtype=narrow_index_dtype(num_states))
+    visit(sorted_keys, ranks, -1, 0)
+    # ``visit`` reaches itself through its closure cell; clearing the
+    # name breaks that cycle, so the search state (and the ``parts``
+    # list, once the caller merged it) is freed by reference counting
+    # instead of waiting for a full garbage collection.
+    del visit
+    return parts
 
 
 def _unpack_merged(
@@ -537,7 +455,7 @@ def _unpack_merged(
     else:
         keys = packed
         weights = np.zeros(packed.size, dtype=np.int64)
-    index_dtype = _index_dtype(num_states)
+    index_dtype = narrow_index_dtype(num_states)
     rows = (keys // num_states).astype(index_dtype)
     cols = (keys - rows.astype(keys.dtype) * num_states).astype(index_dtype)
     return rows, cols, weights
@@ -546,15 +464,15 @@ def _unpack_merged(
 def _merge_leaf_results(
     parts: Sequence[np.ndarray], num_states: int, cap: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dedup packed leaf outputs into sorted condensed-order COO arrays.
+    """Merge packed ledger parts into sorted condensed-order COO arrays.
 
-    Overlapping leaves rediscover the same pair with the same exact
-    weight — i.e. the same packed value — so one sort plus a
-    neighbour-diff dedup produces a deterministic result regardless of
-    which leaf ran where.  (This used to be
-    ``np.unique(keys, return_index=True)`` over separate key/weight
-    arrays; its argsort was 50+ seconds of the 95 s `mesi+counters-10`
-    ledger build.)
+    A pair found twice carries the same exact weight, i.e. the same
+    packed value, so one sort plus a neighbour-diff dedup produces a
+    deterministic result whatever the order of the parts.  (This used
+    to be ``np.unique(keys, return_index=True)`` over separate
+    key/weight arrays; its argsort was 50+ seconds of the 95 s
+    `mesi+counters-10` ledger build.)  Under a resource governor the
+    merge may spill (:func:`_governed_sort_unique`).
     """
     parts = [part for part in parts if part.size]
     if not parts:
@@ -568,10 +486,10 @@ def _merge_leaf_results(
 
 
 def _label_matrix_rows(label_list: Sequence[np.ndarray]) -> List[np.ndarray]:
-    """Per-machine label arrays in the narrow leaf dtype, contiguous."""
+    """Per-machine label arrays in the narrow index dtype, contiguous."""
     if not label_list:
         return []
-    dtype = _index_dtype(label_list[0].size)
+    dtype = narrow_index_dtype(label_list[0].size)
     return [np.ascontiguousarray(labels, dtype=dtype) for labels in label_list]
 
 
@@ -583,25 +501,20 @@ def low_weight_pairs(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every pair whose fault-graph weight is below ``cap``, exactly.
 
-    The weight of a pair is the number of ``partitions`` separating it.
-    A pair separated by fewer than ``cap`` machines must, by pigeonhole,
-    agree with *every* machine of at least one of ``cap`` disjoint
-    machine groups — i.e. lie inside one block of that group's joined
-    partition.  Candidates are enumerated from those joins' co-block
-    pairs (``O(nnz)``), with joins whose candidate count is still large
-    refined recursively by re-splitting the unjoined machines
-    (:func:`_plan_leaf_tasks`), then given exact weights with one
-    vectorised pass per machine and filtered; the full ``O(B^2)`` pair
-    space is never touched.
+    The weight of a pair is the number of ``partitions`` separating it:
+    the Hamming distance between the two states' label tuples.  The
+    pairs are the Hamming ball of radius ``cap - 1`` around each state
+    (:func:`_ball_parts`), found by one key lookup per shifted label
+    tuple; the full ``O(B^2)`` pair space is never touched.
 
     Requires ``1 <= cap <= len(partitions)`` (with ``cap > m`` every pair
     would qualify, which is inherently dense).  Raises
-    :class:`CandidateBudgetError` when an unsplittable leaf's candidate
-    count exceeds ``budget``.
+    :class:`CandidateBudgetError` when the ball's candidate count
+    exceeds ``budget``.
 
     Returns ``(rows, cols, weights)`` sorted in condensed order.
-    :class:`LedgerBuilder` runs the same plan/leaf/merge pipeline and
-    caches its result per cap.
+    :class:`LedgerBuilder` runs the same ball and caches its result per
+    cap.
     """
     num_machines = len(partitions)
     if not 1 <= cap <= num_machines:
@@ -609,19 +522,8 @@ def low_weight_pairs(
             "low_weight_pairs needs 1 <= cap <= num_machines, got cap=%d, m=%d"
             % (cap, num_machines)
         )
-    label_list = _label_matrix_rows([p.labels for p in partitions])
-    return _join_below_cap(label_list, num_states, cap, budget)
-
-
-def _join_below_cap(
-    label_list: Sequence[np.ndarray], num_states: int, cap: int, budget: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Plan the pigeonhole join, run every leaf and merge the parts."""
-    tasks = _plan_leaf_tasks(label_list, cap, budget)
-    parts = [
-        _leaf_pairs(label_list, num_states, cap, context, remaining, joined, excluded)
-        for context, remaining, joined, _estimate, excluded in tasks
-    ]
+    label_rows = _label_matrix_rows([p.labels for p in partitions])
+    parts = _ball_parts(label_rows, num_states, cap, budget)
     return _merge_leaf_results(parts, num_states, cap)
 
 
@@ -629,11 +531,12 @@ class LedgerBuilder:
     """Shared, cached source of base ledgers for a fixed machine list.
 
     The fault graph of a fusion run keeps one builder for the *original*
-    machines (the expensive join substrate) and treats backups as cheap
-    fold deltas on top (:meth:`ledger`): a cap escalation re-joins only
-    the base machines — served from :attr:`_cache` when that cap was
-    already built — instead of re-running the full join over originals
-    plus backups, and a chosen backup never triggers a join at all.
+    machines and treats backups as cheap fold deltas on top
+    (:meth:`ledger`): a cap escalation runs the Hamming ball over the
+    base machines only — served from :attr:`_cache` when that cap was
+    already built — and a chosen backup never triggers a ball at all.
+    Backup columns have many labels, so a ball over them would look up
+    far more shifted keys than the folds cost.
     """
 
     __slots__ = ("_partitions", "_num_states", "_budget", "_cache", "_label_rows")
@@ -662,24 +565,19 @@ class LedgerBuilder:
 
     def base(self, cap: int) -> "PairLedger":
         """The ledger of the base machines at ``cap`` (clamped, cached)."""
-        cap = min(int(cap), len(self._partitions))
-        cached = self._cache.get(cap)
-        if cached is None:
-            cached = self._build(cap)
-            self._cache[cap] = cached
-        return cached
+        return self._ball(min(int(cap), len(self._partitions)))
 
     def seed(self, ledger: "PairLedger") -> bool:
         """Adopt a warm base ledger (e.g. loaded from the artifact store).
 
-        The ledger must describe the same state count and a cap within
-        the machine count; an already-built cap is never overwritten
-        (the cached join is equally exact).  Returns True when adopted.
+        The ledger must describe the same state count and a positive
+        cap; an already-built cap is never overwritten (the cached ball
+        is equally exact).  Returns True when adopted.
         """
         if int(ledger.num_states) != self._num_states:
             return False
         cap = int(ledger.cap)
-        if not 0 < cap <= len(self._partitions) or cap in self._cache:
+        if cap < 1 or cap in self._cache:
             return False
         self._cache[cap] = ledger
         return True
@@ -689,8 +587,16 @@ class LedgerBuilder:
         return dict(self._cache)
 
     def ledger(self, cap: int, extras: Sequence[Partition] = ()) -> "PairLedger":
-        """Base ledger plus one vectorised fold per extra (backup) machine."""
-        built = self.base(cap)
+        """The ledger at ``cap`` of the base machines plus ``extras``.
+
+        The base ball at ``cap``, then one vectorised fold per extra
+        (backup) machine.  A pair's total weight is at least its base
+        weight, so the base ball holds every pair the folds keep and the
+        result equals a ball over all machines.  A cap above the base
+        machine count is not clamped: no base weight reaches it, so the
+        ball holds every pair.
+        """
+        built = self._ball(int(cap))
         for partition in extras:
             built = built.fold(partition.labels)
         return built
@@ -702,11 +608,14 @@ class LedgerBuilder:
             )
         return self._label_rows
 
-    def _build(self, cap: int) -> "PairLedger":
-        rows, cols, weights = _join_below_cap(
-            self._rows(), self._num_states, cap, self._budget
-        )
-        return PairLedger(self._num_states, cap, rows, cols, weights)
+    def _ball(self, cap: int) -> "PairLedger":
+        cached = self._cache.get(cap)
+        if cached is None:
+            parts = _ball_parts(self._rows(), self._num_states, cap, self._budget)
+            rows, cols, weights = _merge_leaf_results(parts, self._num_states, cap)
+            cached = PairLedger(self._num_states, cap, rows, cols, weights)
+            self._cache[cap] = cached
+        return cached
 
 
 class PairLedger:
@@ -717,8 +626,8 @@ class PairLedger:
     least ``cap``.  Folding in another machine can only increase weights,
     so the invariant survives :meth:`fold` (entries reaching the cap are
     dropped); learning about *smaller* caps never happens, and larger
-    caps require a rebuild from the partition list
-    (:meth:`from_partitions`), which the fault graph performs on demand.
+    caps require a new base ball plus folds (:meth:`LedgerBuilder.ledger`),
+    which the fault graph builds on demand.
     """
 
     __slots__ = ("num_states", "cap", "rows", "cols", "weights")
@@ -878,7 +787,7 @@ class ImplicationIndex:
         quotient = np.asarray(quotient)
         blocks = int(quotient.shape[0] if num_blocks is None else num_blocks)
         events = int(quotient.shape[1]) if quotient.ndim == 2 and quotient.size else 0
-        dtype = _index_dtype(blocks + 1)
+        dtype = narrow_index_dtype(blocks + 1)
         self.num_blocks = blocks
         self.num_events = events
         self.order = np.empty((events, blocks), dtype=dtype)
@@ -1050,11 +959,11 @@ class DoomedPairEngine:
     def seedable(self) -> bool:
         """True once a pruned level is remembered for cross-level seeding.
 
-        The descent's small (dense-scan) levels consult this: once the
-        sparse levels above them have paid for the fixpoint, continuing
-        the key-based engine downwards re-verifies the mapped seed in a
-        round or two instead of re-deriving a ``(B, B)`` boolean
-        fixpoint from scratch.
+        The descent consults this on levels of at most
+        ``DESCENT_SPARSE_CUTOFF`` blocks: once a level above has paid
+        for the fixpoint, continuing the key-based engine downwards
+        re-verifies the mapped seed in a round or two instead of
+        re-deriving the dense ``(B, B)`` boolean fixpoint from scratch.
         """
         return self._prev_doomed is not None
 
@@ -1144,7 +1053,7 @@ class DoomedPairEngine:
             return None  # not a coarsening of the remembered level
         if prev_doomed.size == 0:
             return np.empty(0, dtype=key_dtype)
-        block_map = block_map.astype(_index_dtype(num_blocks))
+        block_map = block_map.astype(narrow_index_dtype(num_blocks))
         map_u = block_map[prev_doomed // self._prev_blocks]
         map_v = block_map[prev_doomed % self._prev_blocks]
         lo = np.minimum(map_u, map_v)

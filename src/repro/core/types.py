@@ -30,7 +30,7 @@ def narrow_index_dtype(num_values: int) -> type:
     """The narrowest NumPy integer dtype indexing ``num_values`` items.
 
     One shared policy for every structure that stores state indices or
-    partition labels compactly (the sparse engine's leaf passes, the
+    partition labels compactly (the sparse ledger's Hamming ball, the
     cross product's cached label matrix): ``int32`` whenever the value
     range fits, ``int64`` otherwise.  Keeping the rule here — the bottom
     of the layer map — lets producers and consumers agree without

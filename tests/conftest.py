@@ -87,7 +87,7 @@ def fig2_fusion_result(fig2_machines_pair):
     return generate_fusion(fig2_machines_pair, f=2)
 
 
-# A heavier hypothesis profile for the closure-oracle CI step
+# A heavier hypothesis profile for the "Oracles" CI step
 # (``--hypothesis-profile=oracle``); tests that pin ``max_examples``
 # themselves keep their own count.
 settings.register_profile(

@@ -1,12 +1,13 @@
 """Property tests for the incremental ledger maintenance.
 
-Maintaining the ledger incrementally — the cached base join plus one
+Maintaining the ledger incrementally — the cached base ledger plus one
 fold per backup, which is what ``FaultGraph`` does on cap escalation —
-must equal a from-scratch join over all machines, on random machines;
+must equal a from-scratch ledger over all machines, on random machines;
 and :class:`repro.core.sparse.LedgerBuilder` must serve each cap from
-one join that equals :func:`repro.core.sparse.low_weight_pairs`.  The
-fold of overlapping leaf results — in memory or spilled through the
-resource governor's external merge — must equal the plain set union.
+one Hamming ball that equals :func:`repro.core.sparse.low_weight_pairs`.
+The merge of overlapping packed parts — in memory or spilled through
+the resource governor's external merge — must equal the plain set
+union.
 """
 
 from __future__ import annotations
@@ -59,14 +60,14 @@ MACHINE_SETS = {
 class TestLedgerBuilder:
     @pytest.mark.parametrize("case", sorted(MACHINE_SETS))
     def test_builder_matches_low_weight_pairs_and_caches(self, case):
-        """Each cap is joined once and equals the one-shot entry point."""
+        """Each cap is built once and equals the one-shot entry point."""
         product = CrossProduct(MACHINE_SETS[case]())
         partitions = product.component_partitions()
         builder = LedgerBuilder(partitions, product.num_states)
         for cap in sorted({1, 2, min(3, len(partitions))}):
             rows, cols, weights = low_weight_pairs(partitions, product.num_states, cap)
             built = builder.base(cap)
-            assert builder.base(cap) is built  # cached, not re-joined
+            assert builder.base(cap) is built  # cached, not rebuilt
             assert built.cap == cap
             assert built.rows.dtype == rows.dtype
             assert np.array_equal(built.rows, rows)
@@ -87,7 +88,7 @@ class TestIncrementalLedgerMaintenance:
         )
     )
     def test_base_plus_folds_equals_from_scratch(self, payload):
-        """LedgerBuilder.ledger(cap, extras) == one join over everything."""
+        """LedgerBuilder.ledger(cap, extras) == one ledger over everything."""
         n, base, extras, cap = payload
         cap = min(cap, len(base))
         builder = LedgerBuilder(base, n)
@@ -110,7 +111,7 @@ class TestIncrementalLedgerMaintenance:
     )
     def test_graph_escalation_matches_fresh_graph(self, payload):
         """A with_partition chain that escalates its cap equals a fresh
-        build over all partitions — the per-backup update never re-joins."""
+        build over all partitions — the per-backup update never rebuilds."""
         n, base, extras = payload
         graph = FaultGraph(n, base, mode="sparse", weight_cap=1)
         graph.dmin()  # materialise the cap-1 ledger before the folds
@@ -123,10 +124,10 @@ class TestIncrementalLedgerMaintenance:
         for threshold in range(0, graph.num_machines + 2):
             assert graph.edges_below(threshold) == dense.edges_below(threshold)
 
-    def test_escalation_reuses_cached_base_joins(self, monkeypatch):
+    def test_escalation_reuses_cached_base_ledgers(self, monkeypatch):
         """Cap escalation on a descendant graph consults the shared
-        builder's cache instead of re-running low_weight_pairs over the
-        grown machine list."""
+        builder's cache and runs the ball over the base machines only,
+        never over the grown machine list."""
         import repro.core.sparse as sparse_module
 
         product = CrossProduct(_counters(4))
@@ -138,17 +139,19 @@ class TestIncrementalLedgerMaintenance:
         child = graph.with_partition(partitions[0])
 
         calls = []
-        original = sparse_module._plan_leaf_tasks
+        original = sparse_module._ball_parts
 
-        def counting_plan(label_list, cap, budget, leaf_target=sparse_module._LEAF_PAIR_TARGET):
-            calls.append((len(label_list), cap))
-            return original(label_list, cap, budget, leaf_target)
+        def counting_ball(label_rows, num_states, cap, budget):
+            calls.append((len(label_rows), cap))
+            return original(label_rows, num_states, cap, budget)
 
-        monkeypatch.setattr(sparse_module, "_plan_leaf_tasks", counting_plan)
-        # Force an escalation past the folded ledger's cap: the only join
-        # planned must be over the 4 base machines, never the 5-machine list.
+        monkeypatch.setattr(sparse_module, "_ball_parts", counting_ball)
+        # Force an escalation past the folded ledger's cap: one ball over
+        # the 4 base machines at the new cap, then a cache hit.
         child.edges_below(4)
-        assert calls and all(machine_count == 4 for machine_count, _ in calls)
+        assert calls == [(4, 4)]
+        graph.with_partition(partitions[1]).edges_below(4)
+        assert calls == [(4, 4)]
 
 
 #: State counts whose packed ledger entries ride int32 / int64 at cap 3.

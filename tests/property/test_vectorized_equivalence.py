@@ -17,7 +17,7 @@ the vectorised product exploration and the sparse lattice descent
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.core.fault_graph as fault_graph_module
@@ -232,6 +232,21 @@ class TestDoomedPairsSoundness:
 # ----------------------------------------------------------------------
 # Sparse engine vs the dense engine
 # ----------------------------------------------------------------------
+def _wide_key_partitions():
+    """22 partitions of 8 blocks over 64 states: a 2^66 label-key space.
+
+    State ``8g + k`` carries label ``g`` in every partition except the
+    last ``k``, where it carries ``g + 1``; so states of one group ``g``
+    lie at distance ``|k - k'|`` and the last partition, which no int64
+    key covers, separates the closest of them.
+    """
+    groups, members = np.divmod(np.arange(64), 8)
+    return [
+        Partition(np.where(members > 21 - c, (groups + 1) % 8, groups))
+        for c in range(22)
+    ]
+
+
 class TestSparsePrimitives:
     @given(
         st.integers(min_value=1, max_value=9).flatmap(
@@ -270,6 +285,9 @@ class TestSparsePrimitives:
             )
         )
     )
+    # Repeated label tuples: states 0/1 and 2/3 are weight-0 pairs.
+    @example((6, [Partition([0, 0, 1, 1, 0, 2]), Partition([0, 0, 1, 1, 1, 0])], 2))
+    @example((64, _wide_key_partitions(), 3))
     def test_low_weight_pairs_match_brute_force(self, payload):
         n, partitions, cap = payload
         cap = min(cap, len(partitions))

@@ -78,17 +78,15 @@ class TestPairLedger:
 
 
 # ----------------------------------------------------------------------
-# Disjoint-leaf planning (the excluded-sibling-group rule)
+# The Hamming ball
 # ----------------------------------------------------------------------
-class TestDisjointLeafPlan:
-    """Dense-reference checks of the recursive, exclusion-masked plan.
+class TestHammingBall:
+    """Dense-reference checks of the ledger's Hamming-ball search.
 
-    A tiny leaf target forces deep pigeonhole recursion, where one
-    machine sits in several excluded groups at once (an ancestor split's
-    group and a deeper split's subgroup of it) — the exact shape where a
-    leaf dropping pairs for the wrong sibling silently loses ledger
-    entries.  Every (seed, cap) case is compared against brute-force
-    dense weights.
+    Every (seed, cap) case is compared against brute-force dense
+    weights, and the ball's parts must never find one pair twice: the
+    lowest shifted coordinate moves upward only, so each pair is found
+    from exactly one of its ends.
     """
 
     @staticmethod
@@ -100,15 +98,9 @@ class TestDisjointLeafPlan:
         keep = weights < cap
         return rows[keep], cols[keep], weights[keep]
 
-    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("cap,num_machines", [(2, 4), (2, 6), (3, 9), (4, 12)])
-    @pytest.mark.parametrize("leaf_target", [1, 64])
-    def test_recursive_plan_matches_dense(
-        self, monkeypatch, seed, cap, num_machines, leaf_target
-    ):
-        import repro.core.sparse as sparse_module
-
-        monkeypatch.setattr(sparse_module, "_LEAF_PAIR_TARGET", leaf_target)
+    def test_ball_matches_dense(self, seed, cap, num_machines):
         rng = np.random.default_rng(seed)
         num_states = 48
         partitions = [
@@ -125,28 +117,23 @@ class TestDisjointLeafPlan:
         assert np.array_equal(np.asarray(cols, dtype=np.int64), c_ref)
         assert np.array_equal(np.asarray(weights, dtype=np.int64), w_ref)
 
-    def test_leaves_are_disjoint_under_recursion(self, monkeypatch):
-        """No pair key is emitted by two different leaves of one plan."""
+    def test_ball_emits_each_pair_once(self):
+        """No pair key is emitted twice across the ball's parts."""
         import repro.core.sparse as sparse_module
 
         rng = np.random.default_rng(7)
         num_states, cap = 48, 3
+        # Few labels per machine, so equal tuples (weight-0 runs) occur
+        # beside the shifted lookups.
         partitions = [
-            Partition(rng.integers(0, 3, size=num_states)) for _ in range(9)
+            Partition(rng.integers(0, 2, size=num_states)) for _ in range(5)
         ]
-        label_list = sparse_module._label_matrix_rows(
-            [p.labels for p in partitions]
-        )
-        tasks = sparse_module._plan_leaf_tasks(label_list, cap, 10**9, leaf_target=1)
-        assert any(excluded for *_rest, excluded in tasks)  # recursion engaged
-        parts = [
-            sparse_module._leaf_pairs(
-                label_list, num_states, cap, context, remaining, joined, excluded
-            )
-            for context, remaining, joined, _estimate, excluded in tasks
-        ]
+        label_rows = sparse_module._label_matrix_rows([p.labels for p in partitions])
+        parts = sparse_module._ball_parts(label_rows, num_states, cap, 10**9)
         packed = np.concatenate([part for part in parts if part.size])
         assert np.unique(packed).size == packed.size
+        r_ref, _, _ = self._dense_reference(label_rows, num_states, cap)
+        assert packed.size == r_ref.size
 
 
 # ----------------------------------------------------------------------
