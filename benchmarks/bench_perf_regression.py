@@ -17,8 +17,7 @@ The stage breakdown attributes the fault-graph cost explicitly:
 backups, and ``ledger_build`` is the initial ``dmin`` — i.e. the sparse
 pair ledger's Hamming ball around each top state (the dominant
 pre-descent cost at large ``|top|``), or the condensed-vector min scan
-on dense cases.  The pigeonhole joins named below built that ledger
-until the ball replaced them; the ledgers are byte-identical.
+on dense cases.
 
 ``PRE_PR_BASELINE_SECONDS`` pins the wall-clock numbers measured at the
 seed commit (278f16b, pre-vectorisation) on the reference container, and
@@ -698,10 +697,10 @@ def test_counters10_recursive_join_within_runtime_bound():
 
     PR 2's single-level pigeonhole join could not run this case at all:
     its 3-machine group joins materialise 64.5 M candidate pairs, past
-    the sparse candidate budget.  The recursive refinement splits those
-    groups until each leaf is below the 2^22-pair target, so besides the
-    runtime-study bound this asserts the run stayed sparse and the
-    stored ledger stayed a small fraction of the 1.7 G-pair space.
+    the sparse candidate budget.  The Hamming ball looks up about 6 M
+    shifted keys instead, so besides the runtime-study bound this
+    asserts the run stayed sparse and the stored ledger stayed a small
+    fraction of the 1.7 G-pair space.
     """
     start = time.perf_counter()
     result = generate_fusion(CASES["counters-10 (top=59049)"](), f=1)

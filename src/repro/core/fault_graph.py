@@ -27,12 +27,13 @@ fusion algorithm only ever consumes the *low-weight* end of the spectrum
 :class:`repro.core.sparse.PairLedger`: exact weights for every pair
 below a cap.  A pair's weight over the base machines is the Hamming
 distance between two label tuples, so the ledger is the Hamming ball of
-radius ``cap - 1`` around each state, found by one key lookup per
-shifted label tuple.  The cap is escalated on the rare occasions a
-caller asks about heavier edges — incrementally, through the
-chain-shared :class:`repro.core.sparse.LedgerBuilder`: the ball runs
-over the base machines only (cached per cap) and machines added since
-are folded back in, never a full rebuild.  All answers remain exact —
+radius ``cap - 1`` around each state
+(:func:`repro.core.sparse.low_weight_pairs`).  The cap is escalated on
+the rare occasions a caller asks about heavier edges — incrementally,
+through the chain-shared
+:class:`repro.core.sparse.LedgerBuilder`: the ball runs over the base
+machines only (cached per cap) and machines added since are folded back
+in, never a full rebuild.  All answers remain exact —
 the two modes are byte-identical, which
 ``tests/property/test_vectorized_equivalence.py`` checks on random
 machines.
@@ -445,6 +446,8 @@ class FaultGraph:
         so the base ledger at ``cap`` contains every pair the folded
         ledger keeps, and folding is exact: the result is byte-identical
         to a from-scratch ledger over all machines (property-tested).
+        A cap above the base machine count also takes the pairs every
+        base machine separates, from the co-block pairs of the backups.
         """
         num_machines = self.num_machines
         wanted = max(self._weight_cap, min_cap or 1)

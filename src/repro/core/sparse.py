@@ -1,15 +1,10 @@
 """Sparse pair structures for the fault graph and the lattice descent.
 
-The dense engine of the previous PR stores one integer per unordered
-state pair: a condensed upper-triangular vector for the fault-graph
-weights, full ``(i, j)`` index arrays for pair enumeration, and a boolean
-``(B, B)`` matrix for the doomed-pair pruning fixpoint.  All of those are
-``O(B^2)`` and cap ``|top|`` at a few thousand states (``counters-8``,
-``|top| = 6561``, already needs ~1.6 GB and half a minute).
-
-This module provides the sparse replacements, hand-rolled on plain NumPy
-index/value arrays (CSR/COO style) because the container ships no
-``scipy``:
+The dense engine keeps ``O(B^2)`` arrays per state pair (a condensed
+weight vector, ``(i, j)`` index arrays, a ``(B, B)`` doomed-pair
+matrix), which caps ``|top|`` at a few thousand states.  This module
+provides the sparse replacements on plain NumPy index/value arrays
+(CSR/COO style; the container ships no ``scipy``):
 
 * :func:`condensed_indices` — the shared upper-triangular index arrays of
   the *dense* layout (moved here so every consumer shares one cache);
@@ -21,8 +16,9 @@ index/value arrays (CSR/COO style) because the container ships no
   machines, found *without* touching the ``O(B^2)`` pair space: a
   pair's weight is the Hamming distance between two states' label
   tuples, so the pairs are the Hamming ball of radius ``cap - 1``
-  around each state, found by mixed-radix key shifts and
-  ``searchsorted`` lookups;
+  around each state, found per set of differing coordinates by
+  mixed-radix key shifts and ``searchsorted`` lookups (narrow columns)
+  or by co-block pairs of the remaining coordinates (wide columns);
 * :class:`LedgerBuilder` — the shared source of base ledgers for a fixed
   machine list: runs the ball and caches the result per cap so
   cap-escalation retries and per-backup rebuilds never re-run a ball
@@ -67,6 +63,8 @@ Two cross-cutting implementation rules, established by measurement:
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -114,6 +112,11 @@ _CONDENSED_CACHE_LIMIT = 32
 #: hundred MB of transient memory — far below the dense engine's cost at
 #: the sizes where the sparse path engages.
 DEFAULT_CANDIDATE_BUDGET = 50_000_000
+
+#: Most shifted keys one lookup batch of the Hamming ball holds
+#: (:func:`_ball_parts`), so its transient memory stays bounded at any
+#: state count and radix.
+_QUERY_CHUNK = 1 << 22
 
 
 def condensed_indices(num_states: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -232,11 +235,12 @@ def iter_pair_chunks(
 
 
 def coblock_pair_arrays(labels: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """All pairs ``i < j`` sharing a block of ``labels``, in condensed order.
+    """All pairs ``i < j`` sharing a block of ``labels``, grouped by block.
 
     Memory and time are ``O(nnz)`` where ``nnz = sum_b C(|block_b|, 2)``;
     nothing proportional to the full pair space is touched.  Pairs come
-    back in the narrow index dtype of the state count.
+    back in the narrow index dtype of the state count and are not
+    sorted: every caller merges them into a ledger by one sort anyway.
     """
     labels = np.asarray(labels, dtype=np.int64)
     index_dtype = narrow_index_dtype(labels.size)
@@ -244,27 +248,20 @@ def coblock_pair_arrays(labels: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     # downstream array inherits the 4-byte dtype.
     order = np.argsort(labels, kind="stable").astype(index_dtype)
     sorted_labels = labels[order]
-    boundaries = np.flatnonzero(np.diff(sorted_labels)) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [labels.size]))
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(sorted_labels)) + 1))
+    sizes = np.diff(np.append(starts, labels.size))
     rows_parts: List[np.ndarray] = []
     cols_parts: List[np.ndarray] = []
-    for start, end in zip(starts.tolist(), ends.tolist()):
-        size = end - start
-        if size < 2:
-            continue
-        members = order[start:end]
+    # Blocks of one size share one index pattern: one gather per size.
+    for size in _sort_unique(sizes[sizes > 1]).tolist():
+        members = order[starts[sizes == size][:, None] + np.arange(size)]
         local_rows, local_cols = condensed_indices(size)
-        rows_parts.append(members[local_rows])
-        cols_parts.append(members[local_cols])
+        rows_parts.append(members[:, local_rows].ravel())
+        cols_parts.append(members[:, local_cols].ravel())
     if not rows_parts:
         empty = np.empty(0, dtype=index_dtype)
         return empty, empty
-    rows = np.concatenate(rows_parts)
-    cols = np.concatenate(cols_parts)
-    keys = _pair_keys(rows, cols, labels.size, narrow_key_dtype(labels.size))
-    sorter = np.argsort(keys, kind="stable")
-    return rows[sorter], cols[sorter]
+    return np.concatenate(rows_parts), np.concatenate(cols_parts)
 
 
 def _weight_bits(cap: int) -> int:
@@ -275,15 +272,10 @@ def _weight_bits(cap: int) -> int:
 def _packed_dtype(num_states: int, cap: int) -> type:
     """Dtype of packed ledger entries ``key << _weight_bits(cap) | weight``.
 
-    Exact weights ride *inside* the key (``weight < cap``, so the pack
-    is reversible), which is what lets the merge deduplicate with one
-    plain sort instead of ``np.unique(..., return_index=True)``'s
-    argsort: duplicate pairs carry identical weights, so duplicate
-    packs are identical values.  The weight field is a *power-of-two*
-    slot rather than a ``* cap`` mixed radix so unpacking is shifts and
-    masks — integer division by an arbitrary ``cap`` over a
-    tens-of-millions-entry merge was the single most expensive pass of
-    the big ledger builds.  Narrow (int32) whenever both the key dtype
+    Exact weights ride *inside* the key (``weight < cap``), so duplicate
+    pairs are identical values and the merge deduplicates with one plain
+    sort.  The weight slot is a power of two, so unpacking is shifts and
+    masks, not divisions.  Narrow (int32) whenever both the key dtype
     rule and the packed bound ``num_states**2 << bits`` allow.
     """
     if (
@@ -295,32 +287,86 @@ def _packed_dtype(num_states: int, cap: int) -> type:
     return np.int64
 
 
+def _pack(
+    rows: np.ndarray, cols: np.ndarray, weights: np.ndarray, num_states: int, cap: int
+) -> np.ndarray:
+    """Packed ledger entries ``(row * num_states + col) << bits | weight``."""
+    packed_dtype = _packed_dtype(num_states, cap)
+    packed = rows.astype(packed_dtype) * num_states + cols
+    packed <<= _weight_bits(cap)
+    packed |= weights.astype(packed_dtype, copy=False)
+    return packed
+
+
+def _coblock_count(keys: np.ndarray) -> int:
+    """The number of pairs ``i < j`` with ``keys[i] == keys[j]``."""
+    if keys.size < 2:
+        return 0
+    ordered = np.sort(keys)
+    starts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+    lengths = np.diff(np.concatenate(([0], starts, [keys.size])))
+    return int((lengths * (lengths - 1) // 2).sum())
+
+
+def _refusal(candidates: int, budget: int, cap: int) -> CandidateBudgetError:
+    return CandidateBudgetError(
+        "sparse enumeration would look up %d candidate pairs (budget %d); "
+        "the machine set is not sparse at cap=%d" % (candidates, budget, cap)
+    )
+
+
+def _pack_below(
+    rows: np.ndarray,
+    cols: np.ndarray,
+    columns: Sequence[np.ndarray],
+    weight: int,
+    num_states: int,
+    cap: int,
+) -> np.ndarray:
+    """Packed entries of the pairs that stay below ``cap``.
+
+    Each pair weighs ``weight`` plus the number of ``columns`` separating it.
+    """
+    weights = np.full(rows.size, weight, dtype=_packed_dtype(num_states, cap))
+    for column in columns:
+        weights += column[rows] != column[cols]
+    if len(columns):
+        keep = weights < cap
+        rows, cols, weights = (np.compress(keep, a) for a in (rows, cols, weights))
+    return _pack(rows, cols, weights, num_states, cap)
+
+
 def _ball_parts(
     label_rows: Sequence[np.ndarray], num_states: int, cap: int, budget: int
 ) -> List[np.ndarray]:
     """Packed entries of every pair at Hamming distance below ``cap``.
 
     Row ``c`` of ``label_rows`` gives every state's block in machine
-    ``c``, so a state is a tuple of labels and a pair's weight is the
-    Hamming distance between two tuples.  Each state is keyed by the
-    mixed radix of its tuple.  For every coordinate set ``S`` with
-    ``|S| < cap``, shifting each coordinate of ``S`` to every other
-    label yields the keys of all tuples that differ from the state on
-    ``S`` alone; ``searchsorted`` in the sorted state keys keeps those
-    that are states.  The lowest coordinate of ``S`` shifts upward only,
-    so every pair is found from exactly one of its ends and the parts
-    are disjoint.  Pairs of equal tuples (weight 0) are the co-block
-    pairs of the runs of equal keys.
+    ``c``, so a pair's weight is the Hamming distance between two label
+    tuples.  States are keyed by the mixed radix of their tuples, and
+    the pairs differing on exactly the coordinate set ``S`` are found,
+    for every ``|S| < cap``, by whichever search counts fewer candidates:
 
-    Constant rows separate nothing and are dropped.  The leading rows
-    whose key space fits int64 are keyed; the rest are compared on each
-    hit, so the search is exact for any partitions.
+    * **Lookups**, ``prod(radix - 1)`` per state: shift the coordinates
+      of ``S`` to every other label (the lowest upward only, so each
+      pair is found from one end) and keep the keys ``searchsorted``
+      finds among the states.  Suits narrow columns (full products).
+    * **Co-block pairs**: one scan of the states plus the pairs whose
+      keys agree once ``S`` is left out, kept when they differ on all of
+      ``S``.  Suits wide columns that few reachable tuples fill.  The
+      count has a floor from the number of distinct keys and is only
+      counted exactly (one sort) when that floor is below the lookups.
 
-    Raises :class:`CandidateBudgetError`, before enumerating anything,
-    when the lookups plus the pairs inside key runs exceed ``budget``.
-    Returns unsorted parts of packed entries ``(row * num_states + col)
-    << bits | weight`` in :func:`_packed_dtype`, for
-    :func:`_merge_leaf_results`.
+    Equal tuples (weight 0) are the co-block pairs of equal-key runs,
+    and the parts are disjoint.  A plan that costs at least the pair
+    space scans the pair space in chunks instead, which also stops the
+    planning of caps near the machine count.  Constant rows are dropped;
+    rows past an int64 key are compared on each hit.
+
+    Raises :class:`CandidateBudgetError` before enumerating when the
+    plan exceeds ``budget``; a lookup that hits a run of equal keys
+    yields a pair per run member, and that excess is charged as found.
+    Returns unsorted parts of :func:`_pack` entries.
     """
     columns = [row for row in label_rows if row.size and row.max() > 0]
     radices = [int(row.max()) + 1 for row in columns]
@@ -346,50 +392,74 @@ def _ball_parts(
     run_len = np.diff(np.append(run_start, num_states))
     repeated = run_keys.size < num_states
 
-    # The candidate count, from the column radices alone: ``tail[d]``
-    # is the number of shift combinations over ``d``-subsets of the
-    # columns after ``c`` (their elementary symmetric sums).
-    candidates = int((run_len * (run_len - 1) // 2).sum())
-    tail = [1] + [0] * radius
-    for c in reversed(range(keyed)):
-        upward = (radices[c] - 1) * num_states - int(columns[c].sum())
-        candidates += upward * sum(tail[:radius])
-        for d in range(radius, 0, -1):
-            tail[d] += tail[d - 1] * (radices[c] - 1)
-    if candidates > budget:
-        raise CandidateBudgetError(
-            "sparse enumeration would look up %d candidate pairs "
-            "(budget %d); the machine set is not sparse at cap=%d"
-            % (candidates, budget, cap)
-        )
+    def left_out(subset: Tuple[int, ...]) -> np.ndarray:
+        projected = keys.copy()
+        for c in subset:
+            projected -= columns[c].astype(np.int64) * strides[c]
+        return projected
 
-    packed_dtype = _packed_dtype(num_states, cap)
-    bits = _weight_bits(cap)
+    # The plan, checked against the pair space and the budget up front.
+    pair_space = num_states * (num_states - 1) // 2
+    candidates = int((run_len * (run_len - 1) // 2).sum())
+    upward = [
+        (radices[c] - 1) * num_states - int(columns[c].sum()) for c in range(keyed)
+    ]
+    searched: set = set()
+    grouped: List[Tuple[int, ...]] = []
+    subsets = itertools.chain.from_iterable(
+        itertools.combinations(range(keyed), size) for size in range(1, radius + 1)
+    )
+    for subset in subsets:
+        if candidates >= pair_space:
+            break
+        lookups, span = upward[subset[0]], radices[subset[0]]
+        for c in subset[1:]:
+            lookups *= radices[c] - 1
+            span *= radices[c]
+        # At most ``groups`` distinct keys are left: a co-block floor.
+        groups = min(run_keys.size, space // span)
+        if num_states * (num_states / groups + 1) / 2 < lookups:
+            scan = num_states + _coblock_count(left_out(subset))
+            if scan < lookups:
+                candidates += scan
+                if scan > num_states:
+                    grouped.append(subset)
+                continue
+        candidates += lookups
+        searched.add(subset)
+    if candidates >= pair_space:
+        if pair_space > budget:
+            raise _refusal(pair_space, budget, cap)
+        chunks = iter_pair_chunks(num_states, _QUERY_CHUNK)
+        return [_pack_below(r, c, columns, 0, num_states, cap) for r, c in chunks]
+    if candidates > budget:
+        raise _refusal(candidates, budget, cap)
+    prefixes = {subset[:k] for subset in searched for k in range(1, len(subset))}
+
     parts: List[np.ndarray] = []
 
     def emit(ends: np.ndarray, others: np.ndarray, weight: int) -> None:
-        rows = np.minimum(ends, others)
-        cols = np.maximum(ends, others)
-        weights = np.full(rows.size, weight, dtype=packed_dtype)
-        for column in columns[keyed:]:
-            weights += column[rows] != column[cols]
-        if keyed < len(columns):
-            keep = weights < cap
-            rows, cols, weights = (np.compress(keep, a) for a in (rows, cols, weights))
-        packed = rows.astype(packed_dtype) * num_states + cols
-        packed <<= bits
-        packed |= weights
-        parts.append(packed)
+        rows, cols = np.minimum(ends, others), np.maximum(ends, others)
+        parts.append(_pack_below(rows, cols, columns[keyed:], weight, num_states, cap))
 
-    # The search runs in key order: shifting one coordinate of an
+    for subset in ([()] if repeated else []) + grouped:  # (): equal-key runs
+        rows, cols = coblock_pair_arrays(left_out(subset))
+        differ = np.ones(rows.size, dtype=bool)
+        for c in subset:
+            differ &= columns[c][rows] != columns[c][cols]
+        emit(np.compress(differ, rows), np.compress(differ, cols), len(subset))
+
+    # The lookups run in key order: shifting one coordinate of an
     # ascending run of keys by a fixed amount keeps it ascending, and
     # ``searchsorted`` is several times faster on ascending queries.
     # Each shift is split into its non-wrapping and wrapping halves, so
     # every query array is a few ascending runs.
     sorted_columns = [column[order] for column in columns[:keyed]]
 
-    def visit(queries: np.ndarray, ranks: np.ndarray, last: int, depth: int) -> None:
-        if depth:
+    def visit(queries: np.ndarray, ranks: np.ndarray, subset: Tuple[int, ...]) -> None:
+        nonlocal candidates
+        depth = len(subset)
+        if subset in searched:
             positions = np.searchsorted(run_keys, queries)
             np.minimum(positions, run_keys.size - 1, out=positions)
             hit = run_keys[positions] == queries
@@ -397,6 +467,9 @@ def _ball_parts(
             found = order[np.compress(hit, ranks)]
             if repeated:
                 counts = run_len[runs]
+                candidates += int(counts.sum()) - counts.size
+                if candidates > budget:
+                    raise _refusal(candidates, budget, cap)
                 starts = np.repeat(run_start[runs], counts)
                 firsts = np.repeat(np.cumsum(counts) - counts, counts)
                 offsets = np.arange(starts.size) - firsts
@@ -405,7 +478,10 @@ def _ball_parts(
                 emit(found, order[runs], depth)
         if depth == radius or not ranks.size:
             return
-        for c in range(last + 1, keyed):
+        for c in range(subset[-1] + 1 if depth else 0, keyed):
+            child = subset + (c,)
+            if child not in searched and child not in prefixes:
+                continue
             radix, stride = radices[c], strides[c]
             labels = sorted_columns[c][ranks]
             shifted_queries: List[np.ndarray] = []
@@ -418,23 +494,18 @@ def _ball_parts(
                 for keep, move in halves:
                     shifted_queries.append(np.compress(keep, queries) + move * stride)
                     shifted_ranks.append(np.compress(keep, ranks))
-            visit(
-                np.concatenate(shifted_queries),
-                np.concatenate(shifted_ranks),
-                c,
-                depth + 1,
-            )
+            visit(np.concatenate(shifted_queries), np.concatenate(shifted_ranks), child)
 
-    if repeated:
-        run_of_state = np.empty(num_states, dtype=np.int64)
-        run_of_state[order] = np.cumsum(new_run) - 1
-        emit(*coblock_pair_arrays(run_of_state), 0)
+    # States are searched in slices, so no query array holds more than
+    # ``_QUERY_CHUNK`` shifted keys whatever the radices.
+    per_state = (math.prod(radices[c] - 1 for c in subset) for subset in searched)
+    widest = max(per_state, default=1)
+    step = max(1, _QUERY_CHUNK // widest)
     ranks = np.arange(num_states, dtype=narrow_index_dtype(num_states))
-    visit(sorted_keys, ranks, -1, 0)
-    # ``visit`` reaches itself through its closure cell; clearing the
-    # name breaks that cycle, so the search state (and the ``parts``
-    # list, once the caller merged it) is freed by reference counting
-    # instead of waiting for a full garbage collection.
+    for start in range(0, num_states if searched else 0, step):
+        visit(sorted_keys[start : start + step], ranks[start : start + step], ())
+    # ``visit`` reaches itself through its closure cell; dropping the name
+    # breaks the cycle, so the search state is freed without a full GC.
     del visit
     return parts
 
@@ -461,18 +532,15 @@ def _unpack_merged(
     return rows, cols, weights
 
 
-def _merge_leaf_results(
+def _merge_packed_parts(
     parts: Sequence[np.ndarray], num_states: int, cap: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Merge packed ledger parts into sorted condensed-order COO arrays.
 
     A pair found twice carries the same exact weight, i.e. the same
     packed value, so one sort plus a neighbour-diff dedup produces a
-    deterministic result whatever the order of the parts.  (This used
-    to be ``np.unique(keys, return_index=True)`` over separate
-    key/weight arrays; its argsort was 50+ seconds of the 95 s
-    `mesi+counters-10` ledger build.)  Under a resource governor the
-    merge may spill (:func:`_governed_sort_unique`).
+    deterministic result whatever the order of the parts.  Under a
+    resource governor the merge may spill (:func:`_governed_sort_unique`).
     """
     parts = [part for part in parts if part.size]
     if not parts:
@@ -504,17 +572,10 @@ def low_weight_pairs(
     The weight of a pair is the number of ``partitions`` separating it:
     the Hamming distance between the two states' label tuples.  The
     pairs are the Hamming ball of radius ``cap - 1`` around each state
-    (:func:`_ball_parts`), found by one key lookup per shifted label
-    tuple; the full ``O(B^2)`` pair space is never touched.
-
-    Requires ``1 <= cap <= len(partitions)`` (with ``cap > m`` every pair
-    would qualify, which is inherently dense).  Raises
-    :class:`CandidateBudgetError` when the ball's candidate count
-    exceeds ``budget``.
-
-    Returns ``(rows, cols, weights)`` sorted in condensed order.
-    :class:`LedgerBuilder` runs the same ball and caches its result per
-    cap.
+    (:func:`_ball_parts`).  Requires ``1 <= cap <= len(partitions)``;
+    raises :class:`CandidateBudgetError` when the ball's candidate count
+    exceeds ``budget``.  Returns ``(rows, cols, weights)`` sorted in
+    condensed order.
     """
     num_machines = len(partitions)
     if not 1 <= cap <= num_machines:
@@ -522,21 +583,18 @@ def low_weight_pairs(
             "low_weight_pairs needs 1 <= cap <= num_machines, got cap=%d, m=%d"
             % (cap, num_machines)
         )
-    label_rows = _label_matrix_rows([p.labels for p in partitions])
-    parts = _ball_parts(label_rows, num_states, cap, budget)
-    return _merge_leaf_results(parts, num_states, cap)
+    ledger = LedgerBuilder(partitions, num_states, budget).base(cap)
+    return ledger.rows, ledger.cols, ledger.weights
 
 
 class LedgerBuilder:
     """Shared, cached source of base ledgers for a fixed machine list.
 
     The fault graph of a fusion run keeps one builder for the *original*
-    machines and treats backups as cheap fold deltas on top
-    (:meth:`ledger`): a cap escalation runs the Hamming ball over the
-    base machines only — served from :attr:`_cache` when that cap was
-    already built — and a chosen backup never triggers a ball at all.
-    Backup columns have many labels, so a ball over them would look up
-    far more shifted keys than the folds cost.
+    machines and folds backups in on top (:meth:`ledger`): a cap
+    escalation runs the Hamming ball over the base machines only, once
+    per cap.  Backup columns have many labels, so a ball over them would
+    cost far more than the folds.
     """
 
     __slots__ = ("_partitions", "_num_states", "_budget", "_cache", "_label_rows")
@@ -559,25 +617,37 @@ class LedgerBuilder:
             list(label_rows) if label_rows is not None else None
         )
 
-    @property
-    def num_machines(self) -> int:
-        return len(self._partitions)
-
     def base(self, cap: int) -> "PairLedger":
-        """The ledger of the base machines at ``cap`` (clamped, cached)."""
-        return self._ball(min(int(cap), len(self._partitions)))
+        """The ledger of the base machines at ``cap``, cached per cap.
+
+        The cap is clamped to the base machine count ``m``: at ``cap ==
+        m`` every base weight is known (an absent pair weighs ``m``), so
+        a higher cap would only add pairs, up to the whole pair space.
+        """
+        cap = min(int(cap), len(self._partitions))
+        cached = self._cache.get(cap)
+        if cached is None:
+            n = self._num_states
+            if cap < 1:  # no base machine: nothing weighs below 0
+                empty = np.empty(0, dtype=narrow_index_dtype(n))
+                return PairLedger(n, cap, empty, empty, np.empty(0, np.int64))
+            parts = _ball_parts(self._rows(), n, cap, self._budget)
+            cached = PairLedger(n, cap, *_merge_packed_parts(parts, n, cap))
+            self._cache[cap] = cached
+        return cached
 
     def seed(self, ledger: "PairLedger") -> bool:
         """Adopt a warm base ledger (e.g. loaded from the artifact store).
 
-        The ledger must describe the same state count and a positive
-        cap; an already-built cap is never overwritten (the cached ball
-        is equally exact).  Returns True when adopted.
+        The ledger must describe the same state count and a cap between
+        1 and the base machine count; an already-built cap is never
+        overwritten (the cached ball is equally exact).  Returns True
+        when adopted.
         """
         if int(ledger.num_states) != self._num_states:
             return False
         cap = int(ledger.cap)
-        if cap < 1 or cap in self._cache:
+        if cap < 1 or cap > len(self._partitions) or cap in self._cache:
             return False
         self._cache[cap] = ledger
         return True
@@ -589,17 +659,50 @@ class LedgerBuilder:
     def ledger(self, cap: int, extras: Sequence[Partition] = ()) -> "PairLedger":
         """The ledger at ``cap`` of the base machines plus ``extras``.
 
-        The base ball at ``cap``, then one vectorised fold per extra
-        (backup) machine.  A pair's total weight is at least its base
-        weight, so the base ball holds every pair the folds keep and the
-        result equals a ball over all machines.  A cap above the base
-        machine count is not clamped: no base weight reaches it, so the
-        ball holds every pair.
+        The base ball, then one fold per extra (backup) machine, with
+        ``cap`` clamped to the total machine count.  A pair weighs at
+        least its base weight, so up to the base machine count ``m`` the
+        base ball holds every pair the folds keep.  Above ``m`` the
+        pairs every base machine separates are added (:meth:`_far_pairs`).
         """
-        built = self._ball(int(cap))
+        num_base = len(self._partitions)
+        cap = min(int(cap), num_base + len(extras))
+        n = self._num_states
+        built = self.base(cap)
+        if built.cap < cap:
+            built = PairLedger(n, cap, built.rows, built.cols, built.weights)
         for partition in extras:
             built = built.fold(partition.labels)
-        return built
+        if cap <= num_base:
+            return built
+        parts = [_pack(built.rows, built.cols, built.weights, n, cap)]
+        parts += self._far_pairs(cap, [np.asarray(p.labels) for p in extras])
+        return PairLedger(n, cap, *_merge_packed_parts(parts, n, cap))
+
+    def _far_pairs(self, cap: int, extras: Sequence[np.ndarray]) -> List[np.ndarray]:
+        """Packed entries below ``cap`` for the pairs all base machines separate.
+
+        Such a pair differs on fewer than ``cap - m`` extras, so it shares
+        a block in one of any ``cap - m`` of them: the candidates are the
+        co-block pairs of the ``cap - m`` extras with the fewest, checked
+        against the budget first.  Pairs the folded ledger also holds
+        merge away (same packed value).
+        """
+        spare = cap - len(self._partitions)
+        counts = []
+        for labels in extras:
+            sizes = np.bincount(labels)
+            counts.append(int((sizes * (sizes - 1) // 2).sum()))
+        chosen = sorted(range(len(extras)), key=counts.__getitem__)[:spare]
+        candidates = sum(counts[i] for i in chosen)
+        if candidates > self._budget:
+            raise _refusal(candidates, self._budget, cap)
+        columns = self._rows() + list(extras)
+        n = self._num_states
+        return [
+            _pack_below(*coblock_pair_arrays(extras[i]), columns, 0, n, cap)
+            for i in chosen
+        ]
 
     def _rows(self) -> List[np.ndarray]:
         if self._label_rows is None:
@@ -607,15 +710,6 @@ class LedgerBuilder:
                 [p.labels for p in self._partitions]
             )
         return self._label_rows
-
-    def _ball(self, cap: int) -> "PairLedger":
-        cached = self._cache.get(cap)
-        if cached is None:
-            parts = _ball_parts(self._rows(), self._num_states, cap, self._budget)
-            rows, cols, weights = _merge_leaf_results(parts, self._num_states, cap)
-            cached = PairLedger(self._num_states, cap, rows, cols, weights)
-            self._cache[cap] = cached
-        return cached
 
 
 class PairLedger:
@@ -656,11 +750,7 @@ class PairLedger:
         cap: int,
         budget: int = DEFAULT_CANDIDATE_BUDGET,
     ) -> "PairLedger":
-        cap = min(int(cap), len(partitions))
-        rows, cols, weights = low_weight_pairs(
-            partitions, num_states, cap, budget=budget
-        )
-        return cls(num_states, cap, rows, cols, weights)
+        return LedgerBuilder(partitions, num_states, budget).base(cap)
 
     @property
     def nnz(self) -> int:
@@ -744,10 +834,10 @@ class PruneStats:
 
     ``spent`` counts budget units — expanded predecessor pairs of
     backward rounds plus checked live candidates (times events) of
-    forward rounds.  ``truncated`` is the flag PR 3's engine silently
-    swallowed: when set, the fixpoint stopped on ``budget``/``max_rounds``
-    before converging, so the doomed set is a (still sound) subset of the
-    full fixpoint and the level under-prunes.  ``seeded`` counts the keys
+    forward rounds.  ``truncated``: the fixpoint stopped on
+    ``budget``/``max_rounds`` before converging, so the doomed set is a
+    (still sound) subset of the full fixpoint and the level under-prunes.
+    ``seeded`` counts the keys
     inherited from the previous lattice level's doomed set.
     """
 
@@ -766,10 +856,7 @@ class ImplicationIndex:
     The fixpoint needs, per event ``e``, the *preimage* CSR (which
     blocks step into ``b`` under ``e`` — backward expansion) and the
     forward *image* row (where each block steps — the forward sweep's
-    membership checks).  PR 3 rebuilt the ``argsort``/``bincount``/
-    ``cumsum`` triple inside every ``doomed_pair_keys`` call; hoisted
-    here, the index is built once per quotient and reusable across
-    calls.
+    membership checks).  Built once per quotient, reusable across calls.
 
     Arrays (``E`` events over ``B`` blocks, narrow index dtype):
 

@@ -24,7 +24,7 @@ from repro.core.resilience import ChaosSpec
 from repro.core.sparse import (
     LedgerBuilder,
     PairLedger,
-    _merge_leaf_results,
+    _merge_packed_parts,
     _packed_dtype,
     _weight_bits,
     low_weight_pairs,
@@ -88,9 +88,10 @@ class TestIncrementalLedgerMaintenance:
         )
     )
     def test_base_plus_folds_equals_from_scratch(self, payload):
-        """LedgerBuilder.ledger(cap, extras) == one ledger over everything."""
+        """LedgerBuilder.ledger(cap, extras) == one ledger over everything,
+        also at caps above the base machine count."""
         n, base, extras, cap = payload
-        cap = min(cap, len(base))
+        cap = min(cap, len(base) + len(extras))
         builder = LedgerBuilder(base, n)
         incremental = builder.ledger(cap, extras)
         rebuilt = PairLedger.from_partitions(list(base) + list(extras), n, cap)
@@ -158,8 +159,8 @@ class TestIncrementalLedgerMaintenance:
 PACKED_STATES = {"int32": 300, "int64": 50000}
 
 
-class TestLeafResultMerge:
-    """Overlapping leaf outputs fold into the sorted union of their pairs."""
+class TestPackedPartMerge:
+    """Overlapping packed parts fold into the sorted union of their pairs."""
 
     @pytest.mark.parametrize("packed", sorted(PACKED_STATES))
     @pytest.mark.parametrize("route", ["memory", "spill"])
@@ -175,7 +176,7 @@ class TestLeafResultMerge:
             size = int(rng.integers(0, 800))
             rows = rng.integers(0, num_states - 1, size=size)
             cols = rows + 1 + rng.integers(0, num_states - 1 - rows)
-            # A pair always carries the same weight, whichever leaf
+            # A pair always carries the same weight, whichever part
             # rediscovers it — the invariant the packed dedup relies on.
             weights = (rows + cols) % cap
             keys = (rows * num_states + cols) << bits | weights
@@ -185,13 +186,13 @@ class TestLeafResultMerge:
         ref_cols = (union >> bits) % num_states
         ref_weights = union & ((1 << bits) - 1)
 
-        in_memory = _merge_leaf_results(parts, num_states, cap)
+        in_memory = _merge_packed_parts(parts, num_states, cap)
         if route == "spill":
             governor = ResourceGovernor(
                 budget={"memory": 1}, chaos=ChaosSpec({}), spill_dir=str(tmp_path)
             )
             with activate(governor):
-                merged = _merge_leaf_results(parts, num_states, cap)
+                merged = _merge_packed_parts(parts, num_states, cap)
             assert governor.stats.spills == 1
         else:
             merged = in_memory

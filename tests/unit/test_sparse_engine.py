@@ -136,6 +136,85 @@ class TestHammingBall:
         assert packed.size == r_ref.size
 
 
+    def test_wide_columns_search_coblock_pairs(self):
+        """Three 30-state counters whose synchronised product has 900 of
+        the 27000 label tuples: at cap 3 the shifted lookups alone count
+        about 1.2M candidates, the co-block searches about 45k, so a 100k
+        budget is met only when the ball takes the co-block side."""
+        from repro.core.product import CrossProduct
+        from repro.machines import sum_counter
+
+        product = CrossProduct(
+            [mod_counter(30, 0), mod_counter(30, 1), sum_counter(30, (0, 1))]
+        )
+        partitions = product.component_partitions()
+        num_states = product.num_states
+        rows, cols, weights = low_weight_pairs(
+            partitions, num_states, 3, budget=10**5
+        )
+        r_ref, c_ref, w_ref = self._dense_reference(
+            [p.labels for p in partitions], num_states, 3
+        )
+        assert np.array_equal(np.asarray(rows, dtype=np.int64), r_ref)
+        assert np.array_equal(np.asarray(cols, dtype=np.int64), c_ref)
+        assert np.array_equal(np.asarray(weights, dtype=np.int64), w_ref)
+
+    def test_run_expansion_is_charged_to_the_budget(self):
+        """A lookup that hits a run of equal tuples yields one pair per
+        run member.  The budget counts those pairs too: every one of the
+        8 label tuples below is repeated 20 times, the plan counts 1840
+        candidates, and the search emits 7920 pairs."""
+        tuples = np.repeat(np.arange(8), 20)
+        partitions = [Partition(tuples % 4), Partition(tuples // 4)]
+        total = low_weight_pairs(partitions, tuples.size, 2, budget=10**9)[0].size
+        assert total == 7920
+        assert low_weight_pairs(partitions, tuples.size, 2, budget=total)[0].size == total
+        with pytest.raises(CandidateBudgetError):
+            low_weight_pairs(partitions, tuples.size, 2, budget=total - 1)
+
+
+# ----------------------------------------------------------------------
+# Ledgers above the base machine count
+# ----------------------------------------------------------------------
+class TestFewOriginals:
+    """Fewer original machines than the wanted cap: the ledger adds the
+    pairs every original separates without touching the pair space."""
+
+    def test_far_pairs_come_from_backup_blocks(self):
+        """Two wide originals (a 40 x 41 product, 1.34M pairs) plus one
+        10-block backup at cap 3, under a budget of a fifth of the pair
+        space: the base ball at cap 2 plus the backup's co-block pairs."""
+        from repro.core.sparse import LedgerBuilder
+
+        states = np.arange(40 * 41)
+        first, second = states // 41, states % 41
+        base = [Partition(first), Partition(second)]
+        backup = Partition((first + second) % 10)
+        ledger = LedgerBuilder(base, states.size, budget=250_000).ledger(3, [backup])
+        assert ledger.cap == 3
+        rows, cols = np.triu_indices(states.size, k=1)
+        weights = sum((p.labels[rows] != p.labels[cols]).astype(np.int64) for p in base)
+        weights += backup.labels[rows] != backup.labels[cols]
+        keep = weights < 3
+        assert np.array_equal(np.asarray(ledger.rows, dtype=np.int64), rows[keep])
+        assert np.array_equal(np.asarray(ledger.cols, dtype=np.int64), cols[keep])
+        assert np.array_equal(ledger.weights, weights[keep])
+
+    def test_two_machine_sparse_fusion_matches_dense(self, monkeypatch):
+        """generate_fusion at f=1 on two originals escalates past the
+        base count as soon as the first backup is chosen."""
+        machines = [mod_counter(5, 0), mod_counter(7, 1)]
+        dense = generate_fusion(machines, f=1)
+        monkeypatch.setattr(fault_graph_module, "SPARSE_STATE_CUTOFF", 1)
+        monkeypatch.setattr(fusion_module, "DESCENT_SPARSE_CUTOFF", 1)
+        sparse = generate_fusion(machines, f=1)
+        assert sparse.graph.is_sparse and not dense.graph.is_sparse
+        assert sparse.summary() == dense.summary()
+        assert [p.labels.tolist() for p in sparse.partitions] == [
+            p.labels.tolist() for p in dense.partitions
+        ]
+
+
 # ----------------------------------------------------------------------
 # DoomedPairEngine truncation reporting
 # ----------------------------------------------------------------------
