@@ -1,243 +1,8 @@
-"""Network-chaos smoke: seeded adversarial fabric on a mid-size fleet.
+"""Re-export of the workload catalog's machine zoo as ``_zoo``.
 
-The CI network-smoke job proves the delivery protocol's core invariant
-process-for-real on the heterogeneous machine zoo (TCP + MESI + parity
-+ mod-counter, fused for ``f = 2``):
-
-1. a seeded drop/reorder/partition schedule is injected between the
-   coordinator and every server — the chaos must actually fire
-   (``dropped > 0`` in the delivery summary; a smoke that injects
-   nothing proves nothing);
-2. the run must end HEALTHY and byte-identical to an undisturbed
-   fabric-free reference — final states equal, machine for machine —
-   on *both* execution engines (``vectorized`` and ``python``), which
-   must also agree with each other on the delivery summary;
-3. an f-sweep (``f = 1..3``) repeats the supervised chaos run against
-   fusions of increasing redundancy, recording fusion-generation
-   seconds, fleet size and delivery counts for the trajectory;
-4. zero ``psm_*`` shared-memory segments may be stranded in
-   ``/dev/shm`` once the smoke finishes.
-
-The evidence is recorded as the top-level ``network`` block of
-``BENCH_perf.json`` (schema ``repro-bench-perf/7``), preserved by the
-other harnesses the same way they preserve each other's blocks, and
-validated by ``bench_perf_regression.py --check`` and
-``tests/unit/test_bench_schema.py``.  Run it exactly as CI does::
-
-    PYTHONPATH=src python benchmarks/bench_network_chaos_smoke.py
-
-Exits non-zero on any violated guarantee.
+This shim exists only until ``perfbench/workloads.py`` imports
+:mod:`repro.machines.catalog` directly; that file changes only together
+with the benchmark.  Nothing else imports this module.
 """
 
-from __future__ import annotations
-
-import json
-import os
-import sys
-import time
-
-_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-if _SRC not in sys.path:
-    sys.path.insert(0, _SRC)
-
-from repro.core.fusion import generate_fusion
-from repro.machines import mesi, mod_counter, parity_checker, tcp_simplified
-from repro.simulation import DistributedSystem
-from repro.simulation.fabric import NetworkChaosSpec
-
-RESULT_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "BENCH_perf.json"
-)
-
-#: Bumped here first: the ``network`` block is what schema v7 adds.
-SCHEMA = "repro-bench-perf/7"
-
-CASE = "zoo-f2 (tcp+mesi+parity+counter)"
-
-#: The adversarial schedule: a quarter of all transmissions dropped,
-#: reorders and link partitions on top, all drawn from one seed so the
-#: smoke replays the same hostile network run after run.
-CHAOS = "drop=0.25,reorder=0.15,partition=0.05,partition_ticks=4,seed=11"
-
-EVENTS = ("a", "b", "c")
-WORKLOAD = list("abacbcab") * 4
-F = 2
-F_SWEEP = (1, 2, 3)
-ENGINES = ("vectorized", "python")
-
-
-def _zoo():
-    """Heterogeneous mid-size originals: protocol, cache, parity, counter."""
-    return [
-        tcp_simplified(events=EVENTS),
-        mesi(events=EVENTS),
-        parity_checker("a", events=EVENTS, name="parity-a"),
-        mod_counter(3, count_event="b", events=EVENTS, name="count-b"),
-    ]
-
-
-def _shm_segments():
-    try:
-        return sorted(f for f in os.listdir("/dev/shm") if f.startswith("psm_"))
-    except OSError:
-        return []
-
-
-def _reference_states(fusion, f):
-    """Final states of an undisturbed, fabric-free run at this ``f``."""
-    system = DistributedSystem.with_fusion_backups(_zoo(), f=f, fusion=fusion)
-    report = system.run(WORKLOAD)
-    assert report.consistent
-    return system.states()
-
-
-def record_network_block(block: dict, path: str = RESULT_PATH) -> None:
-    """Merge the ``network`` block into BENCH_perf.json and stamp the
-    v7 schema, preserving the fusion ``cases`` and the ``runtime`` and
-    ``store`` blocks the other harnesses contribute."""
-    payload = {}
-    if os.path.exists(path):
-        with open(path) as handle:
-            payload = json.load(handle)
-    payload["schema"] = SCHEMA
-    payload["network"] = block
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=False)
-        handle.write("\n")
-
-
-def main() -> int:
-    os.environ.pop("REPRO_NET_CHAOS", None)
-    failures = []
-    shm_before = set(_shm_segments())
-
-    print("fusing the zoo at f=%d ..." % F)
-    fusion = generate_fusion(_zoo(), F)
-    reference = _reference_states(fusion, F)
-
-    print("chaos runs: REPRO-equivalent spec %r ..." % CHAOS)
-    summaries = {}
-    run_seconds = {}
-    for engine in ENGINES:
-        system = DistributedSystem.with_fusion_backups(
-            _zoo(),
-            f=F,
-            fusion=fusion,
-            engine=engine,
-            network=NetworkChaosSpec.parse(CHAOS),
-            supervised=True,
-            heartbeat_interval=5,
-        )
-        start = time.perf_counter()
-        report = system.run(WORKLOAD)
-        run_seconds[engine] = time.perf_counter() - start
-        summaries[engine] = report.delivery or {}
-        print(
-            "  %-10s %.3fs status=%s delivery=%s"
-            % (engine, run_seconds[engine], report.status, report.delivery)
-        )
-        if report.status != "healthy":
-            failures.append(
-                "%s engine degraded under a within-budget schedule "
-                "(culprits: %s)" % (engine, ", ".join(report.culprits))
-            )
-        if not report.consistent:
-            failures.append("%s engine finished inconsistent" % engine)
-        if system.states() != reference:
-            failures.append(
-                "%s engine's final states differ from the fault-free "
-                "reference — the fabric leaked chaos into the semantics"
-                % engine
-            )
-        if summaries[engine].get("dropped", 0) == 0:
-            failures.append(
-                "%s engine saw no drops; the chaos schedule never fired"
-                % engine
-            )
-    if summaries[ENGINES[0]] != summaries[ENGINES[1]]:
-        failures.append(
-            "engines disagree on the delivery schedule: %r != %r"
-            % (summaries[ENGINES[0]], summaries[ENGINES[1]])
-        )
-
-    print("f-sweep (f = %s) ..." % (", ".join(map(str, F_SWEEP))))
-    f_sweep = []
-    for f in F_SWEEP:
-        start = time.perf_counter()
-        fusion_f = generate_fusion(_zoo(), f)
-        fusion_seconds = time.perf_counter() - start
-        reference_f = _reference_states(fusion_f, f)
-        system = DistributedSystem.with_fusion_backups(
-            _zoo(),
-            f=f,
-            fusion=fusion_f,
-            network=NetworkChaosSpec.parse(CHAOS),
-            supervised=True,
-            heartbeat_interval=5,
-        )
-        start = time.perf_counter()
-        report = system.run(WORKLOAD)
-        elapsed = time.perf_counter() - start
-        entry = {
-            "f": f,
-            "backups": len(fusion_f.backups),
-            "fleet": len(system.server_names()),
-            "fusion_seconds": round(fusion_seconds, 6),
-            "run_seconds": round(elapsed, 6),
-            "status": report.status,
-            "delivered": (report.delivery or {}).get("delivered", 0),
-            "dropped": (report.delivery or {}).get("dropped", 0),
-        }
-        f_sweep.append(entry)
-        print("  f=%d %s" % (f, entry))
-        if report.status != "healthy" or not report.consistent:
-            failures.append("f=%d chaos run did not stay healthy" % f)
-        if system.states() != reference_f:
-            failures.append("f=%d final states differ from the reference" % f)
-
-    stranded = sorted(set(_shm_segments()) - shm_before)
-    if stranded:
-        failures.append("stranded /dev/shm segments: %s" % ", ".join(stranded))
-
-    if not failures:
-        record_network_block({
-            "note": (
-                "Network-resilience evidence from benchmarks/"
-                "bench_network_chaos_smoke.py: a seeded drop/reorder/"
-                "partition schedule (%s) was injected between the "
-                "coordinator and every server of the %s fleet; the "
-                "delivery protocol (sequence numbers, exactly-once "
-                "application, retry with backoff, heartbeats) kept both "
-                "execution engines byte-identical to the fabric-free "
-                "reference, and the f-sweep repeats the run at f=1..3 "
-                "with fusion-generation seconds for the trajectory."
-                % (CHAOS, CASE)
-            ),
-            "case": CASE,
-            "chaos": CHAOS,
-            "events": len(WORKLOAD),
-            "engines": list(ENGINES),
-            "fault_free_equivalent": True,
-            "run_seconds": {k: round(v, 6) for k, v in run_seconds.items()},
-            "delivery": summaries[ENGINES[0]],
-            "f_sweep": f_sweep,
-            "shm_stranded": 0,
-        })
-        print("wrote network block to %s" % RESULT_PATH)
-
-    if failures:
-        for failure in failures:
-            print("FAIL: %s" % failure)
-        return 1
-    print(
-        "OK: %d drops survived byte-identically on both engines; "
-        "f-sweep healthy at f=%s" % (
-            summaries[ENGINES[0]].get("dropped", 0),
-            ",".join(str(e["f"]) for e in f_sweep),
-        )
-    )
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+from repro.machines.catalog import zoo as _zoo  # noqa: F401

@@ -14,31 +14,10 @@ import pytest
 
 from repro import RecoveryEngine, generate_fusion
 from repro.analysis import time_fusion_generation
-from repro.machines import mesi, mod_counter, shift_register, tcp
+from repro.machines import mod_counter
+from repro.machines.catalog import GENERATION_CASES
 
 from conftest import paper_vs_measured
-
-
-#: Workloads of growing |top|: shared-alphabet counter families plus protocol mixes.
-GENERATION_CASES = {
-    "counters-3 (top=27)": lambda: [
-        mod_counter(3, count_event=e, events=(0, 1, 2), name="c%d" % e) for e in range(3)
-    ],
-    "counters-5 (top=243)": lambda: [
-        mod_counter(3, count_event=e, events=tuple(range(5)), name="c%d" % e) for e in range(5)
-    ],
-    "mesi+tcp (top=44)": lambda: [mesi(), tcp()],
-    "mesi+counters+shift (top~252)": lambda: [
-        mesi(),
-        mod_counter(3, "local_read", events=mesi().events, name="rd-ctr"),
-        mod_counter(3, "local_write", events=mesi().events, name="wr-ctr"),
-        shift_register(3, bit_events=("local_read", "local_write"), events=mesi().events, name="sr"),
-    ],
-    # Unlocked by the vectorised descent engine: another ~3x in |top|.
-    "counters-6 (top=729)": lambda: [
-        mod_counter(3, count_event=e, events=tuple(range(6)), name="c%d" % e) for e in range(6)
-    ],
-}
 
 
 @pytest.mark.parametrize("case", list(GENERATION_CASES))

@@ -24,8 +24,7 @@ ledger that outgrows RAM used to die with a raw
   **byte-identical** to the in-memory ``sort + dedup`` it replaces (the
   property suite asserts this on full fusions).
 * :class:`BudgetStats` — spills, retries and peak bytes, folded into
-  the fusion stopwatch as the ``resources`` stage and from there into
-  ``BENCH_perf.json``'s ``resources`` block.
+  the fusion stopwatch as the ``resources`` stage.
 
 The chaos kind ``mem_pressure`` is drawn here (owner stage
 ``budget_check``), so a seeded ``REPRO_CHAOS`` plan can prove the spill
@@ -195,8 +194,8 @@ class BudgetStats:
     """What the governor did during one fusion.
 
     The integer view (:meth:`as_counters`) is folded into the fusion
-    stopwatch under the ``resources`` stage, and from there into the
-    benchmark records and ``BENCH_perf.json``'s ``resources`` block.
+    stopwatch under the ``resources`` stage, where the benchmark and the
+    spill tests read it.
     """
 
     spills: int = 0  #: merges routed through the external spill path

@@ -32,7 +32,7 @@ Both prunes are sound and the candidates are closed in a fixed order,
 so the chosen partitions are byte-identical whichever prune or chunking
 a level uses; ``tests/integration/test_partition_hashes.py``,
 ``tests/property/test_vectorized_equivalence.py`` and the frozen
-summaries in ``benchmarks/bench_perf_regression.py`` enforce that.
+summaries of :mod:`repro.machines.catalog` enforce that.
 
 This module also implements Definition 6 (the order among fusions, via a
 bipartite matching over the pairwise machine order) and Theorem 3 (every
@@ -219,7 +219,7 @@ _DOOMED_MAX_ROUNDS = 64
 #: predecessor pairs / checked successor candidates.  Exceeding it stops
 #: the fixpoint early — sound (the level merely under-prunes) and now
 #: *reported*: the engine's :class:`repro.core.sparse.PruneStats` flag
-#: lands in the stopwatch's ``prune`` stage and in ``BENCH_perf.json``.
+#: lands in the stopwatch's ``prune`` stage.
 #: Deliberately *not* raised for the ``mesi+counters-10`` flagship, whose
 #: top level would spend ~200M units converging: measured on the
 #: reference container, the budgeted stop costs ~1.5 s of extra exact
@@ -675,11 +675,11 @@ def generate_fusion(
         Optional :class:`repro.utils.timing.Stopwatch`; when given, the
         stages ``product_build``, ``graph_assemble``, ``ledger_build``,
         ``descent``, ``prune`` and ``closure`` are accumulated into it
-        (the per-stage breakdown ``benchmarks/bench_perf_regression.py``
-        reports).  ``graph_assemble`` covers fault-graph construction
-        and folding in existing backups; ``ledger_build`` is the initial
-        ``dmin`` — the sparse pair ledger's Hamming ball, or the
-        condensed-vector min scan on dense graphs.
+        (the per-stage breakdown ``perfbench`` reports).
+        ``graph_assemble`` covers fault-graph construction and folding in
+        existing backups; ``ledger_build`` is the initial ``dmin`` — the
+        sparse pair ledger's Hamming ball, or the condensed-vector min
+        scan on dense graphs.
     workers:
         Validated by :func:`resolve_workers` (a negative count or a
         malformed ``REPRO_FUSION_WORKERS`` raises :class:`FusionError`)

@@ -5,7 +5,8 @@ counters, parity checkers, toggle switch, pattern generator, shift
 register, divider and the worked-example machines ``A``/``B`` of
 Figure 2) plus a broader collection of textbook and protocol machines,
 random-machine generators for property tests, and a registry to look any
-of them up by name.
+of them up by name.  The named machine sets the tests and the benchmark
+fuse live in :mod:`repro.machines.catalog`.
 """
 
 from .cache import CACHE_EVENTS, mesi, moesi, msi

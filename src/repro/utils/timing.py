@@ -126,12 +126,9 @@ class Stopwatch:
     def as_dict(self) -> Dict[str, Dict[str, float]]:
         """Machine-readable snapshot: ``{name: {"seconds", "count", ...}}``.
 
-        This is the per-stage format ``BENCH_perf.json`` stores (schema
-        ``repro-bench-perf/3``), so benchmark trajectories stay diffable
-        across PRs.  Each entry carries both the inclusive ``seconds``
-        and the nesting-corrected ``exclusive_seconds``; metadata
-        counters folded in with :meth:`accumulate` are merged into their
-        stage's entry.
+        Each entry carries both the inclusive ``seconds`` and the
+        nesting-corrected ``exclusive_seconds``; metadata counters folded
+        in with :meth:`accumulate` are merged into their stage's entry.
         """
         names = list(self._totals)
         names.extend(name for name in self._extras if name not in self._totals)

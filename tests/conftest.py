@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -85,6 +87,23 @@ def fig1_fusion_result(fig1_counters):
 def fig2_fusion_result(fig2_machines_pair):
     """Algorithm 2 output for the Figure 2 machines at f=2."""
     return generate_fusion(fig2_machines_pair, f=2)
+
+
+def psm_segments():
+    """Names of the ``psm_*`` shared-memory segments now in ``/dev/shm``."""
+    try:
+        return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
+    except OSError:
+        return set()
+
+
+@pytest.fixture
+def no_stray_segments():
+    """Fail the test if it leaves a new ``psm_*`` segment in ``/dev/shm``."""
+    before = psm_segments()
+    yield
+    stray = psm_segments() - before
+    assert not stray, "stranded /dev/shm segments: %s" % sorted(stray)
 
 
 # A heavier hypothesis profile for the "Oracles" CI step

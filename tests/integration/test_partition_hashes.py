@@ -6,10 +6,9 @@ chosen partitions byte-for-byte unchanged.  The frozen summaries only pin
 sizes and ``dmin``; this guard pins the canonical label vectors
 themselves, as one sha256 per fusion over every partition of the result.
 
-The machine sets are the runtime study's generation cases
-(``benchmarks/bench_runtime.py``'s ``GENERATION_CASES``, repeated here so
-tier-1 does not import the benchmark modules) and the tcp+mesi+parity+
-counter zoo, each at crash ``f = 1..3`` and Byzantine ``f = 1``.
+The machine sets are the runtime study's generation cases and the
+machine zoo of :mod:`repro.machines.catalog`, keyed by the first word of
+their catalog label, each at crash ``f = 1..3`` and Byzantine ``f = 1``.
 """
 
 from __future__ import annotations
@@ -19,52 +18,10 @@ import hashlib
 import pytest
 
 from repro import generate_fusion
-from repro.machines import (
-    mesi,
-    mod_counter,
-    parity_checker,
-    shift_register,
-    tcp,
-    tcp_simplified,
-)
+from repro.machines.catalog import GENERATION_CASES, zoo
 
-ZOO_EVENTS = ("a", "b", "c")
-
-
-def _counters(size):
-    return [
-        mod_counter(3, count_event=e, events=tuple(range(size)), name="c%d" % e)
-        for e in range(size)
-    ]
-
-
-def _mesi_counters_shift():
-    events = mesi().events
-    return [
-        mesi(),
-        mod_counter(3, "local_read", events=events, name="rd-ctr"),
-        mod_counter(3, "local_write", events=events, name="wr-ctr"),
-        shift_register(3, bit_events=("local_read", "local_write"), events=events, name="sr"),
-    ]
-
-
-def _zoo():
-    return [
-        tcp_simplified(events=ZOO_EVENTS),
-        mesi(events=ZOO_EVENTS),
-        parity_checker("a", events=ZOO_EVENTS, name="parity-a"),
-        mod_counter(3, count_event="b", events=ZOO_EVENTS, name="count-b"),
-    ]
-
-
-CASES = {
-    "counters-3": lambda: _counters(3),
-    "counters-5": lambda: _counters(5),
-    "mesi+tcp": lambda: [mesi(), tcp()],
-    "mesi+counters+shift": _mesi_counters_shift,
-    "counters-6": lambda: _counters(6),
-    "zoo": _zoo,
-}
+CASES = {label.split()[0]: build for label, build in GENERATION_CASES.items()}
+CASES["zoo"] = zoo
 
 RUNS = ((1, False), (2, False), (3, False), (1, True))
 

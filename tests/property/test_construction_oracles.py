@@ -30,33 +30,14 @@ from repro import (
 )
 from repro.core.exceptions import PartitionError
 from repro.core.minimize import _quotient
-from repro.machines import mesi, mod_counter, parity_checker, tcp_simplified
+from repro.machines import mesi
+from repro.machines.catalog import ZOO_EVENTS, counters_family, zoo
 
 from .strategies import machine_set_strategy, partition_strategy
 
 RELAXED = settings(
     max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
-
-ZOO_EVENTS = ("a", "b", "c")
-
-
-def _zoo():
-    """tcp + mesi + parity + counter over one shared alphabet."""
-    return [
-        tcp_simplified(events=ZOO_EVENTS),
-        mesi(events=ZOO_EVENTS),
-        parity_checker("a", events=ZOO_EVENTS, name="parity-a"),
-        mod_counter(3, count_event="b", events=ZOO_EVENTS, name="count-b"),
-    ]
-
-
-def _counters(size):
-    return [
-        mod_counter(3, count_event=e, events=tuple(range(size)), name="c%d" % e)
-        for e in range(size)
-    ]
-
 
 def naive_top(machines, name="top"):
     """Reachable cross product by a BFS over label tuples (Section 2)."""
@@ -151,10 +132,10 @@ class TestTopAndBackupsMatchOracles:
         assert_constructions_match_oracles(machines)
 
     def test_machine_zoo(self):
-        assert_constructions_match_oracles(_zoo())
+        assert_constructions_match_oracles(zoo())
 
     def test_counters_6(self):
-        assert_constructions_match_oracles(_counters(6))
+        assert_constructions_match_oracles(counters_family(6))
 
     def test_single_component_product(self):
         assert_constructions_match_oracles([mesi(events=ZOO_EVENTS)])

@@ -30,15 +30,9 @@ from repro.core.sparse import (
     low_weight_pairs,
 )
 from repro.machines import mesi, mod_counter, shift_register
+from repro.machines.catalog import counters_family
 
 from .strategies import partition_strategy
-
-
-def _counters(size: int):
-    return [
-        mod_counter(3, count_event=e, events=tuple(range(size)), name="c%d" % e)
-        for e in range(size)
-    ]
 
 
 def _protocol_mix():
@@ -52,7 +46,7 @@ def _protocol_mix():
 
 
 MACHINE_SETS = {
-    "counters-6": lambda: _counters(6),
+    "counters-6": lambda: counters_family(6),
     "mesi-mix": _protocol_mix,
 }
 
@@ -131,7 +125,7 @@ class TestIncrementalLedgerMaintenance:
         never over the grown machine list."""
         import repro.core.sparse as sparse_module
 
-        product = CrossProduct(_counters(4))
+        product = CrossProduct(counters_family(4))
         partitions = product.component_partitions()
         graph = FaultGraph(
             product.num_states, partitions, mode="sparse", weight_cap=2

@@ -9,6 +9,9 @@ into the paper's perfect globally-ordered event stream.  The result is
 byte-identical across both execution engines and across fusion
 generation at workers 1, 2 and 4.
 
+The same holds at mid size: the machine zoo under one fixed hostile
+schedule, on both engines at ``f = 2`` and along ``f = 1..3``.
+
 Past the budget the system must *degrade*, never lie: a schedule that
 kills more than ``f`` links ends DEGRADED with the culprits named.
 """
@@ -20,6 +23,7 @@ import pytest
 from repro.core.exceptions import FaultBudgetExceededError
 from repro.core.fusion import generate_fusion
 from repro.machines import fig1_counter_a, fig1_counter_b
+from repro.machines.catalog import zoo
 from repro.simulation import DistributedSystem, FaultInjector
 from repro.simulation.fabric import NetworkChaosSpec
 from repro.utils.rng import as_generator, derive_seed
@@ -163,3 +167,64 @@ class TestPastBudgetDegrades:
         assert len(excinfo.value.culprits) == F + 1
         assert excinfo.value.observed == F + 1
         assert excinfo.value.tolerated == F
+
+
+#: A quarter of all transmissions dropped, reorders and link partitions
+#: on top, all drawn from one seed.
+ZOO_CHAOS = "drop=0.25,reorder=0.15,partition=0.05,partition_ticks=4,seed=11"
+ZOO_WORKLOAD = list("abacbcab") * 4
+
+
+def _zoo_reference(fusion, f):
+    """Final states of an undisturbed, fabric-free zoo run at this ``f``."""
+    system = DistributedSystem.with_fusion_backups(zoo(), f=f, fusion=fusion)
+    assert system.run(ZOO_WORKLOAD).consistent
+    return system.states()
+
+
+def _zoo_chaos_run(fusion, f, engine="vectorized"):
+    system = DistributedSystem.with_fusion_backups(
+        zoo(),
+        f=f,
+        fusion=fusion,
+        engine=engine,
+        network=NetworkChaosSpec.parse(ZOO_CHAOS),
+        supervised=True,
+        heartbeat_interval=5,
+    )
+    return system, system.run(ZOO_WORKLOAD)
+
+
+@pytest.mark.usefixtures("no_stray_segments")
+class TestZooUnderSeededChaos:
+    def test_both_engines_match_fault_free_reference(self, monkeypatch):
+        """The schedule fires (``dropped > 0``), both engines end healthy
+        with the fabric-free states, and they agree on the delivery
+        summary."""
+        monkeypatch.delenv("REPRO_NET_CHAOS", raising=False)
+        fusion = generate_fusion(zoo(), 2)
+        reference = _zoo_reference(fusion, 2)
+        deliveries = []
+        for engine in ("vectorized", "python"):
+            system, report = _zoo_chaos_run(fusion, 2, engine)
+            assert report.status == "healthy", report.culprits
+            assert report.consistent
+            assert system.states() == reference, engine
+            assert report.delivery["delivered"] > 0
+            assert report.delivery["dropped"] > 0, "the chaos schedule never fired"
+            deliveries.append(report.delivery)
+        assert deliveries[0] == deliveries[1]
+
+    def test_f_sweep_stays_healthy(self, monkeypatch):
+        """More redundancy, same hostile network: healthy at every ``f``."""
+        monkeypatch.delenv("REPRO_NET_CHAOS", raising=False)
+        backups = []
+        for f in (1, 2, 3):
+            fusion = generate_fusion(zoo(), f)
+            system, report = _zoo_chaos_run(fusion, f)
+            assert report.status == "healthy" and report.consistent, f
+            assert system.states() == _zoo_reference(fusion, f), f
+            assert report.delivery["delivered"] > 0, f
+            assert 1 <= len(fusion.backups) < len(system.server_names())
+            backups.append(len(fusion.backups))
+        assert backups == sorted(backups)

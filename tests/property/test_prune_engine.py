@@ -37,15 +37,9 @@ from repro.core.product import CrossProduct
 from repro.core.sparse import DoomedPairEngine, ImplicationIndex, doomed_pair_keys
 from repro.core.types import narrow_key_dtype
 from repro.machines import mesi, mod_counter, shift_register
+from repro.machines.catalog import counters_family
 
 from .strategies import dfsm_strategy
-
-
-def _counters(size: int):
-    return [
-        mod_counter(3, count_event=e, events=tuple(range(size)), name="c%d" % e)
-        for e in range(size)
-    ]
 
 
 def _protocol_mix():
@@ -210,7 +204,7 @@ class TestIncrementalSeeding:
     def test_non_coarsening_labels_reset_the_cache(self):
         """A base_labels vector that does not coarsen the remembered level
         must fall back to a fresh (unseeded) fixpoint, not mis-seed."""
-        machines = _counters(3)
+        machines = counters_family(3)
         quotient, weak_rows, weak_cols, n = _level_zero(machines)
         engine = DoomedPairEngine()
         labels = Partition.identity(n).labels
@@ -371,7 +365,7 @@ class TestImplicationIndex:
             )
 
     def test_reused_index_equals_rebuilt(self):
-        quotient, weak_rows, weak_cols, n = _level_zero(_counters(3))
+        quotient, weak_rows, weak_cols, n = _level_zero(counters_family(3))
         index = ImplicationIndex(quotient, n)
         direct = doomed_pair_keys(quotient, weak_rows, weak_cols, n)
         reused = doomed_pair_keys(quotient, weak_rows, weak_cols, n, index=index)

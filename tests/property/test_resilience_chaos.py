@@ -27,23 +27,16 @@ import repro.core.shm as shm_module
 from repro.core.fusion import generate_fusion
 from repro.core.resilience import KNOWN_STAGES, OWNER_STAGES, live_owned_segments
 from repro.core.runtime import VectorizedRuntime
-from repro.core.shm import SharedWorkerPool
-from repro.machines import mod_counter
+from repro.core.shm import SharedWorkerPool, resolve_workers
+from repro.machines.catalog import counters_family
 
 INSTANCES = 64
-
-
-def _counters(size: int):
-    return [
-        mod_counter(3, count_event=e, events=tuple(range(size)), name="c%d" % e)
-        for e in range(size)
-    ]
 
 
 @pytest.fixture(scope="module")
 def machines():
     """A fused machine set: four counters plus their generated backup."""
-    return generate_fusion(_counters(4), f=1).all_machines
+    return generate_fusion(counters_family(4), f=1).all_machines
 
 
 #: The two kinds of pooled gather wave a runtime submits.
@@ -227,3 +220,41 @@ class TestChaosRecovery:
             )
             runs.append(stats)
         assert runs[0] == runs[1]
+
+
+def _run_counters9_fleet(machines, pool):
+    """Final ``(true, visible, status)`` matrices of a seeded 2^16-instance
+    fleet: an event matrix, a crash of every 97th instance, a stream."""
+    instances = 1 << 16
+    rng = np.random.default_rng(7)
+    matrix = rng.integers(0, 9, size=(8, instances))
+    stream = list(rng.integers(0, 9, size=8))
+    with VectorizedRuntime(machines, instances, pool=pool, workers=0) as runtime:
+        runtime.apply_event_matrix(matrix)
+        runtime.crash_instances(0, list(range(0, instances, 97)))
+        runtime.apply_stream(stream)
+        return runtime.true_states, runtime.visible_states, runtime.statuses
+
+
+@pytest.mark.usefixtures("no_stray_segments")
+def test_worker_kill_heals_pooled_counters9_fleet(monkeypatch):
+    """At the runtime's default pool gate (2^16 instances, so every step
+    is a pooled wave) on the counters-9 fusion: a seeded worker kill is
+    observed and healed without degrading, and the fleet equals a
+    fault-free serial fleet."""
+    monkeypatch.setenv("REPRO_FUSION_WORKERS", "2")
+    monkeypatch.setenv("REPRO_CHAOS", "worker_kill=1.0,stages=runtime_step,max=1,seed=7")
+    machines = generate_fusion(counters_family(9), f=1).all_machines
+    reference = _run_counters9_fleet(machines, pool=None)
+    pool = SharedWorkerPool(resolve_workers())
+    try:
+        states = _run_counters9_fleet(machines, pool)
+        stats = pool.resilience.as_counters()
+    finally:
+        pool.close()
+    _assert_identical(states, reference)
+    assert stats["chaos"] >= 1, "the chaos plan never fired"
+    assert stats["crashes"] + stats["timeouts"] >= 1, "no worker fault was observed"
+    assert stats["rebuilds"] >= 1, "the pool never healed"
+    assert stats["degraded"] == 0, "a single bounded fault must heal, not degrade"
+    assert live_owned_segments() == ()

@@ -9,6 +9,10 @@ invisible in the result: a fusion generated under a deliberately tiny
 partition bytes, summaries *and* ``prune_stats`` identical to the
 unbounded run, at every worker count.
 
+At the counters-9 scale the starved fusion is then run as a pooled fleet
+while ``/dev/shm`` reports no free space: every publish falls back to a
+file-backed segment and the fleet still equals a serial one.
+
 Randomised leg: :class:`hypothesis` drives ``external_sort_unique``
 directly against ``np.unique`` over adversarial part shapes (empty
 parts, all-duplicates, single elements, window smaller than any part).
@@ -23,18 +27,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.shm as shm_module
 from repro.core.budget import external_sort_unique
 from repro.core.fusion import generate_fusion
 from repro.core.resilience import assert_no_owned_segments
-from repro.machines import mod_counter
+from repro.core.runtime import VectorizedRuntime
+from repro.core.shm import SharedWorkerPool
+from repro.machines.catalog import counters_family
 from repro.utils.timing import Stopwatch
-
-
-def _counters(size: int):
-    return [
-        mod_counter(3, count_event=e, events=tuple(range(size)), name="c%d" % e)
-        for e in range(size)
-    ]
 
 
 #: Forces the spill path on every governed merge: far below the
@@ -43,8 +43,8 @@ def _counters(size: int):
 TINY_MEMORY = {"memory": 4096}
 
 CASES = {
-    "counters-8": lambda: _counters(8),
-    "counters-9": lambda: _counters(9),
+    "counters-8": lambda: counters_family(8),
+    "counters-9": lambda: counters_family(9),
 }
 
 
@@ -92,6 +92,48 @@ class TestForcedSpillByteIdentity:
         assert resources["spilled_bytes"] > 0
         assert resources["mem_peak"] > TINY_MEMORY["memory"]
         assert_no_owned_segments()
+
+
+def _run_fleet(machines, pool):
+    """Final ``(true, visible, status)`` matrices of a seeded fleet at the
+    runtime's default pool gate (2^16 instances): every step pools."""
+    instances = 1 << 16
+    matrix = np.random.default_rng(17).integers(0, 9, size=(4, instances))
+    with VectorizedRuntime(machines, instances, pool=pool, workers=0) as runtime:
+        runtime.apply_event_matrix(matrix)
+        return runtime.true_states, runtime.visible_states, runtime.statuses
+
+
+@pytest.mark.usefixtures("no_stray_segments")
+def test_starved_counters9_then_full_shm_fleet(references, monkeypatch):
+    """A 1 MB budget is still below the counters-9 merge peak (tens of
+    MB), so the fusion spills; its pooled 2-worker fleet then sees no
+    free ``/dev/shm`` and publishes to file-backed segments.  Graceful
+    degradation may cost time, never bytes."""
+    monkeypatch.delenv("REPRO_CHAOS", raising=False)
+    ref_digest, ref_summary, ref_prune = references["counters-9"]
+    watch = Stopwatch()
+    starved = generate_fusion(
+        counters_family(9), f=1, workers=2, stopwatch=watch, budget={"memory": "1M"}
+    )
+    assert _labels_digest(starved) == ref_digest
+    assert starved.summary() == ref_summary
+    assert dict(watch.extras("prune")) == ref_prune
+    resources = watch.extras("resources")
+    assert resources["spills"] >= 1, "the memory budget never forced a spill"
+    assert resources["spilled_bytes"] > 0
+
+    serial = _run_fleet(starved.all_machines, pool=None)
+    monkeypatch.setattr(shm_module, "shm_free_bytes", lambda path="/dev/shm": 0)
+    pool = SharedWorkerPool(2)
+    try:
+        pooled = _run_fleet(starved.all_machines, pool)
+    finally:
+        pool.close()
+    for ours, theirs in zip(pooled, serial):
+        assert np.array_equal(ours, theirs)
+    assert pool.shm_fallbacks >= 1, "a full /dev/shm never forced a file-backed fallback"
+    assert_no_owned_segments()
 
 
 class TestExternalMergeProperty:

@@ -17,6 +17,9 @@ The artifact store's acceptance contract, proven process-for-real:
   without stranding a single owned ``/dev/shm`` segment.
 * SIGKILL of a pooled runtime's owner takes its workers and its
   ``/dev/shm`` segments with it.
+* At the counters-9 scale, a store-backed fusion SIGKILLed between
+  levels resumes byte-identically, and a third, fully warm call
+  recomputes nothing and commits nothing.
 """
 
 from __future__ import annotations
@@ -32,6 +35,12 @@ import time
 import pytest
 
 import repro
+from repro.core.fusion import generate_fusion
+from repro.machines.catalog import counters_family
+from repro.utils.timing import Stopwatch
+
+from ..conftest import psm_segments
+from ..integration.test_partition_hashes import partitions_digest
 
 _SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -40,16 +49,12 @@ _SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 _FUSION_CHILD = r"""
 import hashlib, json, sys
 from repro.core.fusion import generate_fusion
-from repro.machines import mod_counter
+from repro.machines.catalog import counters_family
 from repro.utils.timing import Stopwatch
 
 store_root = sys.argv[1]
-machines = [
-    mod_counter(3, count_event=e, events=tuple(range(6)), name="c%d" % e)
-    for e in range(6)
-]
 watch = Stopwatch()
-result = generate_fusion(machines, 3, store=store_root, stopwatch=watch)
+result = generate_fusion(counters_family(6), 3, store=store_root, stopwatch=watch)
 labels = hashlib.sha256()
 for partition in result.partitions:
     labels.update(partition.labels.tobytes())
@@ -151,6 +156,63 @@ class TestCrashRecovery:
         assert payload["labels"] == reference["labels"]
 
 
+#: Child: a store-backed counters-9 fusion at ``f = 1``.
+_COUNTERS9_CHILD = r"""
+import sys
+from repro.core.fusion import generate_fusion
+from repro.machines.catalog import counters_family
+generate_fusion(counters_family(9), 1, store=sys.argv[1])
+"""
+
+
+class TestCounters9CrashResumeWarm:
+    @pytest.mark.usefixtures("no_stray_segments")
+    def test_sigkill_resume_then_warm_hit(self, tmp_path, monkeypatch):
+        """SIGKILL right after the first descent checkpoint commits; the
+        chaos-free rerun reclaims the lock and resumes from that level;
+        a third call is a pure warm hit.  Both finished runs match a
+        no-store run bit for bit."""
+        monkeypatch.delenv("REPRO_CHAOS", raising=False)
+        reference = generate_fusion(counters_family(9), f=1)
+        store_root = str(tmp_path / "store")
+        env = dict(
+            os.environ, PYTHONPATH=_SRC_DIR, REPRO_CHAOS="kill_between_levels=1.0,max=1,seed=3"
+        )
+        crashed = subprocess.run(
+            [sys.executable, "-c", _COUNTERS9_CHILD, store_root],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert crashed.returncode == -signal.SIGKILL, crashed.stderr[-2000:]
+        assert _lock_files(store_root), "the dead owner left no advisory lock behind"
+        assert glob.glob(os.path.join(store_root, "*", "descent-*.npz"))
+
+        resume_watch = Stopwatch()
+        start = time.perf_counter()
+        resumed = generate_fusion(
+            counters_family(9), f=1, store=store_root, stopwatch=resume_watch
+        )
+        resume_seconds = time.perf_counter() - start
+        resume_stats = resume_watch.extras("store")
+        assert resumed.summary() == reference.summary()
+        assert partitions_digest(resumed) == partitions_digest(reference)
+        assert resume_stats["resumed_levels"] >= 1, "the descent restarted from scratch"
+        assert resume_stats["stale_locks"] >= 1, "the dead owner's lock was never reclaimed"
+        assert resume_stats["checkpoints"] >= 1
+        assert _lock_files(store_root) == []
+
+        warm_watch = Stopwatch()
+        start = time.perf_counter()
+        warm = generate_fusion(counters_family(9), f=1, store=store_root, stopwatch=warm_watch)
+        warm_seconds = time.perf_counter() - start
+        warm_stats = warm_watch.extras("store")
+        assert not {"product_build", "ledger_build", "descent"} & set(warm_watch.as_dict())
+        assert warm_stats["commits"] == 0, "a warm hit must write nothing"
+        assert warm_stats["hits"] >= 1 and warm_stats["quarantined"] == 0
+        assert warm.summary() == reference.summary()
+        assert partitions_digest(warm) == partitions_digest(reference)
+        assert 0 < warm_seconds < resume_seconds
+
+
 class TestTwoProcessContention:
     def test_loser_blocks_then_warm_loads(self, tmp_path):
         reference = _reference(tmp_path)
@@ -205,11 +267,8 @@ class TestTwoProcessContention:
 _RUNTIME_CHILD_SETUP = r"""
 import numpy as np
 from repro.core.runtime import VectorizedRuntime
-from repro.machines import mod_counter
-machines = [
-    mod_counter(3, count_event=e, events=tuple(range(4)), name="c%d" % e)
-    for e in range(4)
-]
+from repro.machines.catalog import counters_family
+machines = counters_family(4)
 events = np.zeros((4, 64), dtype=np.int64)
 """
 
@@ -221,13 +280,6 @@ def _runtime_child_env(**extra):
     env.pop("REPRO_CHAOS", None)
     env.update(extra)
     return env
-
-
-def _shm_segments():
-    try:
-        return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
-    except OSError:
-        return set()
 
 
 def _running(pid: int) -> bool:
@@ -293,7 +345,7 @@ runtime.apply_event_matrix(events)
 print(json.dumps(sorted(runtime._pool._executor._processes)), flush=True)
 time.sleep(120)
 """
-        before = _shm_segments()
+        before = psm_segments()
         proc = subprocess.Popen(
             [sys.executable, "-c", child],
             env=_runtime_child_env(),
@@ -304,7 +356,7 @@ time.sleep(120)
         try:
             workers = json.loads(proc.stdout.readline())
             assert len(workers) == 2
-            assert _shm_segments() - before, "the pooled step published nothing"
+            assert psm_segments() - before, "the pooled step published nothing"
             os.kill(proc.pid, signal.SIGKILL)
             proc.communicate(timeout=30)
         finally:
@@ -313,7 +365,7 @@ time.sleep(120)
         deadline = time.monotonic() + 10.0
         while time.monotonic() < deadline:
             survivors = [pid for pid in workers if _running(pid)]
-            strays = _shm_segments() - before
+            strays = psm_segments() - before
             if not survivors and not strays:
                 break
             time.sleep(0.1)

@@ -15,36 +15,25 @@ from __future__ import annotations
 import pytest
 
 from repro.core.fusion import generate_fusion
-from repro.machines import mesi, mod_counter, parity_checker, tcp_simplified
+from repro.machines.catalog import zoo
 from repro.simulation import DistributedSystem, FaultInjector
 from repro.utils.rng import as_generator, derive_seed
 
-EVENTS = ("a", "b", "c")
 WORKLOAD = list("abacbcab") * 3
 SEEDS = list(range(4))
 F_VALUES = [1, 2, 3]
 
 
-def _zoo():
-    """Heterogeneous originals: protocol, cache-coherence, parity, counter."""
-    return [
-        tcp_simplified(events=EVENTS),
-        mesi(events=EVENTS),
-        parity_checker("a", events=EVENTS, name="parity-a"),
-        mod_counter(3, count_event="b", events=EVENTS, name="count-b"),
-    ]
-
-
 @pytest.fixture(scope="module", params=F_VALUES)
 def fused(request):
     f = request.param
-    return f, generate_fusion(_zoo(), f)
+    return f, generate_fusion(zoo(), f)
 
 
 @pytest.fixture(scope="module")
 def reference_states(fused):
     f, fusion = fused
-    system = DistributedSystem.with_fusion_backups(_zoo(), f=f, fusion=fusion)
+    system = DistributedSystem.with_fusion_backups(zoo(), f=f, fusion=fusion)
     report = system.run(WORKLOAD)
     assert report.consistent
     return system.states()
@@ -69,7 +58,7 @@ class TestWithinBudgetLiarsAreCorrected:
         f, fusion = fused
         liars = f // 2
         system = DistributedSystem.with_fusion_backups(
-            _zoo(), f=f, fusion=fusion, supervised=True
+            zoo(), f=f, fusion=fusion, supervised=True
         )
         plan, victims = _byzantine_plan(system, liars, seed)
         report = system.run(WORKLOAD, fault_plan=plan, rng=derive_seed(seed, "corrupt"))
@@ -92,7 +81,7 @@ class TestWithinBudgetLiarsAreCorrected:
         liars = f // 2
         crashes = f - 2 * liars
         system = DistributedSystem.with_fusion_backups(
-            _zoo(), f=f, fusion=fusion, supervised=True
+            zoo(), f=f, fusion=fusion, supervised=True
         )
         injector = FaultInjector(
             system.server_names(), seed=derive_seed(seed, "mixed-plan", f)
@@ -110,7 +99,7 @@ class TestPastBudgetLiarsDegrade:
         f, fusion = fused
         liars = f // 2 + 1
         system = DistributedSystem.with_fusion_backups(
-            _zoo(), f=f, fusion=fusion, supervised=True
+            zoo(), f=f, fusion=fusion, supervised=True
         )
         plan, victims = _byzantine_plan(system, liars, seed)
         report = system.run(WORKLOAD, fault_plan=plan, rng=derive_seed(seed, "corrupt"))

@@ -36,6 +36,7 @@ from repro.core.exceptions import (
     SpecParseError,
 )
 from repro.core.resilience import ChaosSpec, EngineFaultKind
+from repro.machines.catalog import counters_family
 from repro.utils.rng import as_generator
 
 
@@ -261,12 +262,7 @@ class TestStoreDiskRetry:
     """Tentpole: ENOSPC commits sweep, back off, retry, then raise typed."""
 
     def _machines(self):
-        from repro.machines import mod_counter
-
-        return [
-            mod_counter(3, count_event=e, events=(0, 1, 2), name="c%d" % e)
-            for e in range(3)
-        ]
+        return counters_family(3)
 
     def test_injected_disk_full_retries_and_succeeds(self, tmp_path):
         from repro.io.store import ArtifactStore

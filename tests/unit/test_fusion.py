@@ -17,7 +17,8 @@ from repro import (
     machine_from_partition,
 )
 from repro.core.fusion import STRATEGIES
-from repro.machines import fig3_partition, mod_counter
+from repro.machines import fig3_partition
+from repro.machines.catalog import counters_family
 
 
 def _machine(name, product):
@@ -192,9 +193,7 @@ class TestSharedAlphabetScaling:
     def test_many_counters_need_single_backup(self):
         # The sensor-network scenario: many counters over a shared stream
         # still need only one backup machine for f = 1.
-        counters = [
-            mod_counter(3, count_event=e, events=(0, 1, 2), name="c%d" % e) for e in (0, 1, 2)
-        ]
+        counters = counters_family(3)
         result = generate_fusion(counters, f=1)
         assert result.num_backups == 1
         assert is_fusion(counters, result.backups, 1)

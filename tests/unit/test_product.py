@@ -20,9 +20,9 @@ from repro.machines import (
     fig2_machine_a,
     fig2_machine_b,
     mesi,
-    mod_counter,
     tcp,
 )
+from repro.machines.catalog import counters_family
 
 
 class TestMergedAlphabet:
@@ -154,10 +154,7 @@ class TestTableNativeConstruction:
             raise AssertionError("a derived machine was built through the dict API")
 
         # Component machines are built before the parser is disabled.
-        machines = [
-            mod_counter(3, count_event=e, events=tuple(range(8)), name="c%d" % e)
-            for e in range(8)
-        ]
+        machines = counters_family(8)
         monkeypatch.setattr(dfsm_module, "_parse_transitions", refuse)
         return machines
 

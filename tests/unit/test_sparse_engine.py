@@ -27,6 +27,7 @@ from repro.core.sparse import (
     low_weight_pairs,
 )
 from repro.machines import mesi, mod_counter
+from repro.machines.catalog import CASES, EXPECTED_SUMMARIES, counters_family
 
 
 @pytest.fixture
@@ -34,13 +35,6 @@ def forced_sparse(monkeypatch):
     """Force the sparse graph and descent paths regardless of size."""
     monkeypatch.setattr(fault_graph_module, "SPARSE_STATE_CUTOFF", 1)
     monkeypatch.setattr(fusion_module, "DESCENT_SPARSE_CUTOFF", 1)
-
-
-def counters(size: int):
-    return [
-        mod_counter(3, count_event=e, events=tuple(range(size)), name="c%d" % e)
-        for e in range(size)
-    ]
 
 
 # ----------------------------------------------------------------------
@@ -372,45 +366,25 @@ class TestWorkerPool:
         assert rows.tolist() == [0] and cols.tolist() == [1]
 
     @pytest.mark.parametrize(
-        "build, expected",
-        [
-            (
-                lambda: counters(9),
-                {
-                    "originals": ["c%d" % e for e in range(9)], "f": 1,
-                    "top_size": 19683, "num_backups": 1, "backup_sizes": [3],
-                    "fusion_state_space": 3, "initial_dmin": 1, "final_dmin": 2,
-                    "byzantine_faults_tolerated": 0,
-                },
-            ),
-            (
-                lambda: [mesi()] + counters(8),
-                {
-                    "originals": ["MESI"] + ["c%d" % e for e in range(8)], "f": 1,
-                    "top_size": 26244, "num_backups": 1, "backup_sizes": [12],
-                    "fusion_state_space": 12, "initial_dmin": 1, "final_dmin": 2,
-                    "byzantine_faults_tolerated": 0,
-                },
-            ),
-        ],
+        "case",
+        ["counters-9 (top=19683)", "mesi+counters-8 (top=26244)"],
         ids=["counters-9", "mesi+counters-8"],
     )
     @pytest.mark.parametrize("workers", [2, 4, "env"])
-    def test_fusion_never_forks(self, monkeypatch, build, expected, workers):
+    def test_fusion_never_forks(self, monkeypatch, case, workers):
         """Any ``workers=`` count, or ``REPRO_FUSION_WORKERS`` (``env``),
         is accepted, but no stage submits to a pool or starts an
-        executor; the summaries are the frozen ones of
-        ``benchmarks/bench_perf_regression.py``."""
+        executor; the summaries are the catalog's frozen ones."""
         _refuse_workers(monkeypatch)
         if workers == "env":
             monkeypatch.setenv("REPRO_FUSION_WORKERS", "2")
-            result = generate_fusion(build(), f=1)
+            result = generate_fusion(CASES[case](), f=1)
         else:
-            result = generate_fusion(build(), f=1, workers=workers)
-        assert result.summary() == expected
+            result = generate_fusion(CASES[case](), f=1, workers=workers)
+        assert result.summary() == EXPECTED_SUMMARIES[case]
 
     def test_sparse_serial_matches_dense_engine(self, forced_sparse):
-        sparse = generate_fusion(counters(4), f=1)
+        sparse = generate_fusion(counters_family(4), f=1)
         assert sparse.graph.is_sparse
         # Recompute with the real cutoffs (dense) in a fresh interpreter
         # state: the frozen expected values from the dense engine.

@@ -29,15 +29,9 @@ from repro.io.npz_io import (
     write_container,
 )
 from repro.io.store import ArtifactStore
-from repro.machines import fig2_machines, mesi, mod_counter, tcp
+from repro.machines import fig2_machines, mesi, tcp
+from repro.machines.catalog import counters_family
 from repro.utils.timing import Stopwatch
-
-
-def _counters(size: int):
-    return [
-        mod_counter(3, count_event=e, events=tuple(range(size)), name="c%d" % e)
-        for e in range(size)
-    ]
 
 
 class TestContainerFormat:
@@ -122,7 +116,7 @@ class TestContainerFormat:
             assert np.array_equal(loaded[name].ravel(), arr.ravel())
 
     def test_product_container_bytes_are_pinned(self, tmp_path):
-        machines = _counters(4)
+        machines = counters_family(4)
         digest = machine_set_digest(machines)
         store = ArtifactStore(str(tmp_path))
         store.save_product(digest, CrossProduct(machines))
@@ -151,16 +145,16 @@ class TestContainerFormat:
         assert loaded == list(machines)
 
     def test_digest_is_order_and_content_sensitive(self):
-        a = _counters(3)
-        assert machine_set_digest(a) == machine_set_digest(_counters(3))
+        a = counters_family(3)
+        assert machine_set_digest(a) == machine_set_digest(counters_family(3))
         assert machine_set_digest(a) != machine_set_digest(list(reversed(a)))
-        assert machine_set_digest(a) != machine_set_digest(_counters(4))
+        assert machine_set_digest(a) != machine_set_digest(counters_family(4))
 
 
 class TestArtifactStore:
     def test_commit_then_load(self, tmp_path):
         store = ArtifactStore(str(tmp_path))
-        digest = store.open_namespace(_counters(3))
+        digest = store.open_namespace(counters_family(3))
         store.commit(digest, "x.npz", {"v": np.arange(5)}, {"k": 1})
         loaded = store.load(digest, "x.npz")
         assert loaded is not None
@@ -170,13 +164,13 @@ class TestArtifactStore:
 
     def test_missing_artifact_is_a_miss(self, tmp_path):
         store = ArtifactStore(str(tmp_path))
-        digest = store.open_namespace(_counters(3))
+        digest = store.open_namespace(counters_family(3))
         assert store.load(digest, "absent.npz") is None
         assert store.stats.misses == 1
 
     def test_corrupt_artifact_quarantined_not_loaded(self, tmp_path):
         store = ArtifactStore(str(tmp_path))
-        digest = store.open_namespace(_counters(3))
+        digest = store.open_namespace(counters_family(3))
         store.commit(digest, "x.npz", {"v": np.arange(100)})
         path = store.artifact_path(digest, "x.npz")
         os.truncate(path, os.path.getsize(path) // 2)
@@ -188,13 +182,13 @@ class TestArtifactStore:
 
     def test_namespace_is_self_describing(self, tmp_path):
         store = ArtifactStore(str(tmp_path))
-        machines = _counters(3)
+        machines = counters_family(3)
         digest = store.open_namespace(machines)
         assert store.load_machine_set(digest) == machines
 
     def test_stale_temp_files_swept(self, tmp_path):
         store = ArtifactStore(str(tmp_path))
-        machines = _counters(3)
+        machines = counters_family(3)
         digest = store.open_namespace(machines)
         dead = os.path.join(
             str(tmp_path), digest, "x.npz.tmp-999999999-0"
@@ -214,7 +208,7 @@ class TestArtifactStore:
 
     def test_product_roundtrip_byte_identical(self, tmp_path):
         store = ArtifactStore(str(tmp_path))
-        machines = _counters(4)
+        machines = counters_family(4)
         digest = store.open_namespace(machines)
         product = CrossProduct(machines)
         store.save_product(digest, product)
@@ -227,7 +221,7 @@ class TestArtifactStore:
 
     def test_ledger_roundtrip(self, tmp_path):
         store = ArtifactStore(str(tmp_path))
-        digest = store.open_namespace(_counters(3))
+        digest = store.open_namespace(counters_family(3))
         ledger = PairLedger(
             10,
             3,
@@ -246,7 +240,7 @@ class TestArtifactStore:
 class TestAdvisoryLocks:
     def test_lock_excludes_and_releases(self, tmp_path):
         store = ArtifactStore(str(tmp_path), lock_timeout=0.2)
-        digest = store.open_namespace(_counters(3))
+        digest = store.open_namespace(counters_family(3))
         with store.lock(digest, "run"):
             other = ArtifactStore(str(tmp_path), lock_timeout=0.2)
             with pytest.raises(StoreLockTimeoutError):
@@ -259,7 +253,7 @@ class TestAdvisoryLocks:
 
     def test_dead_owner_lock_reclaimed(self, tmp_path):
         store = ArtifactStore(str(tmp_path), lock_timeout=5.0)
-        digest = store.open_namespace(_counters(3))
+        digest = store.open_namespace(counters_family(3))
         path = os.path.join(str(tmp_path), digest, "run.lock")
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(json.dumps({"pid": 999999999, "start": 12345}))
@@ -271,7 +265,7 @@ class TestAdvisoryLocks:
         # Same pid as a live process (ours) but an impossible start time:
         # the owner is a *previous incarnation* of the pid, hence dead.
         store = ArtifactStore(str(tmp_path), lock_timeout=5.0)
-        digest = store.open_namespace(_counters(3))
+        digest = store.open_namespace(counters_family(3))
         path = os.path.join(str(tmp_path), digest, "run.lock")
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(json.dumps({"pid": os.getpid(), "start": 1}))
@@ -281,7 +275,7 @@ class TestAdvisoryLocks:
 
     def test_unreadable_lock_payload_treated_as_stale(self, tmp_path):
         store = ArtifactStore(str(tmp_path), lock_timeout=5.0)
-        digest = store.open_namespace(_counters(3))
+        digest = store.open_namespace(counters_family(3))
         path = os.path.join(str(tmp_path), digest, "run.lock")
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("{torn")
@@ -292,7 +286,7 @@ class TestAdvisoryLocks:
 
 class TestWarmFusion:
     def test_second_call_skips_product_and_ledger_build(self, tmp_path):
-        machines = _counters(5)
+        machines = counters_family(5)
         reference = generate_fusion(machines, 2)
         cold_watch = Stopwatch()
         generate_fusion(machines, 2, stopwatch=cold_watch, store=str(tmp_path))
@@ -317,7 +311,7 @@ class TestWarmFusion:
         ]
 
     def test_store_stage_counters_recorded(self, tmp_path):
-        machines = _counters(4)
+        machines = counters_family(4)
         watch = Stopwatch()
         generate_fusion(machines, 2, stopwatch=watch, store=str(tmp_path))
         extras = watch.extras("store")
@@ -326,7 +320,7 @@ class TestWarmFusion:
         assert extras["quarantined"] == 0
 
     def test_corrupt_product_recomputed_transparently(self, tmp_path):
-        machines = _counters(4)
+        machines = counters_family(4)
         reference = generate_fusion(machines, 2)
         store = ArtifactStore(str(tmp_path))
         generate_fusion(machines, 2, store=store)
@@ -345,7 +339,7 @@ class TestWarmFusion:
             assert np.array_equal(ours.transition_table, theirs.transition_table)
 
     def test_checkpoint_resume_is_byte_identical(self, tmp_path):
-        machines = _counters(5)
+        machines = counters_family(5)
         reference = generate_fusion(machines, 2)
         generate_fusion(machines, 2, store=str(tmp_path))
         digest = machine_set_digest(machines)
@@ -367,7 +361,7 @@ class TestWarmFusion:
         ]
 
     def test_env_var_enables_store(self, tmp_path, monkeypatch):
-        machines = _counters(3)
+        machines = counters_family(3)
         monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path))
         generate_fusion(machines, 1)
         digest = machine_set_digest(machines)
@@ -376,5 +370,5 @@ class TestWarmFusion:
 
     def test_no_store_means_no_files(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_ARTIFACT_DIR", raising=False)
-        generate_fusion(_counters(3), 1)
+        generate_fusion(counters_family(3), 1)
         assert os.listdir(str(tmp_path)) == []
