@@ -65,12 +65,12 @@ def test_crash_vs_byzantine_backup_requirements(case, f, benchmark, report):
 
 def test_byzantine_detection_quality(benchmark, report):
     """The recovered outcome names exactly the machines that lied."""
-    from repro import RecoveryEngine
+    from repro import BatchRecovery
     from repro.simulation import WorkloadGenerator
 
     machines = [fig1_counter_a(), fig1_counter_b()]
     fusion = generate_byzantine_fusion(machines, 1)
-    engine = RecoveryEngine(fusion.product, fusion.backups)
+    engine = BatchRecovery(fusion.product, fusion.backups)
     workload = WorkloadGenerator((0, 1), seed=3).uniform(40)
     observations = {m.name: m.run(workload) for m in fusion.all_machines}
     truth = dict(observations)

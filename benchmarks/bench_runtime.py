@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import RecoveryEngine, generate_fusion
+from repro import BatchRecovery, generate_fusion
 from repro.analysis import time_fusion_generation
 from repro.machines import mod_counter
 from repro.machines.catalog import GENERATION_CASES
@@ -51,7 +51,7 @@ def test_recovery_time_vs_machine_count(num_machines, benchmark, report):
         mod_counter(3, count_event=e, events=events, name="m%d" % e) for e in range(num_machines)
     ]
     fusion = generate_fusion(machines, f=1)
-    engine = RecoveryEngine(fusion.product, fusion.backups)
+    engine = BatchRecovery(fusion.product, fusion.backups)
     workload = [e for e in range(num_machines)] * 5
     observations = {m.name: m.run(workload) for m in fusion.all_machines}
     observations[machines[0].name] = None

@@ -66,13 +66,13 @@ def test_table1_row(row_id, benchmark, report):
 
 def test_table1_row3_fusion_is_recoverable(benchmark, report):
     """Row 3 end-to-end: the generated backups actually recover f crashes."""
-    from repro.core import RecoveryEngine
+    from repro.core import BatchRecovery
     from repro.simulation import WorkloadGenerator
 
     config = table1_configuration(3)
     fusion = generate_fusion(list(config.machines), config.f)
     validate_fusion_result(fusion)
-    engine = RecoveryEngine(fusion.product, fusion.backups)
+    engine = BatchRecovery(fusion.product, fusion.backups)
     workload = WorkloadGenerator((0, 1), seed=0).uniform(50)
     observations = {m.name: m.run(workload) for m in fusion.all_machines}
     truth = dict(observations)

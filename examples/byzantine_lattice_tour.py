@@ -19,9 +19,9 @@ Run with::
 from __future__ import annotations
 
 from repro import (
+    BatchRecovery,
     ClosedPartitionLattice,
     FaultGraph,
-    RecoveryEngine,
     find_minimum_state_fusion,
     generate_fusion,
     machine_from_partition,
@@ -71,7 +71,7 @@ def show_byzantine_recovery(machines, product) -> None:
         machine_from_partition(product.machine, fig3_partition(name, product), name=name)
         for name in ("M1", "M2")
     ]
-    engine = RecoveryEngine(product, backups)
+    engine = BatchRecovery(product, backups)
     workload = [0, 1, 0, 0, 1, 1, 0]
     observations = {m.name: m.run(workload) for m in list(machines) + backups}
     truth = dict(observations)

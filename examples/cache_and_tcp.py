@@ -17,7 +17,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro import CrossProduct, FaultGraph, RecoveryEngine, generate_fusion, replication_state_space
+from repro import BatchRecovery, CrossProduct, FaultGraph, generate_fusion, replication_state_space
 from repro.io import machine_to_dot
 from repro.machines import fig2_machine_a, fig2_machine_b, mesi, tcp
 from repro.simulation import WorkloadGenerator, protocol_workload
@@ -64,7 +64,7 @@ def main() -> None:
 
     # 4. Crash the TCP machine and recover its connection state exactly.
     observations["TCP"] = None
-    engine = RecoveryEngine(fusion.product, fusion.backups)
+    engine = BatchRecovery(fusion.product, fusion.backups)
     outcome = engine.recover(observations)
     print("TCP state recovered after crash: %r" % outcome.machine_states["TCP"])
     assert outcome.machine_states["TCP"] == tcp_truth

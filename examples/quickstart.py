@@ -16,7 +16,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro import RecoveryEngine, generate_fusion, replication_state_space
+from repro import BatchRecovery, generate_fusion, replication_state_space
 from repro.machines import mod_counter
 
 
@@ -46,7 +46,7 @@ def main() -> None:
     true_state = observations["zero-counter"]
     observations["zero-counter"] = None  # the crash: its execution state is lost
 
-    engine = RecoveryEngine(fusion.product, fusion.backups)
+    engine = BatchRecovery(fusion.product, fusion.backups)
     outcome = engine.recover(observations)
     print("\nAfter the crash, Algorithm 3 recovered the global state %r" % (outcome.top_state,))
     print(

@@ -14,13 +14,13 @@ replication.
 
 Quickstart
 ----------
->>> from repro import generate_fusion, RecoveryEngine
+>>> from repro import BatchRecovery, generate_fusion
 >>> from repro.machines import mod_counter
 >>> counters = [mod_counter(3, count_event=e, events=(0, 1), name=f"count-{e}") for e in (0, 1)]
 >>> result = generate_fusion(counters, f=1)
 >>> result.num_backups
 1
->>> engine = RecoveryEngine(result.product, result.backups)
+>>> engine = BatchRecovery(result.product, result.backups)
 
 Package layout
 --------------
@@ -61,7 +61,6 @@ from .core import (
     BatchRecovery,
     PartitionError,
     PoolDegradedError,
-    RecoveryEngine,
     RecoveryError,
     RecoveryOutcome,
     ReplicatedSystem,
@@ -135,7 +134,6 @@ __all__ = [
     "Partition",
     "BatchOutcome",
     "BatchRecovery",
-    "RecoveryEngine",
     "RecoveryOutcome",
     "ReplicatedSystem",
     "VectorizedRuntime",

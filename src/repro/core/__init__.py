@@ -89,7 +89,7 @@ from .partition import (
     set_representation,
 )
 from .product import CrossProduct, merged_alphabet, reachable_cross_product
-from .recovery import RecoveryEngine, RecoveryOutcome, recover_top_state, vote_counts
+from .recovery import RecoveryOutcome, recover_top_state, vote_counts
 from .runtime import BatchOutcome, BatchRecovery, VectorizedRuntime, recover_fleet
 from .replication import (
     ReplicatedSystem,
@@ -164,7 +164,6 @@ __all__ = [
     "find_minimum_state_fusion",
     "is_minimal_fusion",
     # recovery
-    "RecoveryEngine",
     "RecoveryOutcome",
     "recover_top_state",
     "vote_counts",

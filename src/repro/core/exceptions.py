@@ -205,11 +205,9 @@ class FaultBudgetExceededError(FaultToleranceExceededError):
     exception *names the culprits*: which machines crashed or are
     suspected of lying, how heavily the observation weighs against the
     budget (a Byzantine machine costs two crash units — Theorem 2's
-    ``dmin > 2f``), and what the budget was.  Raised by both Algorithm-3
-    engines (:class:`~repro.core.recovery.RecoveryEngine` and
-    :class:`~repro.core.runtime.BatchRecovery`, with byte-identical
-    messages) and by the fleet supervisor when it refuses a recovery
-    that could be silently wrong.
+    ``dmin > 2f``), and what the budget was.  Raised by the Algorithm-3
+    engine (:class:`~repro.core.runtime.BatchRecovery`) and by the fleet
+    supervisor when it refuses a recovery that could be silently wrong.
 
     Attributes
     ----------
@@ -236,12 +234,8 @@ class FaultBudgetExceededError(FaultToleranceExceededError):
 
     @classmethod
     def for_crashes(cls, culprits, tolerated: int) -> "FaultBudgetExceededError":
-        """The canonical crash-overrun error, shared by both engines.
-
-        Both Algorithm-3 implementations raise through this constructor
-        so their messages stay byte-identical (the equivalence property
-        suite asserts it).
-        """
+        """The canonical crash-overrun error: ``culprits`` crashed, more
+        than the ``tolerated`` budget."""
         culprits = tuple(culprits)
         return cls(
             "%d machines crashed (%s) but the system is designed for at most "

@@ -14,33 +14,27 @@ returns the top state with the maximal count:
 
 Once the top state is known, the execution state of *every* machine —
 including the crashed ones — is obtained by projection.
+
+This module holds the vote as the paper writes it, over explicit
+blocks; :class:`repro.core.runtime.BatchRecovery` is the engine that
+runs it on reported states, one instance or a whole cohort at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
 
-from .dfsm import DFSM
-from .exceptions import FaultBudgetExceededError, RecoveryError
-from .partition import Partition, partition_from_machine, set_representation
-from .product import CrossProduct
+from .exceptions import RecoveryError
 from .types import StateLabel, StateTuple
 
 __all__ = [
-    "MachineObservation",
     "RecoveryOutcome",
-    "RecoveryEngine",
     "recover_top_state",
     "vote_counts",
 ]
-
-
-#: A reported observation: either the machine's current state label, or
-#: ``None`` for a crashed machine whose state is lost.
-MachineObservation = Optional[StateLabel]
 
 
 def vote_counts(
@@ -127,182 +121,3 @@ class RecoveryOutcome:
     machine_states: Dict[str, StateLabel]
     crashed: Tuple[str, ...]
     suspected_byzantine: Tuple[str, ...]
-
-
-class RecoveryEngine:
-    """Stateful wrapper around Algorithm 3 for a fixed fault-tolerant system.
-
-    The engine pre-computes, for every machine (original or backup), the
-    mapping from machine state to its block of top-state indices, so that
-    each recovery call only performs the counting loop.
-
-    Parameters
-    ----------
-    product:
-        The reachable cross product of the original machines.
-    backups:
-        The fusion (or replica) machines, each ≤ the top.
-    """
-
-    def __init__(self, product: CrossProduct, backups: Sequence[DFSM] = ()) -> None:
-        self._product = product
-        self._top = product.machine
-        self._backups = tuple(backups)
-        self._machines: Dict[str, DFSM] = {}
-        self._blocks: Dict[str, Dict[StateLabel, FrozenSet[int]]] = {}
-
-        for index, machine in enumerate(product.components):
-            name = self._unique_name(machine.name)
-            projection = product.projection(index)
-            blocks: Dict[StateLabel, set] = {}
-            for top_index, machine_state_index in enumerate(projection.tolist()):
-                label = machine.state_label(machine_state_index)
-                blocks.setdefault(label, set()).add(top_index)
-            self._machines[name] = machine
-            self._blocks[name] = {k: frozenset(v) for k, v in blocks.items()}
-
-        for machine in self._backups:
-            name = self._unique_name(machine.name)
-            label_blocks: Dict[StateLabel, set] = {}
-            for label, top_labels in set_representation(self._top, machine).items():
-                label_blocks[label] = {self._top.state_index(t) for t in top_labels}
-            self._machines[name] = machine
-            self._blocks[name] = {k: frozenset(v) for k, v in label_blocks.items()}
-
-    def _unique_name(self, name: str) -> str:
-        if name not in self._machines:
-            return name
-        suffix = 2
-        while "%s#%d" % (name, suffix) in self._machines:
-            suffix += 1
-        return "%s#%d" % (name, suffix)
-
-    # ------------------------------------------------------------------
-    @property
-    def machine_names(self) -> Tuple[str, ...]:
-        """Names of all machines known to the engine (originals then backups)."""
-        return tuple(self._machines)
-
-    @property
-    def top(self) -> DFSM:
-        return self._top
-
-    @property
-    def num_machines(self) -> int:
-        return len(self._machines)
-
-    def block_of(self, machine_name: str, state: StateLabel) -> FrozenSet[int]:
-        """Set of top-state indices represented by ``state`` of ``machine_name``."""
-        try:
-            blocks = self._blocks[machine_name]
-        except KeyError:
-            raise RecoveryError("unknown machine %r" % machine_name) from None
-        try:
-            return blocks[state]
-        except KeyError:
-            raise RecoveryError(
-                "machine %r cannot be in state %r (not reachable alongside the top)"
-                % (machine_name, state)
-            ) from None
-
-    # ------------------------------------------------------------------
-    def recover(
-        self,
-        observations: Mapping[str, MachineObservation],
-        strict: bool = True,
-        expected_max_faults: Optional[int] = None,
-    ) -> RecoveryOutcome:
-        """Run Algorithm 3 on a set of reported machine states.
-
-        Parameters
-        ----------
-        observations:
-            Mapping from machine name to its reported state label, or
-            ``None`` when the machine crashed.  Machines omitted from the
-            mapping are treated as crashed.
-        strict:
-            Raise :class:`RecoveryError` on an ambiguous (tied) vote
-            instead of picking arbitrarily.
-        expected_max_faults:
-            When given, the number of crashed machines is checked against
-            this bound up front and
-            :class:`~repro.core.exceptions.FaultBudgetExceededError`
-            (naming the crashed machines) is raised if exceeded.
-
-        Returns
-        -------
-        RecoveryOutcome
-        """
-        unknown = set(observations) - set(self._machines)
-        if unknown:
-            raise RecoveryError("observations for unknown machines: %r" % sorted(unknown))
-
-        crashed: List[str] = []
-        reported: List[Tuple[str, FrozenSet[int]]] = []
-        for name in self._machines:
-            state = observations.get(name)
-            if state is None:
-                crashed.append(name)
-            else:
-                reported.append((name, self.block_of(name, state)))
-
-        if expected_max_faults is not None and len(crashed) > expected_max_faults:
-            raise FaultBudgetExceededError.for_crashes(crashed, expected_max_faults)
-        if not reported:
-            raise RecoveryError("every machine crashed; nothing to recover from")
-
-        top_index, counts = recover_top_state(
-            [block for _, block in reported], self._top.num_states, strict=strict
-        )
-        top_state: StateTuple = self._product.state_tuple(top_index)
-
-        machine_states: Dict[str, StateLabel] = {}
-        for name, machine in self._machines.items():
-            machine_states[name] = self._state_of_machine(name, top_index)
-
-        suspected = tuple(
-            name for name, block in reported if top_index not in block
-        )
-        return RecoveryOutcome(
-            top_state=top_state,
-            top_index=top_index,
-            counts=counts,
-            machine_states=machine_states,
-            crashed=tuple(crashed),
-            suspected_byzantine=suspected,
-        )
-
-    def _state_of_machine(self, machine_name: str, top_index: int) -> StateLabel:
-        """Project a top state onto one machine (the block containing it)."""
-        for label, block in self._blocks[machine_name].items():
-            if top_index in block:
-                return label
-        raise RecoveryError(
-            "top state %d not covered by machine %r (corrupted engine state)"
-            % (top_index, machine_name)
-        )
-
-    # Convenience wrappers -------------------------------------------------
-    def recover_from_crashes(
-        self,
-        observations: Mapping[str, MachineObservation],
-        f: Optional[int] = None,
-    ) -> RecoveryOutcome:
-        """Recovery entry point when only crash faults are assumed."""
-        return self.recover(observations, strict=True, expected_max_faults=f)
-
-    def recover_from_byzantine(
-        self, observations: Mapping[str, StateLabel]
-    ) -> RecoveryOutcome:
-        """Recovery entry point when Byzantine (lying) machines are assumed.
-
-        All machines must report *some* state; the vote discounts the
-        liars as long as at most ``⌊f/2⌋`` machines lie (Theorem 6).
-        """
-        missing = [name for name in self._machines if observations.get(name) is None]
-        if missing:
-            raise RecoveryError(
-                "Byzantine recovery expects a reported state from every machine; "
-                "missing: %r" % missing
-            )
-        return self.recover(observations, strict=True)

@@ -27,11 +27,13 @@ Two engines live here:
   ``min(n_m + 1, B)`` rows, the crash row all zero) and adds one table
   row per instance into the ``(B, |top|)`` vote matrix, so recovering
   ``B`` faulty instances is a handful of gathers instead of ``B`` Python
-  dict walks, with memory bounded by the vote matrix itself.  It
-  reproduces :class:`~repro.core.recovery.RecoveryEngine`
-  outcome-for-outcome — including the strict-tie, fault-budget and
-  all-crashed error paths and the Byzantine ``⌊f/2⌋`` majority — which
-  the property suite asserts directly.
+  dict walks, with memory bounded by the vote matrix itself.  It is the
+  one Algorithm 3 engine: :meth:`BatchRecovery.recover` serves a single
+  instance (the simulation's coordinator), :meth:`BatchRecovery.recover_batch`
+  a cohort.  The property suite checks it outcome-for-outcome — the
+  strict-tie, fault-budget and all-crashed error paths and the Byzantine
+  ``⌊f/2⌋`` majority included — against an oracle written from the
+  paper's set representation and vote.
 
 Both engines treat per-instance faults with the simulator's exact
 semantics: a crashed machine's visible state is the sentinel ``-1``
@@ -71,9 +73,8 @@ __all__ = [
 ]
 
 
-#: Integer status codes, one per instance and machine.  They mirror
-#: :class:`repro.simulation.server.ServerStatus` member for member so a
-#: simulated server can live directly on a runtime column.
+#: Integer status codes, one per instance and machine; they mirror
+#: :class:`repro.simulation.server.ServerStatus` member for member.
 HEALTHY, CRASHED, BYZANTINE = 0, 1, 2
 
 #: Fleets below this many instances step serially — the gathers are
@@ -97,9 +98,49 @@ def _pool_min_instances() -> int:
 
 
 # ----------------------------------------------------------------------
+# Stepping kernels, shared by the serial path and the pool tasks.  Every
+# table and composed map carries one extra all ``-1`` row, which the
+# crash sentinel ``-1`` indexes, so a crashed cell stays crashed without
+# a mask.
+# ----------------------------------------------------------------------
+def _step_matrix(
+    tables: np.ndarray, true: np.ndarray, visible: np.ndarray, events: np.ndarray
+) -> None:
+    """Step ``(M, W)`` true/visible states in place through a ``(T, W)``
+    event-index matrix: one ``table[S, E]`` gather per step and machine."""
+    for t in range(events.shape[0]):
+        e = events[t]
+        for m in range(true.shape[0]):
+            tm = tables[m]
+            true[m] = tm[true[m], e]
+            visible[m] = tm[visible[m], e]
+
+
+def _apply_map(comp: np.ndarray, true: np.ndarray, visible: np.ndarray) -> None:
+    """Apply a composed per-machine ``state -> state`` map in place."""
+    for m in range(true.shape[0]):
+        cm = comp[m]
+        true[m] = cm[true[m]]
+        visible[m] = cm[visible[m]]
+
+
+# ----------------------------------------------------------------------
 # Pool tasks (module-level for pickling; pure functions of the published
 # arrays and their arguments, so healed replays are byte-identical)
 # ----------------------------------------------------------------------
+def _scratch_slab(
+    data: np.ndarray, num_machines: int, num_instances: int, lo: int, hi: int
+) -> np.ndarray:
+    """A ``(2, M, width)`` copy of one instance slice of the scratch's
+    true and visible matrices.
+
+    The scratch stays read-only to tasks, so a healed replay sees the
+    original payload.
+    """
+    states = data[: 2 * num_machines * num_instances]
+    return states.reshape(2, num_machines, num_instances)[:, :, lo:hi].copy()
+
+
 def _runtime_stream_task(
     scratch_meta: Dict[str, object],
     comp: np.ndarray,
@@ -108,26 +149,17 @@ def _runtime_stream_task(
     lo: int,
     hi: int,
 ) -> np.ndarray:
-    """Apply a composed per-machine ``state -> state`` map to one slice.
+    """Apply a composed per-machine map to one slice.
 
     The true/visible state matrices travel through the scratch; the
-    composed maps are small (``(M, max_n)``) and ride in the task
-    arguments.  Crashed cells (visible ``-1``) are left untouched.
-    Returns the updated ``(2, M, width)`` slab; the owner writes it back.
+    composed maps are small (``(M, max_n + 1)``) and ride in the task
+    arguments.  Returns the updated ``(2, M, width)`` slab; the owner
+    writes it back.
     """
     data = attached_arrays(scratch_meta)["data"]
-    total = num_machines * num_instances
-    true = data[:total].reshape(num_machines, num_instances)[:, lo:hi]
-    visible = data[total : 2 * total].reshape(num_machines, num_instances)[:, lo:hi]
-    out = np.empty((2, num_machines, hi - lo), dtype=data.dtype)
-    for m in range(num_machines):
-        cm = comp[m]
-        out[0, m] = cm[true[m]]
-        vis = visible[m].copy()
-        alive = vis >= 0
-        vis[alive] = cm[vis[alive]]
-        out[1, m] = vis
-    return out
+    slab = _scratch_slab(data, num_machines, num_instances, lo, hi)
+    _apply_map(comp, slab[0], slab[1])
+    return slab
 
 
 def _runtime_matrix_task(
@@ -143,29 +175,17 @@ def _runtime_matrix_task(
 
     The padded global transition tables live in the published bundle;
     states and the ``(T, N)`` event-index matrix travel through the
-    scratch.  The worker copies its slice before stepping — the scratch
-    stays read-only to tasks, so a healed replay sees the original
-    payload.  Returns the ``(2, M, width)`` slab of final states.
+    scratch.  Returns the ``(2, M, width)`` slab of final states.
     """
     tables = attached_arrays(tables_meta)["tables"]
     data = attached_arrays(scratch_meta)["data"]
+    slab = _scratch_slab(data, num_machines, num_instances, lo, hi)
     total = num_machines * num_instances
-    true = data[:total].reshape(num_machines, num_instances)[:, lo:hi].copy()
-    visible = (
-        data[total : 2 * total].reshape(num_machines, num_instances)[:, lo:hi].copy()
-    )
     events = data[2 * total : 2 * total + num_steps * num_instances].reshape(
         num_steps, num_instances
     )[:, lo:hi]
-    for t in range(num_steps):
-        e = events[t]
-        for m in range(num_machines):
-            tm = tables[m]
-            true[m] = tm[true[m], e]
-            vis = visible[m]
-            alive = vis >= 0
-            vis[alive] = tm[vis[alive], e[alive]]
-    return np.stack([true, visible])
+    _step_matrix(tables, slab[0], slab[1], events)
+    return slab
 
 
 # ----------------------------------------------------------------------
@@ -194,7 +214,8 @@ class VectorizedRuntime:
     merged alphabet — identity columns for events outside the machine's
     own alphabet, reproducing :meth:`repro.core.dfsm.DFSM.step`'s
     ignore-unknown-events semantics — padded and stacked into one
-    ``(M, max_n, K)`` array that is published once per pool lifetime.
+    ``(M, max_n + 1, K)`` array that is published once per pool lifetime.
+    The last row is all ``-1``: the crash sentinel steps to itself.
     """
 
     def __init__(
@@ -220,7 +241,8 @@ class VectorizedRuntime:
         max_states = max(machine.num_states for machine in machines)
         dtype = narrow_index_dtype(max_states + 1)
 
-        tables = np.zeros((num_machines, max_states, num_events), dtype=dtype)
+        tables = np.zeros((num_machines, max_states + 1, num_events), dtype=dtype)
+        tables[:, max_states] = -1
         for mi, machine in enumerate(machines):
             n = machine.num_states
             identity = np.arange(n, dtype=dtype)
@@ -333,10 +355,11 @@ class VectorizedRuntime:
         ]
         if ids:
             comp = np.repeat(
-                np.arange(self._max_states, dtype=self._dtype)[None, :],
+                np.arange(self._max_states + 1, dtype=self._dtype)[None, :],
                 self.num_machines,
                 axis=0,
             )
+            comp[:, self._max_states] = -1
             for ei in ids:
                 comp = np.take_along_axis(self._tables[:, :, ei], comp, axis=1)
             self._apply_composed(comp)
@@ -364,28 +387,12 @@ class VectorizedRuntime:
             raise SimulationError("event index out of range for the merged alphabet")
         matrix = matrix.astype(self._dtype, copy=False)
         if not (self._pooled_route() and self._apply_matrix_pooled(matrix)):
-            self._apply_matrix_serial(matrix)
+            _step_matrix(self._tables, self._true, self._visible, matrix)
         self._events_applied += matrix.shape[0]
 
-    def _apply_matrix_serial(self, matrix: np.ndarray) -> None:
-        for t in range(matrix.shape[0]):
-            e = matrix[t]
-            for m in range(self.num_machines):
-                tm = self._tables[m]
-                self._true[m] = tm[self._true[m], e]
-                vis = self._visible[m]
-                alive = vis >= 0
-                vis[alive] = tm[vis[alive], e[alive]]
-
     def _apply_composed(self, comp: np.ndarray) -> None:
-        if self._pooled_route() and self._apply_composed_pooled(comp):
-            return
-        for m in range(self.num_machines):
-            cm = comp[m]
-            self._true[m] = cm[self._true[m]]
-            vis = self._visible[m]
-            alive = vis >= 0
-            vis[alive] = cm[vis[alive]]
+        if not (self._pooled_route() and self._apply_composed_pooled(comp)):
+            _apply_map(comp, self._true, self._visible)
 
     # ------------------------------------------------------------------
     # Pool sharding
@@ -570,28 +577,6 @@ class VectorizedRuntime:
         return self._visible[:, selected].astype(np.int64)
 
     # ------------------------------------------------------------------
-    # Single-cell accessors (the simulation's VectorServer lives on one
-    # column; these keep Server's per-server semantics byte-compatible)
-    # ------------------------------------------------------------------
-    def visible_index(self, machine_index: int, instance: int) -> int:
-        return int(self._visible[machine_index, instance])
-
-    def set_visible_index(self, machine_index: int, instance: int, value: int) -> None:
-        self._visible[machine_index, instance] = value
-
-    def true_index(self, machine_index: int, instance: int) -> int:
-        return int(self._true[machine_index, instance])
-
-    def set_true_index(self, machine_index: int, instance: int, value: int) -> None:
-        self._true[machine_index, instance] = value
-
-    def status_code(self, machine_index: int, instance: int) -> int:
-        return int(self._status[machine_index, instance])
-
-    def set_status_code(self, machine_index: int, instance: int, code: int) -> None:
-        self._status[machine_index, instance] = code
-
-    # ------------------------------------------------------------------
     # Verification
     # ------------------------------------------------------------------
     def consistent_instances(self) -> np.ndarray:
@@ -659,17 +644,16 @@ class BatchOutcome:
 
 
 class BatchRecovery:
-    """Algorithm 3 as batched array votes, API-compatible with
-    :class:`~repro.core.recovery.RecoveryEngine` for single instances.
+    """Algorithm 3 as batched array votes, over one instance or a cohort.
 
-    For every machine (originals in product order, then backups, with
-    the same ``name#2`` deduplication as the per-instance engine) the
-    constructor precomputes the top→machine-state assignment — the
-    product's projections for originals, Algorithm 1's lockstep
-    assignment (:func:`repro.core.partition.machine_assignment`) for
-    backups.  Machine state ``s`` represents the block of top states
-    assigned to ``s``; :meth:`recover_batch` votes by comparing the
-    assignment against the distinct states a cohort reports.
+    For every machine (originals in product order, then backups, a
+    repeated name getting a ``name#2`` suffix) the constructor
+    precomputes the top→machine-state assignment — the product's
+    projections for originals, Algorithm 1's lockstep assignment
+    (:func:`repro.core.partition.machine_assignment`) for backups.
+    Machine state ``s`` represents the block of top states assigned to
+    ``s``; :meth:`recover_batch` votes by comparing the assignment
+    against the distinct states a cohort reports.
     """
 
     def __init__(self, product: CrossProduct, backups: Sequence[DFSM] = ()) -> None:
@@ -736,11 +720,12 @@ class BatchRecovery:
 
         ``reported`` is an ``(M, B)`` matrix of reported machine-state
         *indices* (``-1`` = crashed; a lower index is rejected), machine
-        rows in :attr:`machine_names` order.  Error semantics match the
-        per-instance engine: a reported state not co-reachable with the
-        top, an all-crashed instance, a crash count above
-        ``expected_max_faults`` or (under ``strict``) a tied vote raise
-        the same exception types.
+        rows in :attr:`machine_names` order.  A reported state not
+        co-reachable with the top or an all-crashed instance raises
+        :class:`RecoveryError`; a crash count above ``expected_max_faults``
+        raises :class:`FaultBudgetExceededError` naming the crashed
+        machines; under ``strict`` a tied vote raises
+        :class:`RecoveryError` (more faults than the system tolerates).
         """
         matrix = np.asarray(reported, dtype=np.int64)
         if matrix.ndim == 1:
@@ -835,11 +820,12 @@ class BatchRecovery:
         strict: bool = True,
         expected_max_faults: Optional[int] = None,
     ) -> RecoveryOutcome:
-        """Single-instance Algorithm 3 with the per-instance engine's API.
+        """Single-instance Algorithm 3 over reported state labels.
 
-        Accepts the same ``name -> state label (or None)`` observation
-        mapping as :meth:`RecoveryEngine.recover` and returns the same
-        :class:`RecoveryOutcome`, so coordinators can swap engines.
+        ``observations`` maps machine name to its reported state label,
+        or ``None`` for a crashed machine; omitted machines count as
+        crashed.  Returns the :class:`RecoveryOutcome` of the one
+        instance, with the error semantics of :meth:`recover_batch`.
         """
         unknown = set(observations) - set(self._names)
         if unknown:
@@ -895,7 +881,11 @@ class BatchRecovery:
     def recover_from_byzantine(
         self, observations: Mapping[str, StateLabel]
     ) -> RecoveryOutcome:
-        """Recovery entry point when Byzantine (lying) machines are assumed."""
+        """Recovery entry point when Byzantine (lying) machines are assumed.
+
+        All machines must report *some* state; the vote discounts the
+        liars as long as at most ``⌊f/2⌋`` machines lie (Theorem 6).
+        """
         missing = [
             name for name in self._names if observations.get(name) is None
         ]

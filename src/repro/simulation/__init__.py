@@ -24,9 +24,9 @@ from .events import (
     round_robin_workload,
 )
 from .faults import FaultEvent, FaultInjector, FaultKind, FaultPlan
-from .server import Server, ServerStatus, VectorServer
+from .server import Server, ServerStatus
 from .supervisor import FleetStatus, FleetSupervisor, SupervisorReport
-from .system import DistributedSystem, SimulationReport, resolve_engine
+from .system import DistributedSystem, SimulationReport
 from .trace import ExecutionTrace, TraceRecord, TraceRecordKind
 
 __all__ = [
@@ -53,10 +53,8 @@ __all__ = [
     "FaultPlan",
     "Server",
     "ServerStatus",
-    "VectorServer",
     "DistributedSystem",
     "SimulationReport",
-    "resolve_engine",
     "ExecutionTrace",
     "TraceRecord",
     "TraceRecordKind",

@@ -1,7 +1,7 @@
 """The recovery coordinator: detects faults and restores execution state.
 
 The coordinator polls the servers for their reported states and runs
-Algorithm 3 (via :class:`repro.core.recovery.RecoveryEngine`) to rebuild
+Algorithm 3 (via :class:`repro.core.runtime.BatchRecovery`) to rebuild
 the top state, from which every server — crashed or lying — is restored.
 It supports both backup disciplines so the simulator can compare them:
 
@@ -18,7 +18,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 from ..core.dfsm import DFSM
 from ..core.exceptions import SimulationError
 from ..core.product import CrossProduct
-from ..core.recovery import RecoveryEngine, RecoveryOutcome
+from ..core.recovery import RecoveryOutcome
 from ..core.replication import ReplicatedSystem
 from ..core.runtime import BatchRecovery
 from ..core.types import StateLabel
@@ -59,38 +59,15 @@ class FusionCoordinator:
         Reachable cross product of the original machines.
     backups:
         The fusion machines.
-    batch:
-        When true, Algorithm 3 runs through the batched array engine
-        (:class:`repro.core.runtime.BatchRecovery`) instead of the
-        per-instance dict engine — same outcomes, validated by the
-        equivalence property suite.  The :attr:`engine` property still
-        exposes a :class:`RecoveryEngine`, built lazily, for callers
-        that inspect blocks directly.
     """
 
-    def __init__(
-        self,
-        product: CrossProduct,
-        backups: Sequence[DFSM],
-        batch: bool = False,
-    ) -> None:
-        self._product = product
-        self._backups = tuple(backups)
-        self._batch = BatchRecovery(product, backups) if batch else None
-        self._engine: Optional[RecoveryEngine] = (
-            None if batch else RecoveryEngine(product, backups)
-        )
+    def __init__(self, product: CrossProduct, backups: Sequence[DFSM]) -> None:
+        self._engine = BatchRecovery(product, backups)
 
     @property
-    def engine(self) -> RecoveryEngine:
-        if self._engine is None:
-            self._engine = RecoveryEngine(self._product, self._backups)
+    def engine(self) -> BatchRecovery:
+        """The Algorithm 3 vote engine over the originals and backups."""
         return self._engine
-
-    @property
-    def batch_recovery(self) -> Optional[BatchRecovery]:
-        """The batched vote engine when this coordinator was built with one."""
-        return self._batch
 
     def collect_reports(self, servers: Mapping[str, Server]) -> Dict[str, Optional[StateLabel]]:
         """Ask every server for its state (``None`` for crashed ones)."""
@@ -103,8 +80,7 @@ class FusionCoordinator:
     ) -> CoordinatorReport:
         """Run Algorithm 3 and restore every server to its correct state."""
         observations = self.collect_reports(servers)
-        voter = self._batch if self._batch is not None else self.engine
-        outcome: RecoveryOutcome = voter.recover(
+        outcome: RecoveryOutcome = self._engine.recover(
             observations, strict=True, expected_max_faults=max_faults
         )
         restored: Dict[str, StateLabel] = {}

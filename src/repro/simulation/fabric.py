@@ -347,9 +347,7 @@ class NetworkFabric:
     Parameters
     ----------
     servers:
-        The server fleet, name -> :class:`~repro.simulation.server.Server`
-        (both storage backends work — the fabric only uses the shared
-        per-server API).
+        The server fleet, name -> :class:`~repro.simulation.server.Server`.
     chaos:
         The seeded fault schedule; ``None`` (or an inactive spec) makes
         the fabric a perfect network with the same protocol and

@@ -9,14 +9,9 @@ ordered event stream to it.  Faults follow the paper's model exactly:
   state, so the server keeps running and later *lies* when asked for its
   state.
 
-Two storage backends share all of the fault/recovery logic above:
-:class:`Server` keeps its state in plain Python attributes, while
-:class:`VectorServer` is a view onto one column of a
-:class:`~repro.core.runtime.VectorizedRuntime`, so a simulated system
-can step its whole fleet through the vectorized engine and still drive
-individual servers (fault injection, restoration, reporting) through
-the exact same per-server code paths.  The split lives in the six
-``_read_*`` / ``_write_*`` hooks — everything else is shared.
+A server keeps its state in plain attributes and steps its machine one
+event at a time; fleets of many instances run on
+:class:`~repro.core.runtime.VectorizedRuntime` instead.
 """
 
 from __future__ import annotations
@@ -28,10 +23,9 @@ import numpy as np
 
 from ..core.dfsm import DFSM
 from ..core.exceptions import SimulationError
-from ..core.runtime import BYZANTINE, CRASHED, HEALTHY, VectorizedRuntime
 from ..core.types import EventLabel, StateLabel
 
-__all__ = ["ServerStatus", "Server", "VectorServer"]
+__all__ = ["ServerStatus", "Server"]
 
 
 class ServerStatus(enum.Enum):
@@ -40,15 +34,6 @@ class ServerStatus(enum.Enum):
     HEALTHY = "healthy"
     CRASHED = "crashed"
     BYZANTINE = "byzantine"
-
-
-#: ServerStatus <-> the runtime's integer status codes.
-_STATUS_TO_CODE = {
-    ServerStatus.HEALTHY: HEALTHY,
-    ServerStatus.CRASHED: CRASHED,
-    ServerStatus.BYZANTINE: BYZANTINE,
-}
-_CODE_TO_STATUS = {code: status for status, code in _STATUS_TO_CODE.items()}
 
 
 class Server:
@@ -66,33 +51,9 @@ class Server:
         self._machine = machine
         self._name = name or machine.name
         self._events_applied = 0
-        self._init_storage()
-
-    # ------------------------------------------------------------------
-    # Storage hooks — the only methods VectorServer overrides.
-    # ------------------------------------------------------------------
-    def _init_storage(self) -> None:
-        self._state: Optional[StateLabel] = self._machine.initial
+        self._state: Optional[StateLabel] = machine.initial
         self._status = ServerStatus.HEALTHY
-        self._true_state: StateLabel = self._machine.initial
-
-    def _read_state(self) -> Optional[StateLabel]:
-        return self._state
-
-    def _write_state(self, state: Optional[StateLabel]) -> None:
-        self._state = state
-
-    def _read_status(self) -> ServerStatus:
-        return self._status
-
-    def _write_status(self, status: ServerStatus) -> None:
-        self._status = status
-
-    def _read_true(self) -> StateLabel:
-        return self._true_state
-
-    def _write_true(self, state: StateLabel) -> None:
-        self._true_state = state
+        self._true_state: StateLabel = machine.initial
 
     # ------------------------------------------------------------------
     @property
@@ -105,7 +66,7 @@ class Server:
 
     @property
     def status(self) -> ServerStatus:
-        return self._read_status()
+        return self._status
 
     @property
     def events_applied(self) -> int:
@@ -120,13 +81,13 @@ class Server:
         benchmarks can check that recovery restored the correct value; a
         real deployment obviously has no access to it.
         """
-        return self._read_true()
+        return self._true_state
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "Server(name=%r, status=%s, state=%r)" % (
             self._name,
-            self._read_status().value,
-            self._read_state(),
+            self._status.value,
+            self._state,
         )
 
     # ------------------------------------------------------------------
@@ -139,10 +100,10 @@ class Server:
         keep executing from their corrupted state, which is how a single
         past corruption manifests as a wrong answer later.
         """
-        self._write_true(self._machine.step(self._read_true(), event))
-        if self._read_status() is ServerStatus.CRASHED:
+        self._true_state = self._machine.step(self._true_state, event)
+        if self._status is ServerStatus.CRASHED:
             return
-        self._write_state(self._machine.step(self._read_state(), event))
+        self._state = self._machine.step(self._state, event)
         self._events_applied += 1
 
     def apply_sequence(self, events) -> None:
@@ -150,34 +111,23 @@ class Server:
         for event in events:
             self.apply(event)
 
-    def record_applied(self) -> None:
-        """Count one event stepped on this server's behalf by a batch engine.
-
-        :class:`~repro.simulation.system.DistributedSystem`'s vectorized
-        mode advances states through the runtime's gathers; this keeps
-        ``events_applied`` consistent with per-server stepping (crashed
-        servers never count).
-        """
-        if self._read_status() is not ServerStatus.CRASHED:
-            self._events_applied += 1
-
     def report_state(self) -> Optional[StateLabel]:
         """The state the server reports when the coordinator asks.
 
         ``None`` for crashed servers (their execution state is gone); the
         possibly-wrong current state for healthy or Byzantine servers.
         """
-        if self._read_status() is ServerStatus.CRASHED:
+        if self._status is ServerStatus.CRASHED:
             return None
-        return self._read_state()
+        return self._state
 
     # ------------------------------------------------------------------
     # Fault injection
     # ------------------------------------------------------------------
     def crash(self) -> None:
         """Crash the server: its execution state is lost."""
-        self._write_status(ServerStatus.CRASHED)
-        self._write_state(None)
+        self._status = ServerStatus.CRASHED
+        self._state = None
 
     def corrupt(self, rng: Optional[np.random.Generator] = None, target: Optional[StateLabel] = None) -> StateLabel:
         """Byzantine-corrupt the server: silently move it to a wrong state.
@@ -194,10 +144,11 @@ class Server:
         -------
         The corrupted state now reported by the server.
         """
-        if self._read_status() is ServerStatus.CRASHED:
+        if self._status is ServerStatus.CRASHED:
             raise SimulationError("cannot Byzantine-corrupt a crashed server")
-        state = self._read_state()
-        candidates: List[StateLabel] = [s for s in self._machine.states if s != state]
+        candidates: List[StateLabel] = [
+            s for s in self._machine.states if s != self._state
+        ]
         if not candidates:
             raise SimulationError(
                 "machine %s has a single state; Byzantine corruption is impossible"
@@ -208,8 +159,8 @@ class Server:
             target = candidates[int(generator.integers(0, len(candidates)))]
         elif target not in candidates:
             raise SimulationError("corruption target %r is not a different valid state" % (target,))
-        self._write_state(target)
-        self._write_status(ServerStatus.BYZANTINE)
+        self._state = target
+        self._status = ServerStatus.BYZANTINE
         return target
 
     # ------------------------------------------------------------------
@@ -221,89 +172,9 @@ class Server:
             raise SimulationError(
                 "cannot restore %s to unknown state %r" % (self._name, state)
             )
-        self._write_state(state)
-        self._write_status(ServerStatus.HEALTHY)
+        self._state = state
+        self._status = ServerStatus.HEALTHY
 
     def is_consistent(self) -> bool:
         """True when the server's visible state equals the ground truth."""
-        return self._read_state() == self._read_true()
-
-
-class VectorServer(Server):
-    """A server whose state lives in a :class:`VectorizedRuntime` column.
-
-    Parameters
-    ----------
-    machine:
-        The DFSM this server executes — must be ``runtime.machines[machine_index]``.
-    runtime:
-        The fleet engine holding the state vectors.
-    machine_index:
-        This server's row in the runtime's state matrices.
-    instance:
-        This server's column (which fleet instance it belongs to).
-    name:
-        Server name; defaults to the machine name.
-
-    All behaviour — stepping semantics, fault injection, restoration,
-    reporting — is inherited from :class:`Server`; only the storage hooks
-    differ, translating state labels and :class:`ServerStatus` to the
-    runtime's integer cells.
-    """
-
-    def __init__(
-        self,
-        machine: DFSM,
-        runtime: VectorizedRuntime,
-        machine_index: int,
-        instance: int = 0,
-        name: Optional[str] = None,
-    ) -> None:
-        if runtime.machines[machine_index] is not machine:
-            raise SimulationError(
-                "machine %r is not row %d of the runtime" % (machine.name, machine_index)
-            )
-        self._runtime = runtime
-        self._machine_index = machine_index
-        self._instance = instance
-        super().__init__(machine, name=name)
-
-    @property
-    def runtime(self) -> VectorizedRuntime:
-        return self._runtime
-
-    # ------------------------------------------------------------------
-    def _init_storage(self) -> None:
-        # The runtime already initialised every cell to the machine's
-        # initial state; nothing to do.
-        pass
-
-    def _read_state(self) -> Optional[StateLabel]:
-        index = self._runtime.visible_index(self._machine_index, self._instance)
-        if index < 0:
-            return None
-        return self._machine.state_label(index)
-
-    def _write_state(self, state: Optional[StateLabel]) -> None:
-        index = -1 if state is None else self._machine.state_index(state)
-        self._runtime.set_visible_index(self._machine_index, self._instance, index)
-
-    def _read_status(self) -> ServerStatus:
-        return _CODE_TO_STATUS[
-            self._runtime.status_code(self._machine_index, self._instance)
-        ]
-
-    def _write_status(self, status: ServerStatus) -> None:
-        self._runtime.set_status_code(
-            self._machine_index, self._instance, _STATUS_TO_CODE[status]
-        )
-
-    def _read_true(self) -> StateLabel:
-        return self._machine.state_label(
-            self._runtime.true_index(self._machine_index, self._instance)
-        )
-
-    def _write_true(self, state: StateLabel) -> None:
-        self._runtime.set_true_index(
-            self._machine_index, self._instance, self._machine.state_index(state)
-        )
+        return self._state == self._true_state

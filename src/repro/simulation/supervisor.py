@@ -12,9 +12,8 @@ recovery coordinator and enforces the paper's theorems *operationally*:
   Algorithm-3 vote over block membership is exactly the Theorem-2
   majority argument, so any server whose reported state contradicts the
   winning top state is flagged a liar;
-* it triggers recovery automatically (through whichever engine the
-  coordinator carries — :class:`~repro.core.runtime.BatchRecovery` or
-  the per-instance :class:`~repro.core.recovery.RecoveryEngine`);
+* it triggers recovery automatically, through the coordinator's
+  :class:`~repro.core.runtime.BatchRecovery` vote;
 * it **degrades gracefully past the budget**: when the observed fault
   mix exceeds what the fusion tolerates, the vote's majority argument is
   no longer sound, so instead of restoring possibly-wrong states the
@@ -182,13 +181,8 @@ class FleetSupervisor:
         crashed = tuple(name for name, state in observations.items() if state is None)
         self._total_crashes += len(crashed)
 
-        voter = (
-            self._coordinator.batch_recovery
-            if self._coordinator.batch_recovery is not None
-            else self._coordinator.engine
-        )
         try:
-            outcome: RecoveryOutcome = voter.recover(
+            outcome: RecoveryOutcome = self._coordinator.engine.recover(
                 observations, strict=True, expected_max_faults=self._budget.f
             )
         except FaultBudgetExceededError as exc:

@@ -18,7 +18,6 @@ Algorithm 3 recovery) and :meth:`DistributedSystem.with_replication`
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -29,37 +28,16 @@ from ..core.exceptions import SimulationError
 from ..core.fusion import FusionResult, generate_fusion
 from ..core.product import CrossProduct
 from ..core.replication import ReplicatedSystem
-from ..core.runtime import VectorizedRuntime
 from ..core.types import EventLabel, StateLabel
 from ..core.exceptions import FaultBudgetExceededError
 from .coordinator import CoordinatorReport, FusionCoordinator, ReplicationCoordinator
 from .fabric import NetworkChaosSpec, NetworkFabric, network_chaos_from_env
 from .faults import FaultEvent, FaultKind, FaultPlan
-from .server import Server, ServerStatus, VectorServer
+from .server import Server, ServerStatus
 from .supervisor import FleetStatus, FleetSupervisor, SupervisorReport
 from .trace import ExecutionTrace
 
-__all__ = ["SimulationReport", "DistributedSystem", "resolve_engine"]
-
-
-#: The two execution engines a simulated system can step its servers
-#: through.  ``vectorized`` (the default) routes the event broadcast
-#: through :class:`repro.core.runtime.VectorizedRuntime` gathers and
-#: Algorithm 3 through the batched vote; ``python`` is the seed's
-#: per-server reference path, kept as the oracle the property suite
-#: compares against.
-ENGINES = ("vectorized", "python")
-
-
-def resolve_engine(engine: Optional[str] = None) -> str:
-    """The execution engine to use: explicit argument, else the
-    ``REPRO_SIM_ENGINE`` environment variable, else ``"vectorized"``."""
-    choice = engine or os.environ.get("REPRO_SIM_ENGINE", "").strip() or "vectorized"
-    if choice not in ENGINES:
-        raise SimulationError(
-            "unknown simulation engine %r (choose from %r)" % (choice, ENGINES)
-        )
-    return choice
+__all__ = ["SimulationReport", "DistributedSystem"]
 
 
 @dataclass(frozen=True)
@@ -130,7 +108,6 @@ class DistributedSystem:
         backup_scheme: str,
         backup_state_space: int,
         max_faults: Optional[int] = None,
-        engine: Optional[str] = None,
         network: Optional[NetworkChaosSpec] = None,
         supervised: bool = False,
         heartbeat_interval: Optional[int] = None,
@@ -142,21 +119,9 @@ class DistributedSystem:
             raise SimulationError("machine names must be unique across originals and backups")
         self._originals = tuple(originals)
         self._backups = tuple(backups)
-        self._engine = resolve_engine(engine)
-        machines = list(originals) + list(backups)
-        if self._engine == "vectorized":
-            # One fleet instance wide; the runtime stays serial (a pool
-            # only pays off at fleet scale — benchmarks build their own).
-            self._runtime: Optional[VectorizedRuntime] = VectorizedRuntime(
-                machines, num_instances=1, workers=1
-            )
-            self._servers: Dict[str, Server] = {
-                machine.name: VectorServer(machine, self._runtime, index)
-                for index, machine in enumerate(machines)
-            }
-        else:
-            self._runtime = None
-            self._servers = {machine.name: Server(machine) for machine in machines}
+        self._servers: Dict[str, Server] = {
+            machine.name: Server(machine) for machine in (*originals, *backups)
+        }
         self._coordinator = coordinator
         self._backup_scheme = backup_scheme
         self._backup_state_space = backup_state_space
@@ -210,13 +175,13 @@ class DistributedSystem:
         :class:`~repro.simulation.supervisor.FleetSupervisor` in charge of
         recovery, enforcing the live fault budget; ``heartbeat_interval``
         makes the fabric probe every server every that many events.
+        ``engine`` is accepted and ignored: the benchmark's traced run
+        still passes ``engine="vectorized"``, and the keyword goes when
+        the benchmark stops passing it.
         """
         if fusion is None:
             fusion = generate_fusion(machines, f, byzantine=byzantine)
-        resolved = resolve_engine(engine)
-        coordinator = FusionCoordinator(
-            fusion.product, fusion.backups, batch=resolved == "vectorized"
-        )
+        coordinator = FusionCoordinator(fusion.product, fusion.backups)
         return cls(
             originals=fusion.originals,
             backups=fusion.backups,
@@ -224,7 +189,6 @@ class DistributedSystem:
             backup_scheme="fusion",
             backup_state_space=fusion.fusion_state_space,
             max_faults=fusion.f if not byzantine else fusion.byzantine_f,
-            engine=resolved,
             network=network,
             supervised=supervised,
             heartbeat_interval=heartbeat_interval,
@@ -236,7 +200,6 @@ class DistributedSystem:
         machines: Sequence[DFSM],
         f: int,
         byzantine: bool = False,
-        engine: Optional[str] = None,
         network: Optional[NetworkChaosSpec] = None,
     ) -> "DistributedSystem":
         """Build a system protected by the replication baseline."""
@@ -249,7 +212,6 @@ class DistributedSystem:
             backup_scheme="replication",
             backup_state_space=replicated.backup_state_space,
             max_faults=f,
-            engine=engine,
             network=network,
         )
 
@@ -257,7 +219,6 @@ class DistributedSystem:
     def unprotected(
         cls,
         machines: Sequence[DFSM],
-        engine: Optional[str] = None,
         network: Optional[NetworkChaosSpec] = None,
     ) -> "DistributedSystem":
         """A system with no backups (recovery impossible; useful as a control)."""
@@ -268,7 +229,6 @@ class DistributedSystem:
             backup_scheme="none",
             backup_state_space=0,
             max_faults=0,
-            engine=engine,
             network=network,
         )
 
@@ -290,16 +250,6 @@ class DistributedSystem:
     @property
     def backup_scheme(self) -> str:
         return self._backup_scheme
-
-    @property
-    def engine(self) -> str:
-        """Which execution engine steps the servers (see :data:`ENGINES`)."""
-        return self._engine
-
-    @property
-    def runtime(self) -> Optional[VectorizedRuntime]:
-        """The vectorized engine backing the servers (``None`` in python mode)."""
-        return self._runtime
 
     @property
     def trace(self) -> ExecutionTrace:
@@ -341,10 +291,9 @@ class DistributedSystem:
     def apply_event(self, event: EventLabel) -> None:
         """Broadcast one event of the global order to every server.
 
-        In vectorized mode the step is one runtime gather across every
-        machine (true and visible states, crash/Byzantine semantics
-        included); the python engine loops over the servers.  With a
-        network fabric, the broadcast instead travels the adversarial
+        Each server steps its own machine (crashed servers keep only
+        their ground truth moving).  With a network fabric, the
+        broadcast instead travels the adversarial
         links — per-server retries, sequence numbers and exactly-once
         application — and a server whose link dies is crashed (visible
         in :meth:`NetworkFabric.take_new_deaths
@@ -356,13 +305,8 @@ class DistributedSystem:
             self._steps = step
             self._trace.record_event(step, event)
             return
-        if self._runtime is not None:
-            self._runtime.apply_stream([event])
-            for server in self._servers.values():
-                server.record_applied()
-        else:
-            for server in self._servers.values():
-                server.apply(event)
+        for server in self._servers.values():
+            server.apply(event)
         self._steps += 1
         self._trace.record_event(self._steps, event)
 

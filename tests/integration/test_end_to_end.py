@@ -6,8 +6,8 @@ from __future__ import annotations
 import pytest
 
 from repro import (
+    BatchRecovery,
     CrossProduct,
-    RecoveryEngine,
     generate_byzantine_fusion,
     generate_fusion,
     is_fusion,
@@ -40,7 +40,7 @@ class TestTableRowPipelines:
         config = table1_configuration(3)
         fusion = generate_fusion(list(config.machines), config.f)
         validate_fusion_result(fusion)
-        engine = RecoveryEngine(fusion.product, fusion.backups)
+        engine = BatchRecovery(fusion.product, fusion.backups)
         workload = WorkloadGenerator((0, 1), seed=5).uniform(40)
         observations = {m.name: m.run(workload) for m in fusion.all_machines}
         victims = [config.machines[0].name, config.machines[3].name]
@@ -104,7 +104,7 @@ class TestByzantinePipelines:
             mod_counter(3, count_event=e, events=(0, 1), name="ctr-%d" % e) for e in (0, 1)
         ]
         fusion = generate_byzantine_fusion(machines, 1)
-        engine = RecoveryEngine(fusion.product, fusion.backups)
+        engine = BatchRecovery(fusion.product, fusion.backups)
         workload = WorkloadGenerator((0, 1), seed=4).uniform(25)
         observations = {m.name: m.run(workload) for m in fusion.all_machines}
         truth = observations["ctr-0"]

@@ -11,11 +11,11 @@ from __future__ import annotations
 import pytest
 
 from repro import (
+    BatchRecovery,
     ClosedPartitionLattice,
     CrossProduct,
     FaultGraph,
     Partition,
-    RecoveryEngine,
     can_tolerate_byzantine_faults,
     can_tolerate_crash_faults,
     generate_fusion,
@@ -51,7 +51,7 @@ class TestFigure1:
         # The paper's narrative: if A (n0 mod 3) fails, B and F1 determine it.
         A, B, F1, _ = fig1_machines()
         product = CrossProduct([A, B])
-        engine = RecoveryEngine(product, [F1])
+        engine = BatchRecovery(product, [F1])
         events = [0, 1, 0, 0, 1, 1, 0, 0]
         observations = {
             A.name: None,
@@ -179,7 +179,7 @@ class TestSection3Examples:
             machine_from_partition(product.machine, fig3_partition(name, product), name=name)
             for name in ("M1", "M2")
         ]
-        engine = RecoveryEngine(product, backups)
+        engine = BatchRecovery(product, backups)
         t0, t3 = ("a0", "b0"), ("a0", "b2")
         m1_lie = frozenset({t0, ("a2", "b2")})  # M1's block {t0, t2}
         m2_truth = frozenset({t3})

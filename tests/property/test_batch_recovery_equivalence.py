@@ -1,15 +1,16 @@
-"""BatchRecovery ≡ RecoveryEngine under every server fault kind, f = 1..3.
+"""BatchRecovery against Algorithm 3 written from the paper, f = 1..3.
 
-The batched vote engine must reproduce the per-instance Algorithm 3
-outcome-for-outcome on fusions produced by ``generate_fusion``: the same
-recovered top state, counts vector, per-machine states, crash lists and
-Byzantine suspicions — and the same exception types on ties, exceeded
-fault budgets, all-crashed cohorts and impossible reported states —
-under both :data:`FaultKind.CRASH` and :data:`FaultKind.BYZANTINE`
-(the only kinds servers accept), on small tops and on a top past 4096
-states.  The vote matrix itself is checked against a brute-force oracle
-written from the definition: for each instance and top state, the
-number of machines whose reported block contains that state.
+The batched vote engine must reproduce :class:`Algorithm3Oracle`, a
+naive per-instance Algorithm 3 built in this module from the paper's
+definitions, outcome-for-outcome on fusions produced by
+``generate_fusion``: the same recovered top state, counts vector,
+per-machine states, crash lists and Byzantine suspicions — and the same
+exception types on ties, exceeded fault budgets, all-crashed cohorts and
+impossible reported states — under both :data:`FaultKind.CRASH` and
+:data:`FaultKind.BYZANTINE` (the only kinds servers accept), on small
+tops and on a top past 4096 states.  The vote matrix itself is checked
+against a brute-force count: for each instance and top state, the
+number of machines whose reported state is reachable alongside it.
 """
 
 from __future__ import annotations
@@ -20,12 +21,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.exceptions import (
+    FaultBudgetExceededError,
     FaultToleranceExceededError,
     RecoveryError,
     ReproError,
 )
 from repro.core.fusion import generate_fusion
-from repro.core.recovery import RecoveryEngine
+from repro.core.partition import set_representation
+from repro.core.recovery import RecoveryOutcome, recover_top_state
 from repro.core.runtime import BatchRecovery
 from repro.machines import mod_counter
 from repro.simulation.faults import FaultKind
@@ -64,9 +67,79 @@ def large_fusion():
     return generate_fusion(_counters(8), f=1, byzantine=True)
 
 
+class Algorithm3Oracle:
+    """Algorithm 3 from the paper, one instance at a time.
+
+    Every machine's state stands for its block of top states, the set
+    representation of Algorithm 1 (:func:`set_representation`).  The
+    vote counts, per top state, the reported blocks containing it
+    (:func:`recover_top_state`); the winner is projected back onto every
+    machine as the one block that contains it.  Machines are named in
+    product order, then the backups, a repeated name getting ``#2``,
+    ``#3``, ...
+    """
+
+    def __init__(self, product, backups):
+        top = product.machine
+        self.top = top
+        self.product = product
+        self.blocks = {}
+        for machine in (*product.components, *backups):
+            name, suffix = machine.name, 2
+            while name in self.blocks:
+                name, suffix = "%s#%d" % (machine.name, suffix), suffix + 1
+            self.blocks[name] = {
+                state: frozenset(top.state_index(t) for t in tops)
+                for state, tops in set_representation(top, machine).items()
+            }
+
+    @property
+    def machine_names(self):
+        return tuple(self.blocks)
+
+    def recover(self, observations, strict=True, expected_max_faults=None):
+        if set(observations) - set(self.blocks):
+            raise RecoveryError("observations for unknown machines")
+        crashed, reported = [], {}
+        for name, blocks in self.blocks.items():
+            state = observations.get(name)
+            if state is None:
+                crashed.append(name)
+            elif state not in blocks:
+                raise RecoveryError("%r cannot be in state %r" % (name, state))
+            else:
+                reported[name] = blocks[state]
+        if expected_max_faults is not None and len(crashed) > expected_max_faults:
+            raise FaultBudgetExceededError.for_crashes(crashed, expected_max_faults)
+        if not reported:
+            raise RecoveryError("every machine crashed")
+        top_index, counts = recover_top_state(
+            list(reported.values()), self.top.num_states, strict=strict
+        )
+        machine_states = {
+            name: next(s for s, block in blocks.items() if top_index in block)
+            for name, blocks in self.blocks.items()
+        }
+        return RecoveryOutcome(
+            top_state=self.product.state_tuple(top_index),
+            top_index=top_index,
+            counts=counts,
+            machine_states=machine_states,
+            crashed=tuple(crashed),
+            suspected_byzantine=tuple(
+                name for name, block in reported.items() if top_index not in block
+            ),
+        )
+
+    def recover_from_byzantine(self, observations):
+        if any(observations.get(name) is None for name in self.blocks):
+            raise RecoveryError("Byzantine recovery expects every machine's report")
+        return self.recover(observations)
+
+
 def _engines(fusion):
     return (
-        RecoveryEngine(fusion.product, fusion.backups),
+        Algorithm3Oracle(fusion.product, fusion.backups),
         BatchRecovery(fusion.product, fusion.backups),
     )
 
@@ -132,8 +205,8 @@ def _column_matches(single, outcome, b, fusion, names):
 class TestSingleInstanceEquivalence:
     def test_same_machine_naming(self, fusions):
         for fusion in fusions.values():
-            engine, batch = _engines(fusion)
-            assert engine.machine_names == batch.machine_names
+            oracle, batch = _engines(fusion)
+            assert oracle.machine_names == batch.machine_names
 
     @pytest.mark.parametrize("kind", SERVER_FAULT_KINDS, ids=lambda k: k.value)
     @pytest.mark.parametrize("f", [1, 2, 3])
@@ -142,8 +215,8 @@ class TestSingleInstanceEquivalence:
     def test_outcome_equal_under_each_fault_kind(self, kind, f, fusions, data, seed):
         byzantine = kind is FaultKind.BYZANTINE
         fusion = fusions[(f, byzantine)]
-        engine, batch = _engines(fusion)
-        names = engine.machine_names
+        oracle, batch = _engines(fusion)
+        names = oracle.machine_names
         rng = np.random.default_rng(seed)
         stream = list(rng.integers(0, 3, size=int(rng.integers(0, 25))))
         observations = _observations(fusion, names, stream)
@@ -163,7 +236,7 @@ class TestSingleInstanceEquivalence:
 
         kwargs = {"expected_max_faults": budget} if kind is FaultKind.CRASH else {}
         try:
-            expected = engine.recover(observations, **kwargs)
+            expected = oracle.recover(observations, **kwargs)
         except ReproError as exc:  # pragma: no cover - budget never exceeded here
             with pytest.raises(type(exc)):
                 batch.recover(observations, **kwargs)
@@ -177,8 +250,8 @@ class TestSingleInstanceEquivalence:
         random crashes) must produce identical outcomes or identical
         exception types — ties and overspent budgets included."""
         fusion = fusions[(1, False)]
-        engine, batch = _engines(fusion)
-        names = engine.machine_names
+        oracle, batch = _engines(fusion)
+        names = oracle.machine_names
         rng = np.random.default_rng(seed)
         observations = {}
         for name in names:
@@ -190,7 +263,7 @@ class TestSingleInstanceEquivalence:
                     int(rng.integers(0, machine.num_states))
                 )
         results = []
-        for voter in (engine, batch):
+        for voter in (oracle, batch):
             try:
                 results.append(voter.recover(observations))
             except ReproError as exc:
@@ -203,38 +276,38 @@ class TestSingleInstanceEquivalence:
 
 class TestErrorPathParity:
     def test_all_crashed(self, fusions):
-        engine, batch = _engines(fusions[(1, False)])
-        observations = {name: None for name in engine.machine_names}
-        for voter in (engine, batch):
+        oracle, batch = _engines(fusions[(1, False)])
+        observations = {name: None for name in oracle.machine_names}
+        for voter in (oracle, batch):
             with pytest.raises(RecoveryError):
                 voter.recover(observations)
 
     def test_budget_exceeded(self, fusions):
-        engine, batch = _engines(fusions[(1, False)])
-        names = engine.machine_names
+        oracle, batch = _engines(fusions[(1, False)])
+        names = oracle.machine_names
         observations = _observations(fusions[(1, False)], names, [0, 1])
         observations[names[0]] = None
         observations[names[1]] = None
-        for voter in (engine, batch):
+        for voter in (oracle, batch):
             with pytest.raises(FaultToleranceExceededError):
                 voter.recover(observations, expected_max_faults=1)
 
     def test_unknown_machine(self, fusions):
-        engine, batch = _engines(fusions[(1, False)])
+        oracle, batch = _engines(fusions[(1, False)])
         observations = _observations(
-            fusions[(1, False)], engine.machine_names, []
+            fusions[(1, False)], oracle.machine_names, []
         )
         observations["ghost"] = "x"
-        for voter in (engine, batch):
+        for voter in (oracle, batch):
             with pytest.raises(RecoveryError):
                 voter.recover(observations)
 
     def test_byzantine_requires_all_reports(self, fusions):
-        engine, batch = _engines(fusions[(1, True)])
-        names = engine.machine_names
+        oracle, batch = _engines(fusions[(1, True)])
+        names = oracle.machine_names
         observations = _observations(fusions[(1, True)], names, [0])
         observations[names[0]] = None
-        for voter in (engine, batch):
+        for voter in (oracle, batch):
             with pytest.raises(RecoveryError):
                 voter.recover_from_byzantine(observations)
 
@@ -245,7 +318,7 @@ class TestBatchedCohorts:
     def test_batch_columns_match_single_instance_calls(self, fusions, seed):
         """A (M, B) cohort vote equals B per-instance votes."""
         fusion = fusions[(2, False)]
-        engine, batch = _engines(fusion)
+        oracle, batch = _engines(fusion)
         names = batch.machine_names
         machines = fusion.all_machines
         rng = np.random.default_rng(seed)
@@ -263,7 +336,7 @@ class TestBatchedCohorts:
         outcome = batch.recover_batch(reported, expected_max_faults=2)
         for b in range(cohort):
             _column_matches(
-                engine.recover(_column_observations(fusion, names, reported, b),
+                oracle.recover(_column_observations(fusion, names, reported, b),
                                expected_max_faults=2),
                 outcome, b, fusion, names,
             )
@@ -273,7 +346,7 @@ class TestBatchedCohorts:
         """counters-8 (top=6561): a cohort mixing up to two crashes per
         instance with single liars votes like per-instance Algorithm 3."""
         fusion = large_fusion
-        engine, batch = _engines(fusion)
+        oracle, batch = _engines(fusion)
         names = batch.machine_names
         machines = fusion.all_machines
         assert batch.top.num_states > 4096
@@ -295,7 +368,7 @@ class TestBatchedCohorts:
         outcome = batch.recover_batch(reported)
         for b in range(cohort):
             observations = _column_observations(fusion, names, reported, b)
-            single = engine.recover(observations)
+            single = oracle.recover(observations)
             assert np.array_equal(outcome.counts[b], single.counts)
             _column_matches(single, outcome, b, fusion, names)
 

@@ -7,9 +7,9 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro import (
+    BatchRecovery,
     CrossProduct,
     FaultGraph,
-    RecoveryEngine,
     ReplicatedSystem,
     fusion_exists,
     generate_fusion,
@@ -88,7 +88,7 @@ class TestRecoveryProperties:
     )
     def test_crash_recovery_restores_ground_truth(self, machines, events, f, data):
         result = generate_fusion(machines, f)
-        engine = RecoveryEngine(result.product, result.backups)
+        engine = BatchRecovery(result.product, result.backups)
         observations = {m.name: m.run(events) for m in result.all_machines}
         truth = dict(observations)
         all_names = list(observations)
@@ -110,7 +110,7 @@ class TestRecoveryProperties:
     def test_byzantine_recovery_restores_ground_truth(self, machines, events, data):
         f = 1
         result = generate_fusion(machines, f, byzantine=True)
-        engine = RecoveryEngine(result.product, result.backups)
+        engine = BatchRecovery(result.product, result.backups)
         observations = {m.name: m.run(events) for m in result.all_machines}
         truth = dict(observations)
         machines_by_name = {m.name: m for m in result.all_machines}

@@ -7,10 +7,6 @@ Algorithm 3, and asserts the round trip: after recovery every server —
 original and fusion backup — is back in exactly the state a fault-free
 run would have produced.  Every draw derives from the case seed via
 :mod:`repro.utils.rng`, so failures replay exactly.
-
-The same scenario is executed through both simulation engines
-(``vectorized`` and ``python``) with identical fault plans and RNG
-seeds, and the two runs must agree event for event.
 """
 
 from __future__ import annotations
@@ -80,38 +76,23 @@ def _fault_plan(generator, seed, system, byzantine, budget, workload):
 
 
 @pytest.mark.parametrize("seed", FUZZ_SEEDS)
-def test_fuzzed_fleet_round_trips_and_engines_agree(seed):
+def test_fuzzed_fleet_round_trips(seed):
     generator, machines, fusion, byzantine, budget, workload = _draw_scenario(seed)
 
-    reports = {}
-    finals = {}
-    for engine in ("vectorized", "python"):
-        system = DistributedSystem.with_fusion_backups(
-            machines, f=fusion.f, byzantine=byzantine, fusion=fusion, engine=engine
-        )
-        plan = _fault_plan(
-            as_generator(derive_seed(seed, "faults")), seed, system, byzantine, budget, workload
-        )
-        reports[engine] = system.run(
-            workload, fault_plan=plan, rng=derive_seed(seed, "corrupt")
-        )
-        finals[engine] = system.states()
-
-    for engine, report in reports.items():
-        assert report.consistent, "engine %s left the fleet inconsistent" % engine
-        assert report.faults_injected >= 1
-        assert report.recoveries >= 1
-
-    # Round trip: recovery restored the exact fault-free states.
-    expected = {m.name: m.run(workload) for m in fusion.all_machines}
-    for engine, states in finals.items():
-        assert states == expected, "engine %s diverged from ground truth" % engine
-
-    assert reports["vectorized"].events_applied == reports["python"].events_applied
-    assert reports["vectorized"].faults_injected == reports["python"].faults_injected
-    assert (
-        reports["vectorized"].recovered_servers == reports["python"].recovered_servers
+    system = DistributedSystem.with_fusion_backups(
+        machines, f=fusion.f, byzantine=byzantine, fusion=fusion
     )
+    plan = _fault_plan(
+        as_generator(derive_seed(seed, "faults")), seed, system, byzantine, budget, workload
+    )
+    report = system.run(workload, fault_plan=plan, rng=derive_seed(seed, "corrupt"))
+
+    assert report.consistent
+    assert report.events_applied == len(workload)
+    assert report.faults_injected >= 1
+    assert report.recoveries >= 1
+    # Round trip: recovery restored the exact fault-free states.
+    assert system.states() == {m.name: m.run(workload) for m in fusion.all_machines}
 
 
 @pytest.mark.parametrize("seed", FUZZ_SEEDS[:4])

@@ -8,7 +8,6 @@ run ends with every server back in its ground-truth state.
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -47,17 +46,13 @@ def crash_plan_strategy(draw, server_names, max_faults, workload_length):
     return FaultPlan(tuple(events))
 
 
-@pytest.mark.parametrize("engine", ["vectorized", "python"])
 class TestSimulatorInvariants:
-    """Each invariant holds on both execution engines — the vectorized
-    gather path (the default) and the seed's per-server python path —
-    so the fast path can never silently diverge from the reference."""
 
     @RELAXED
     @given(data=st.data(), seed=st.integers(min_value=0, max_value=10_000))
-    def test_any_single_crash_is_recovered(self, data, seed, engine):
+    def test_any_single_crash_is_recovered(self, data, seed):
         machines = _counters(3)
-        system = DistributedSystem.with_fusion_backups(machines, f=1, engine=engine)
+        system = DistributedSystem.with_fusion_backups(machines, f=1)
         workload = WorkloadGenerator((0, 1, 2), seed=seed).uniform(30)
         plan = data.draw(
             crash_plan_strategy(system.server_names(), max_faults=1, workload_length=len(workload))
@@ -68,9 +63,9 @@ class TestSimulatorInvariants:
 
     @RELAXED
     @given(data=st.data(), seed=st.integers(min_value=0, max_value=10_000))
-    def test_up_to_two_crashes_with_f2_fusion(self, data, seed, engine):
+    def test_up_to_two_crashes_with_f2_fusion(self, data, seed):
         machines = _counters(3)
-        system = DistributedSystem.with_fusion_backups(machines, f=2, engine=engine)
+        system = DistributedSystem.with_fusion_backups(machines, f=2)
         workload = WorkloadGenerator((0, 1, 2), seed=seed).uniform(25)
         plan = data.draw(
             crash_plan_strategy(system.server_names(), max_faults=2, workload_length=len(workload))
@@ -84,9 +79,9 @@ class TestSimulatorInvariants:
         victim_index=st.integers(min_value=0, max_value=2),
         when=st.integers(min_value=0, max_value=20),
     )
-    def test_single_byzantine_fault_is_corrected(self, seed, victim_index, when, engine):
+    def test_single_byzantine_fault_is_corrected(self, seed, victim_index, when):
         machines = _counters(3)
-        system = DistributedSystem.with_fusion_backups(machines, f=1, byzantine=True, engine=engine)
+        system = DistributedSystem.with_fusion_backups(machines, f=1, byzantine=True)
         workload = WorkloadGenerator((0, 1, 2), seed=seed).uniform(20)
         victim = machines[victim_index].name
         plan = FaultInjector(system.server_names(), seed=seed).byzantine_plan([victim], after_event=when)
@@ -95,11 +90,11 @@ class TestSimulatorInvariants:
 
     @RELAXED
     @given(data=st.data(), seed=st.integers(min_value=0, max_value=10_000))
-    def test_replication_matches_fusion_consistency(self, data, seed, engine):
+    def test_replication_matches_fusion_consistency(self, data, seed):
         machines = _counters(3)
         workload = WorkloadGenerator((0, 1, 2), seed=seed).uniform(20)
-        fusion_system = DistributedSystem.with_fusion_backups(machines, f=1, engine=engine)
-        replication_system = DistributedSystem.with_replication(machines, f=1, engine=engine)
+        fusion_system = DistributedSystem.with_fusion_backups(machines, f=1)
+        replication_system = DistributedSystem.with_replication(machines, f=1)
         victim = data.draw(st.sampled_from([m.name for m in machines]))
         when = data.draw(st.integers(min_value=0, max_value=len(workload)))
         for system in (fusion_system, replication_system):

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from repro import (
+    BatchRecovery,
     CrossProduct,
     FaultToleranceExceededError,
-    RecoveryEngine,
     RecoveryError,
     generate_fusion,
     machine_from_partition,
@@ -26,12 +26,8 @@ def _machine(name, product):
 def paper_system(fig2_machines_pair, fig2_product):
     """The system {A, B, M1, M2} used in the paper's recovery examples."""
     backups = [_machine("M1", fig2_product), _machine("M2", fig2_product)]
-    engine = RecoveryEngine(fig2_product, backups)
+    engine = BatchRecovery(fig2_product, backups)
     return fig2_machines_pair, backups, engine, fig2_product
-
-
-def _block(engine, name, label):
-    return engine.block_of(name, label)
 
 
 class TestVoteCounting:
@@ -114,7 +110,6 @@ class TestPaperByzantineExample:
         # incorrect state; the algorithm still recovers t0.
         machines, backups, engine, product = paper_system
         t0 = ("a0", "b0")
-        m1_lie = _block(engine, "M1", frozenset({("a1", "b1")}))  # the {t1} block
         observations = {
             "A": "a0",
             "B": "b0",
@@ -131,16 +126,11 @@ class TestPaperByzantineExample:
             engine.recover_from_byzantine({"A": "a0", "B": "b0", "M1": None, "M2": None})
 
 
-class TestRecoveryEngineApi:
-    def test_block_of_unknown_machine(self, paper_system):
+class TestBatchRecoveryApi:
+    def test_observation_for_unknown_state_rejected(self, paper_system):
         _, _, engine, _ = paper_system
         with pytest.raises(RecoveryError):
-            engine.block_of("nope", "a0")
-
-    def test_block_of_unknown_state(self, paper_system):
-        _, _, engine, _ = paper_system
-        with pytest.raises(RecoveryError):
-            engine.block_of("A", "not-a-state")
+            engine.recover({"A": "not-a-state", "B": "b0"})
 
     def test_observation_for_unknown_machine_rejected(self, paper_system):
         _, _, engine, _ = paper_system
@@ -155,13 +145,13 @@ class TestRecoveryEngineApi:
     def test_duplicate_machine_names_get_suffixes(self, fig1_counters):
         product = CrossProduct(fig1_counters)
         duplicate = fig1_counters[0]
-        engine = RecoveryEngine(product, [duplicate])
+        engine = BatchRecovery(product, [duplicate])
         assert len(engine.machine_names) == 3
         assert len(set(engine.machine_names)) == 3
 
     def test_recover_from_crashes_wrapper(self, fig1_counters):
         result = generate_fusion(fig1_counters, f=1)
-        engine = RecoveryEngine(result.product, result.backups)
+        engine = BatchRecovery(result.product, result.backups)
         sequence = [0, 1, 1, 0, 0]
         observations = {m.name: m.run(sequence) for m in result.all_machines}
         observations[fig1_counters[0].name] = None
@@ -173,7 +163,7 @@ class TestEndToEndRecoveryAcrossWorkloads:
     @pytest.mark.parametrize("crash_target", [0, 1])
     def test_single_crash_recovery_for_any_victim(self, fig1_counters, crash_target):
         result = generate_fusion(fig1_counters, f=1)
-        engine = RecoveryEngine(result.product, result.backups)
+        engine = BatchRecovery(result.product, result.backups)
         rng = np.random.default_rng(crash_target)
         workload = [int(e) for e in rng.integers(0, 2, size=60)]
         observations = {m.name: m.run(workload) for m in result.all_machines}

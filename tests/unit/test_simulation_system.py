@@ -21,17 +21,9 @@ def counters():
     return [fig1_counter_a(), fig1_counter_b()]
 
 
-@pytest.fixture(params=["vectorized", "python"])
-def engine(request):
-    """Every scenario runs on both execution engines: the vectorized
-    default and the seed's per-server python path, so neither can
-    silently diverge from the other."""
-    return request.param
-
-
 @pytest.fixture
-def fusion_system(counters, engine):
-    return DistributedSystem.with_fusion_backups(counters, f=1, engine=engine)
+def fusion_system(counters):
+    return DistributedSystem.with_fusion_backups(counters, f=1)
 
 
 class TestConstruction:
@@ -106,8 +98,8 @@ class TestCrashRecovery:
         assert report.consistent
         assert backup_name in report.recovered_servers
 
-    def test_two_crashes_with_f2_system(self, counters, engine):
-        system = DistributedSystem.with_fusion_backups(counters, f=2, engine=engine)
+    def test_two_crashes_with_f2_system(self, counters):
+        system = DistributedSystem.with_fusion_backups(counters, f=2)
         names = [m.name for m in counters]
         plan = FaultInjector(system.server_names(), seed=3).crash_plan(names, after_event=5)
         report = system.run([0, 1] * 10, fault_plan=plan)
@@ -129,8 +121,8 @@ class TestCrashRecovery:
         report = fusion_system.run([0, 0, 1], fault_plan=plan)
         assert report.consistent
 
-    def test_replication_recovers_too(self, counters, engine):
-        system = DistributedSystem.with_replication(counters, f=1, engine=engine)
+    def test_replication_recovers_too(self, counters):
+        system = DistributedSystem.with_replication(counters, f=1)
         plan = FaultInjector(system.server_names(), seed=6).crash_plan(
             [counters[0].name], after_event=4
         )
@@ -140,8 +132,8 @@ class TestCrashRecovery:
 
 
 class TestByzantineRecovery:
-    def test_byzantine_fault_detected_and_fixed(self, counters, engine):
-        system = DistributedSystem.with_fusion_backups(counters, f=1, byzantine=True, engine=engine)
+    def test_byzantine_fault_detected_and_fixed(self, counters):
+        system = DistributedSystem.with_fusion_backups(counters, f=1, byzantine=True)
         victim = counters[0].name
         plan = FaultInjector(system.server_names(), seed=7).byzantine_plan([victim], after_event=6)
         report = system.run([0, 1] * 8, fault_plan=plan)
@@ -149,15 +141,15 @@ class TestByzantineRecovery:
         recovery = report.trace.recoveries()[0]
         assert victim in recovery.payload["suspected_byzantine"]
 
-    def test_byzantine_replication_majority(self, counters, engine):
-        system = DistributedSystem.with_replication(counters, f=1, byzantine=True, engine=engine)
+    def test_byzantine_replication_majority(self, counters):
+        system = DistributedSystem.with_replication(counters, f=1, byzantine=True)
         victim = counters[1].name
         plan = FaultInjector(system.server_names(), seed=8).byzantine_plan([victim], after_event=2)
         report = system.run([1, 0, 1, 1], fault_plan=plan)
         assert report.consistent
 
-    def test_explicit_corruption_target(self, counters, engine):
-        system = DistributedSystem.with_fusion_backups(counters, f=1, byzantine=True, engine=engine)
+    def test_explicit_corruption_target(self, counters):
+        system = DistributedSystem.with_fusion_backups(counters, f=1, byzantine=True)
         victim = counters[0].name
         plan = FaultInjector(system.server_names(), seed=9).explicit_plan(
             [FaultEvent(victim, FaultKind.BYZANTINE, 1, corrupt_to="c2")]
@@ -177,12 +169,12 @@ class TestManualDriving:
         assert victim in outcome.restored
         assert fusion_system.is_consistent()
 
-    def test_shared_alphabet_sensor_scenario(self, engine):
+    def test_shared_alphabet_sensor_scenario(self):
         sensors = [
             mod_counter(3, count_event=e, events=(0, 1, 2), name="sensor-%d" % e)
             for e in (0, 1, 2)
         ]
-        system = DistributedSystem.with_fusion_backups(sensors, f=1, engine=engine)
+        system = DistributedSystem.with_fusion_backups(sensors, f=1)
         assert len(system.backups) == 1
         plan = FaultInjector(system.server_names(), seed=11).crash_plan(["sensor-1"], after_event=9)
         workload = WorkloadGenerator([0, 1, 2], seed=12).uniform(25)

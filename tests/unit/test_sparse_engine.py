@@ -28,6 +28,7 @@ from repro.core.sparse import (
 )
 from repro.machines import mesi, mod_counter
 from repro.machines.catalog import CASES, EXPECTED_SUMMARIES, counters_family
+from repro.utils.timing import Stopwatch
 
 
 @pytest.fixture
@@ -252,8 +253,6 @@ class TestPruneStatsReporting:
         assert engine.last_stats.spent == 2  # live pairs (0,1), (0,2) x 1 event
 
     def test_stopwatch_prune_stage_carries_stats(self, forced_sparse):
-        from repro.utils.timing import Stopwatch
-
         from repro.machines import shift_register
 
         machines = [
@@ -366,22 +365,35 @@ class TestWorkerPool:
         assert rows.tolist() == [0] and cols.tolist() == [1]
 
     @pytest.mark.parametrize(
-        "case",
-        ["counters-9 (top=19683)", "mesi+counters-8 (top=26244)"],
-        ids=["counters-9", "mesi+counters-8"],
+        "case, stages",
+        [
+            # Settles before any level needs a prune.
+            ("counters-5 (top=243)", {"ledger_build", "closure", "descent"}),
+            (
+                "mesi+counters+shift (top~252)",
+                {"ledger_build", "closure", "descent", "prune"},
+            ),
+        ],
+        ids=["counters-5", "mesi+counters+shift"],
     )
     @pytest.mark.parametrize("workers", [2, 4, "env"])
-    def test_fusion_never_forks(self, monkeypatch, case, workers):
+    def test_fusion_never_forks(self, monkeypatch, forced_sparse, case, stages, workers):
         """Any ``workers=`` count, or ``REPRO_FUSION_WORKERS`` (``env``),
-        is accepted, but no stage submits to a pool or starts an
-        executor; the summaries are the catalog's frozen ones."""
+        is accepted, but no sparse stage (ledger ball, closure, prune,
+        descent) submits to a pool or starts an executor; the summaries
+        are the catalog's frozen ones."""
         _refuse_workers(monkeypatch)
+        stopwatch = Stopwatch()
         if workers == "env":
             monkeypatch.setenv("REPRO_FUSION_WORKERS", "2")
-            result = generate_fusion(CASES[case](), f=1)
+            result = generate_fusion(CASES[case](), f=1, stopwatch=stopwatch)
         else:
-            result = generate_fusion(CASES[case](), f=1, workers=workers)
+            result = generate_fusion(
+                CASES[case](), f=1, workers=workers, stopwatch=stopwatch
+            )
         assert result.summary() == EXPECTED_SUMMARIES[case]
+        assert result.graph.is_sparse
+        assert stages <= set(stopwatch.as_dict())
 
     def test_sparse_serial_matches_dense_engine(self, forced_sparse):
         sparse = generate_fusion(counters_family(4), f=1)

@@ -3,9 +3,7 @@
 The supervisor is *vote first, restore second*: a recovery pass whose
 observed fault mix (crashes + 2·liars, Theorems 1–2) exceeds the budget
 must refuse to touch any server and raise a typed
-:class:`FaultBudgetExceededError` naming the culprit machines — and the
-error message must be identical whichever Algorithm-3 engine produced
-it (per-instance dict engine or batched array engine).
+:class:`FaultBudgetExceededError` naming the culprit machines.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ from repro.core.exceptions import (
 )
 from repro.core.fault_tolerance import FaultBudget
 from repro.core.fusion import generate_fusion
-from repro.core.recovery import RecoveryEngine
 from repro.core.runtime import BatchRecovery
 from repro.machines import fig1_counter_a, fig1_counter_b
 from repro.simulation.coordinator import FusionCoordinator
@@ -44,8 +41,8 @@ def _fleet(fusion):
     return servers
 
 
-def _supervisor(fusion, batch=False, trace=None):
-    coordinator = FusionCoordinator(fusion.product, fusion.backups, batch=batch)
+def _supervisor(fusion, trace=None):
+    coordinator = FusionCoordinator(fusion.product, fusion.backups)
     return FleetSupervisor(coordinator, f=fusion.f, trace=trace)
 
 
@@ -87,13 +84,12 @@ class TestFaultBudgetExceededError:
 
 
 class TestSupervisedRecovery:
-    @pytest.mark.parametrize("batch", [False, True])
-    def test_crash_within_budget_is_restored(self, fusion, batch):
+    def test_crash_within_budget_is_restored(self, fusion):
         servers = _fleet(fusion)
         victims = list(servers)[: fusion.f]
         for name in victims:
             servers[name].crash()
-        supervisor = _supervisor(fusion, batch=batch)
+        supervisor = _supervisor(fusion)
         report = supervisor.oversee(servers, step=len(WORKLOAD))
         assert report.status is FleetStatus.HEALTHY
         assert set(report.crashed) == set(victims)
@@ -101,12 +97,11 @@ class TestSupervisedRecovery:
         assert all(server.is_consistent() for server in servers.values())
         assert supervisor.total_crashes_observed == fusion.f
 
-    @pytest.mark.parametrize("batch", [False, True])
-    def test_liar_within_budget_is_detected_and_corrected(self, fusion, batch):
+    def test_liar_within_budget_is_detected_and_corrected(self, fusion):
         servers = _fleet(fusion)
         liar = next(iter(servers))
         servers[liar].corrupt(rng=np.random.default_rng(5))
-        supervisor = _supervisor(fusion, batch=batch)
+        supervisor = _supervisor(fusion)
         report = supervisor.oversee(servers, step=len(WORKLOAD))
         assert report.status is FleetStatus.HEALTHY
         assert report.suspected_byzantine == (liar,)
@@ -114,14 +109,13 @@ class TestSupervisedRecovery:
         assert all(server.is_consistent() for server in servers.values())
         assert supervisor.total_liars_detected == 1
 
-    @pytest.mark.parametrize("batch", [False, True])
-    def test_crashes_past_budget_degrade_without_restoring(self, fusion, batch):
+    def test_crashes_past_budget_degrade_without_restoring(self, fusion):
         servers = _fleet(fusion)
         victims = list(servers)[: fusion.f + 1]
         for name in victims:
             servers[name].crash()
         trace = ExecutionTrace()
-        supervisor = _supervisor(fusion, batch=batch, trace=trace)
+        supervisor = _supervisor(fusion, trace=trace)
         with pytest.raises(FaultBudgetExceededError) as excinfo:
             supervisor.oversee(servers, step=len(WORKLOAD))
         assert set(excinfo.value.culprits) == set(victims)
@@ -136,8 +130,7 @@ class TestSupervisedRecovery:
         notes = [r for r in trace.records if r.payload.get("message", "").startswith("DEGRADED")]
         assert len(notes) == 1
 
-    @pytest.mark.parametrize("batch", [False, True])
-    def test_mixed_weight_past_budget_degrades(self, fusion, batch):
+    def test_mixed_weight_past_budget_degrades(self, fusion):
         # f-1 crashes plus one liar weigh (f-1) + 2 = f+1 > f.  With
         # only f-1 crashes the true top state provably never *loses* the
         # vote (dmin = f+1 leaves at least one honest separator against
@@ -150,7 +143,7 @@ class TestSupervisedRecovery:
             servers[name].crash()
         liar = names[fusion.f - 1]
         servers[liar].corrupt(rng=np.random.default_rng(5))
-        supervisor = _supervisor(fusion, batch=batch)
+        supervisor = _supervisor(fusion)
         with pytest.raises(FaultBudgetExceededError) as excinfo:
             supervisor.oversee(servers, step=len(WORKLOAD))
         assert supervisor.status is FleetStatus.DEGRADED
@@ -178,11 +171,10 @@ class TestSupervisedRecovery:
         assert supervisor.culprits == ()
 
 
-class TestEngineMessageParity:
-    """Satellite: the dict engine and the batched engine must raise the
-    *same* typed error with the *same* message for the same overload."""
+class TestEngineBudgetError:
+    """The vote engine's crash overrun is the canonical typed error."""
 
-    def test_budget_error_messages_match(self, fusion):
+    def test_budget_error_names_the_crashed_machines(self, fusion):
         observations = {}
         machines = list(fusion.originals) + list(fusion.backups)
         servers = _fleet(fusion)
@@ -191,15 +183,13 @@ class TestEngineMessageParity:
                 None if index <= fusion.f else servers[machine.name].report_state()
             )
 
-        engine = RecoveryEngine(fusion.product, fusion.backups)
-        with pytest.raises(FaultBudgetExceededError) as from_engine:
+        engine = BatchRecovery(fusion.product, fusion.backups)
+        with pytest.raises(FaultBudgetExceededError) as raised:
             engine.recover(observations, strict=True, expected_max_faults=fusion.f)
 
-        batch = BatchRecovery(fusion.product, fusion.backups)
-        with pytest.raises(FaultBudgetExceededError) as from_batch:
-            batch.recover(observations, strict=True, expected_max_faults=fusion.f)
-
-        assert str(from_engine.value) == str(from_batch.value)
-        assert from_engine.value.culprits == from_batch.value.culprits
-        assert from_engine.value.observed == from_batch.value.observed
-        assert from_engine.value.tolerated == from_batch.value.tolerated
+        crashed = [m.name for m in machines[: fusion.f + 1]]
+        expected = FaultBudgetExceededError.for_crashes(crashed, fusion.f)
+        assert str(raised.value) == str(expected)
+        assert raised.value.culprits == tuple(crashed)
+        assert raised.value.observed == fusion.f + 1
+        assert raised.value.tolerated == fusion.f

@@ -76,9 +76,8 @@ class TestDeliveryRecords:
 
 
 class TestReplay:
-    @pytest.mark.parametrize("engine", ["vectorized", "python"])
-    def test_replay_reproduces_crash_and_recovery(self, engine):
-        system = _system(engine=engine)
+    def test_replay_reproduces_crash_and_recovery(self):
+        system = _system()
         injector = FaultInjector(system.server_names(), seed=3)
         plan = injector.crash_plan(list(system.server_names())[:2], after_event=7)
         report = system.run(WORKLOAD, fault_plan=plan)
