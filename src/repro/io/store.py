@@ -493,9 +493,9 @@ class ArtifactStore:
     @staticmethod
     def _owner_dead(owner: Optional[Tuple[int, Optional[int]]]) -> bool:
         if owner is None:
-            # Unreadable/torn lock payload: the creating write is not
-            # atomic, so treat it as stale — worst case two computers
-            # race, which the atomic artifact commits tolerate.
+            # Unreadable payload: ``_try_acquire`` only ever links a
+            # complete one into place, so this lock was not written by a
+            # live acquirer; reclaim it.
             return True
         pid, start = owner
         if not pid_alive(pid):
@@ -505,20 +505,25 @@ class ArtifactStore:
         return False
 
     def _try_acquire(self, path: str) -> bool:
+        # The payload is written and fsynced under a temp name, then
+        # hard-linked onto the lock name, which fails if the lock exists.
+        # A waiter therefore never reads a lock whose payload is still
+        # being written, and never mistakes a live owner for a dead one.
+        tmp = self._temp_path(os.path.dirname(path), os.path.basename(path))
         try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
-        except FileExistsError:
-            return False
+            with open(tmp, "w", encoding="utf-8") as handle:
+                handle.write(
+                    json.dumps(
+                        {"pid": os.getpid(), "start": _process_start_time(os.getpid())}
+                    )
+                )
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.link(tmp, path)
         except OSError:
             return False
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(
-                json.dumps(
-                    {"pid": os.getpid(), "start": _process_start_time(os.getpid())}
-                )
-            )
-            handle.flush()
-            os.fsync(handle.fileno())
+        finally:
+            self._remove_quietly(tmp)
         return True
 
     @contextmanager

@@ -8,7 +8,9 @@ per-machine states, crash lists and Byzantine suspicions — and the same
 exception types on ties, exceeded fault budgets, all-crashed cohorts and
 impossible reported states — under both :data:`FaultKind.CRASH` and
 :data:`FaultKind.BYZANTINE` (the only kinds servers accept), on small
-tops and on a top past 4096 states.  The vote matrix itself is checked
+tops and on a top past 4096 states — and on the catalog's heterogeneous
+machine sets (per-machine alphabets, protocols, a shift register) as well
+as the counters.  The vote matrix itself is checked
 against a brute-force count: for each instance and top state, the
 number of machines whose reported state is reachable alongside it.
 """
@@ -30,7 +32,8 @@ from repro.core.fusion import generate_fusion
 from repro.core.partition import set_representation
 from repro.core.recovery import RecoveryOutcome, recover_top_state
 from repro.core.runtime import BatchRecovery
-from repro.machines import mod_counter
+from repro.machines import fig1_counter_a, fig1_counter_b, mod_counter
+from repro.machines.catalog import GENERATION_CASES, zoo
 from repro.simulation.faults import FaultKind
 from repro.simulation.server import Server
 
@@ -59,6 +62,30 @@ def fusions():
     for f in (1, 2, 3):
         cases[(f, True)] = generate_fusion(_counters(), f=f, byzantine=True)
     return cases
+
+
+#: Machine sets other than the shared-alphabet counters: the Fig. 1 pair,
+#: machines on disjoint alphabets, a protocol mix with a shift register,
+#: and the zoo of four heterogeneous machines on one alphabet.
+MACHINE_SETS = {
+    "fig1": lambda: [fig1_counter_a(), fig1_counter_b()],
+    "counters-5": GENERATION_CASES["counters-5 (top=243)"],
+    "mesi+tcp": GENERATION_CASES["mesi+tcp (top=44)"],
+    "mesi+counters+shift": GENERATION_CASES["mesi+counters+shift (top~252)"],
+    "zoo": zoo,
+}
+
+_CATALOG_FUSIONS = {}
+
+
+def _catalog_fusion(label, f, byzantine):
+    """``generate_fusion`` of a :data:`MACHINE_SETS` entry, built once."""
+    key = (label, f, byzantine)
+    if key not in _CATALOG_FUSIONS:
+        _CATALOG_FUSIONS[key] = generate_fusion(
+            MACHINE_SETS[label](), f=f, byzantine=byzantine
+        )
+    return _CATALOG_FUSIONS[key]
 
 
 @pytest.fixture(scope="module")
@@ -272,6 +299,74 @@ class TestSingleInstanceEquivalence:
             assert results[0] is results[1]
         else:
             _outcomes_equal(results[1], results[0])
+
+
+class TestCatalogMachineSets:
+    @pytest.mark.parametrize(
+        "kind", [FaultKind.CRASH, FaultKind.BYZANTINE], ids=lambda k: k.value
+    )
+    @pytest.mark.parametrize("f", [1, 2])
+    @pytest.mark.parametrize("label", list(MACHINE_SETS))
+    @RELAXED
+    @given(data=st.data())
+    def test_outcome_equal_within_budget(self, label, f, kind, data):
+        """Reachable runs with up to the fusion's budget of crashes or
+        liars vote like the oracle on every catalog machine set."""
+        byzantine = kind is FaultKind.BYZANTINE
+        fusion = _catalog_fusion(label, f, byzantine)
+        oracle, batch = _engines(fusion)
+        names = oracle.machine_names
+        assert names == batch.machine_names
+        events = list(fusion.product.machine.events)
+        stream = data.draw(st.lists(st.sampled_from(events), max_size=25))
+        observations = _observations(fusion, names, stream)
+
+        budget = fusion.f if not byzantine else fusion.byzantine_f
+        victims = data.draw(
+            st.lists(st.sampled_from(list(names)), max_size=budget, unique=True)
+        )
+        for victim in victims:
+            if kind is FaultKind.CRASH:
+                observations[victim] = None
+            else:
+                machine = fusion.all_machines[names.index(victim)]
+                wrong = [s for s in machine.states if s != observations[victim]]
+                observations[victim] = data.draw(st.sampled_from(wrong))
+
+        kwargs = {"expected_max_faults": budget} if kind is FaultKind.CRASH else {}
+        expected = oracle.recover(observations, **kwargs)
+        assert expected.top_state == fusion.product.machine.run(stream)
+        _outcomes_equal(batch.recover(observations, **kwargs), expected)
+
+    @pytest.mark.parametrize("label", list(MACHINE_SETS))
+    @RELAXED
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    def test_cohort_columns_match_oracle(self, label, seed):
+        """An (M, B) cohort with up to two crashes per instance equals B
+        oracle votes on every catalog machine set."""
+        fusion = _catalog_fusion(label, 2, False)
+        oracle, batch = _engines(fusion)
+        names = batch.machine_names
+        machines = fusion.all_machines
+        events = list(fusion.product.machine.events)
+        rng = np.random.default_rng(seed)
+        cohort = 5
+        reported = np.zeros((len(names), cohort), dtype=np.int64)
+        for b in range(cohort):
+            picks = rng.integers(0, len(events), size=int(rng.integers(0, 20)))
+            observations = _observations(fusion, names, [events[i] for i in picks])
+            for m, name in enumerate(names):
+                reported[m, b] = machines[m].state_index(observations[name])
+            dead = rng.choice(len(names), int(rng.integers(0, 3)), replace=False)
+            reported[dead, b] = -1
+        outcome = batch.recover_batch(reported, expected_max_faults=2)
+        for b in range(cohort):
+            single = oracle.recover(
+                _column_observations(fusion, names, reported, b),
+                expected_max_faults=2,
+            )
+            assert np.array_equal(outcome.counts[b], single.counts)
+            _column_matches(single, outcome, b, fusion, names)
 
 
 class TestErrorPathParity:

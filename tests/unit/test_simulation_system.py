@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro import SimulationError, generate_fusion
 from repro.machines import fig1_counter_a, fig1_counter_b, mesi, mod_counter
+from repro.machines.catalog import GENERATION_CASES, zoo
 from repro.simulation import (
     DistributedSystem,
     FaultEvent,
@@ -180,3 +183,75 @@ class TestManualDriving:
         workload = WorkloadGenerator([0, 1, 2], seed=12).uniform(25)
         report = system.run(workload, fault_plan=plan)
         assert report.consistent
+
+
+#: Machine sets beyond the Fig. 1 pair: a shared-alphabet counter
+#: family, machines on disjoint alphabets, a protocol mix with a shift
+#: register, and the zoo of four heterogeneous machines.
+MACHINE_SETS = {
+    "counters-5": GENERATION_CASES["counters-5 (top=243)"],
+    "mesi+tcp": GENERATION_CASES["mesi+tcp (top=44)"],
+    "mesi+counters+shift": GENERATION_CASES["mesi+counters+shift (top~252)"],
+    "zoo": zoo,
+    "sensors": lambda: [
+        mod_counter(3, count_event=e, events=(0, 1, 2), name="sensor-%d" % e)
+        for e in (0, 1, 2)
+    ],
+}
+
+
+def _catalog_run(fusion, byzantine, plan_for, seed):
+    """Run one fresh system over a seeded workload under ``plan_for``'s
+    fault plan; return the report and the workload."""
+    machines = fusion.originals
+    system = DistributedSystem.with_fusion_backups(
+        machines, f=fusion.f, byzantine=byzantine, fusion=fusion
+    )
+    events = list(fusion.product.machine.events)
+    workload = WorkloadGenerator(events, seed=seed).uniform(20)
+    injector = FaultInjector(system.server_names(), seed=seed)
+    report = system.run(workload, fault_plan=plan_for(injector))
+    assert report.consistent
+    states = system.states()
+    for machine in machines:
+        assert states[machine.name] == machine.run(workload)
+    return report
+
+
+class TestCatalogSystems:
+    @pytest.mark.parametrize("label", list(MACHINE_SETS))
+    def test_each_server_crash_recovered(self, label):
+        fusion = generate_fusion(MACHINE_SETS[label](), f=1)
+        names = [m.name for m in fusion.all_machines]
+        for seed, name in enumerate(names):
+            report = _catalog_run(
+                fusion, False, lambda inj: inj.crash_plan([name], after_event=7), seed
+            )
+            assert report.recoveries == 1
+            assert name in report.recovered_servers
+
+    @pytest.mark.parametrize("label", list(MACHINE_SETS))
+    def test_every_crash_pair_recovered_at_f2(self, label):
+        fusion = generate_fusion(MACHINE_SETS[label](), f=2)
+        names = [m.name for m in fusion.all_machines]
+        for seed, pair in enumerate(itertools.combinations(names, 2)):
+            report = _catalog_run(
+                fusion, False, lambda inj: inj.crash_plan(list(pair), after_event=5), seed
+            )
+            assert report.faults_injected == 2
+            assert set(pair) <= set(report.recovered_servers)
+
+    @pytest.mark.parametrize("label", list(MACHINE_SETS))
+    def test_each_server_lie_corrected(self, label):
+        fusion = generate_fusion(MACHINE_SETS[label](), f=1, byzantine=True)
+        names = [m.name for m in fusion.all_machines]
+        for seed, name in enumerate(names):
+            report = _catalog_run(
+                fusion, True, lambda inj: inj.byzantine_plan([name], after_event=9), seed
+            )
+            suspected = [
+                suspect
+                for recovery in report.trace.recoveries()
+                for suspect in recovery.payload["suspected_byzantine"]
+            ]
+            assert suspected == [name]

@@ -283,6 +283,37 @@ class TestAdvisoryLocks:
             pass
         assert store.stats.stale_locks == 1
 
+    def test_contender_never_sees_a_half_written_lock(self, tmp_path, monkeypatch):
+        # A contender that probes the lock while its owner is still
+        # writing the payload must not reclaim it as a dead owner's: the
+        # owner would go on believing it holds the lock beside the
+        # contender.  The probe runs from inside the owner's payload
+        # write (its start-time lookup).
+        import repro.io.store as store_module
+
+        store = ArtifactStore(str(tmp_path), lock_timeout=5.0)
+        digest = store.open_namespace(counters_family(3))
+        other = ArtifactStore(str(tmp_path), lock_timeout=5.0)
+        real_start_time = store_module._process_start_time
+        probed = []
+
+        def start_time(pid):
+            if not probed:
+                probed.append(pid)
+                with other.lock(digest, "run"):
+                    pass
+            return real_start_time(pid)
+
+        monkeypatch.setattr(store_module, "_process_start_time", start_time)
+        with store.lock(digest, "run"):
+            pass
+        assert probed
+        assert other.stats.stale_locks == 0
+        assert store.stats.stale_locks == 0
+        assert sorted(os.listdir(os.path.join(str(tmp_path), digest))) == [
+            "machines.npz"
+        ]
+
 
 class TestWarmFusion:
     def test_second_call_skips_product_and_ledger_build(self, tmp_path):
