@@ -21,8 +21,8 @@ Durability protocol, per artifact:
   verification is *quarantined* (renamed into ``quarantine/``, counted
   in :class:`StoreStats`) and transparently recomputed — never a crash,
   never a silent wrong read.
-* **advisory locks** — writers hold a lock file created with
-  ``O_CREAT|O_EXCL`` recording ``{pid, start}`` (the owner's
+* **advisory locks** — writers hold a lock file, hard-linked into
+  place from a complete temp file, recording ``{pid, start}`` (the owner's
   ``/proc/<pid>/stat`` start time, so a recycled pid is not mistaken
   for a live owner).  Waiters retry with bounded exponential backoff;
   a lock whose owner is dead is reclaimed and counted as stale.
@@ -509,6 +509,8 @@ class ArtifactStore:
         # hard-linked onto the lock name, which fails if the lock exists.
         # A waiter therefore never reads a lock whose payload is still
         # being written, and never mistakes a live owner for a dead one.
+        # Only an existing lock means "held"; any other failure (a full
+        # disk, a filesystem without hard links) is raised, not retried.
         tmp = self._temp_path(os.path.dirname(path), os.path.basename(path))
         try:
             with open(tmp, "w", encoding="utf-8") as handle:
@@ -520,8 +522,18 @@ class ArtifactStore:
                 handle.flush()
                 os.fsync(handle.fileno())
             os.link(tmp, path)
-        except OSError:
+        except FileExistsError:
             return False
+        except OSError as exc:
+            if exc.errno in _DISK_FULL_ERRNOS:
+                raise ResourceExhaustedError.for_resource(
+                    "disk",
+                    self._disk_budget(),
+                    self._committed_bytes,
+                    "writing lock %r failed with %s"
+                    % (os.path.basename(path), errno.errorcode.get(exc.errno, exc.errno)),
+                ) from exc
+            raise
         finally:
             self._remove_quietly(tmp)
         return True
@@ -548,19 +560,21 @@ class ArtifactStore:
             if self._try_acquire(path):
                 break
             owner = self._read_lock(path)
-            if self._owner_dead(owner):
+            retry_now = self._owner_dead(owner)
+            if retry_now:
                 # Re-read immediately before reclaiming so a lock that
                 # just changed hands is not unlinked.  (Advisory: the
                 # artifact commits themselves are atomic regardless.)
                 if self._read_lock(path) == owner and os.path.exists(path):
                     self._remove_quietly(path)
                     self.stats.stale_locks += 1
-                continue
             if time.monotonic() >= deadline:
                 raise StoreLockTimeoutError(
                     "lock %r in %s held by pid %s beyond the %.1fs budget"
                     % (name, digest[:12], owner[0] if owner else "?", self._lock_timeout)
                 )
+            if retry_now:
+                continue
             if not waited:
                 self.stats.lock_waits += 1
                 waited = True

@@ -32,10 +32,11 @@ from repro.core.fusion import generate_fusion
 from repro.core.partition import set_representation
 from repro.core.recovery import RecoveryOutcome, recover_top_state
 from repro.core.runtime import BatchRecovery
-from repro.machines import fig1_counter_a, fig1_counter_b, mod_counter
-from repro.machines.catalog import GENERATION_CASES, zoo
+from repro.machines import mod_counter
 from repro.simulation.faults import FaultKind
 from repro.simulation.server import Server
+
+from ..machine_sets import MACHINE_SETS
 
 RELAXED = settings(
     max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -63,17 +64,6 @@ def fusions():
         cases[(f, True)] = generate_fusion(_counters(), f=f, byzantine=True)
     return cases
 
-
-#: Machine sets other than the shared-alphabet counters: the Fig. 1 pair,
-#: machines on disjoint alphabets, a protocol mix with a shift register,
-#: and the zoo of four heterogeneous machines on one alphabet.
-MACHINE_SETS = {
-    "fig1": lambda: [fig1_counter_a(), fig1_counter_b()],
-    "counters-5": GENERATION_CASES["counters-5 (top=243)"],
-    "mesi+tcp": GENERATION_CASES["mesi+tcp (top=44)"],
-    "mesi+counters+shift": GENERATION_CASES["mesi+counters+shift (top~252)"],
-    "zoo": zoo,
-}
 
 _CATALOG_FUSIONS = {}
 
@@ -338,36 +328,6 @@ class TestCatalogMachineSets:
         assert expected.top_state == fusion.product.machine.run(stream)
         _outcomes_equal(batch.recover(observations, **kwargs), expected)
 
-    @pytest.mark.parametrize("label", list(MACHINE_SETS))
-    @RELAXED
-    @given(seed=st.integers(min_value=0, max_value=10_000))
-    def test_cohort_columns_match_oracle(self, label, seed):
-        """An (M, B) cohort with up to two crashes per instance equals B
-        oracle votes on every catalog machine set."""
-        fusion = _catalog_fusion(label, 2, False)
-        oracle, batch = _engines(fusion)
-        names = batch.machine_names
-        machines = fusion.all_machines
-        events = list(fusion.product.machine.events)
-        rng = np.random.default_rng(seed)
-        cohort = 5
-        reported = np.zeros((len(names), cohort), dtype=np.int64)
-        for b in range(cohort):
-            picks = rng.integers(0, len(events), size=int(rng.integers(0, 20)))
-            observations = _observations(fusion, names, [events[i] for i in picks])
-            for m, name in enumerate(names):
-                reported[m, b] = machines[m].state_index(observations[name])
-            dead = rng.choice(len(names), int(rng.integers(0, 3)), replace=False)
-            reported[dead, b] = -1
-        outcome = batch.recover_batch(reported, expected_max_faults=2)
-        for b in range(cohort):
-            single = oracle.recover(
-                _column_observations(fusion, names, reported, b),
-                expected_max_faults=2,
-            )
-            assert np.array_equal(outcome.counts[b], single.counts)
-            _column_matches(single, outcome, b, fusion, names)
-
 
 class TestErrorPathParity:
     def test_all_crashed(self, fusions):
@@ -408,33 +368,35 @@ class TestErrorPathParity:
 
 
 class TestBatchedCohorts:
+    @pytest.mark.parametrize("label", list(MACHINE_SETS))
     @RELAXED
     @given(seed=st.integers(min_value=0, max_value=10_000))
-    def test_batch_columns_match_single_instance_calls(self, fusions, seed):
-        """A (M, B) cohort vote equals B per-instance votes."""
-        fusion = fusions[(2, False)]
+    def test_batch_columns_match_single_instance_calls(self, label, seed):
+        """An (M, B) cohort with up to two crashes per instance equals B
+        per-instance votes on every catalog machine set."""
+        fusion = _catalog_fusion(label, 2, False)
         oracle, batch = _engines(fusion)
         names = batch.machine_names
         machines = fusion.all_machines
+        events = list(fusion.product.machine.events)
         rng = np.random.default_rng(seed)
         cohort = 7
         reported = np.zeros((len(names), cohort), dtype=np.int64)
         for b in range(cohort):
-            stream = list(rng.integers(0, 3, size=int(rng.integers(0, 15))))
-            observations = _observations(fusion, names, stream)
-            dead = rng.choice(len(names), int(rng.integers(0, 3)), replace=False)
-            for m in dead:
-                observations[names[m]] = None
+            picks = rng.integers(0, len(events), size=int(rng.integers(0, 15)))
+            observations = _observations(fusion, names, [events[i] for i in picks])
             for m, name in enumerate(names):
-                state = observations[name]
-                reported[m, b] = -1 if state is None else machines[m].state_index(state)
+                reported[m, b] = machines[m].state_index(observations[name])
+            dead = rng.choice(len(names), int(rng.integers(0, 3)), replace=False)
+            reported[dead, b] = -1
         outcome = batch.recover_batch(reported, expected_max_faults=2)
         for b in range(cohort):
-            _column_matches(
-                oracle.recover(_column_observations(fusion, names, reported, b),
-                               expected_max_faults=2),
-                outcome, b, fusion, names,
+            single = oracle.recover(
+                _column_observations(fusion, names, reported, b),
+                expected_max_faults=2,
             )
+            assert np.array_equal(outcome.counts[b], single.counts)
+            _column_matches(single, outcome, b, fusion, names)
 
     @pytest.mark.parametrize("seed", [3, 11])
     def test_top_past_4096_matches_single_instance_calls(self, large_fusion, seed):

@@ -8,7 +8,6 @@ import pytest
 
 from repro import SimulationError, generate_fusion
 from repro.machines import fig1_counter_a, fig1_counter_b, mesi, mod_counter
-from repro.machines.catalog import GENERATION_CASES, zoo
 from repro.simulation import (
     DistributedSystem,
     FaultEvent,
@@ -17,6 +16,8 @@ from repro.simulation import (
     ServerStatus,
     WorkloadGenerator,
 )
+
+from ..machine_sets import MACHINE_SETS
 
 
 @pytest.fixture
@@ -183,21 +184,6 @@ class TestManualDriving:
         workload = WorkloadGenerator([0, 1, 2], seed=12).uniform(25)
         report = system.run(workload, fault_plan=plan)
         assert report.consistent
-
-
-#: Machine sets beyond the Fig. 1 pair: a shared-alphabet counter
-#: family, machines on disjoint alphabets, a protocol mix with a shift
-#: register, and the zoo of four heterogeneous machines.
-MACHINE_SETS = {
-    "counters-5": GENERATION_CASES["counters-5 (top=243)"],
-    "mesi+tcp": GENERATION_CASES["mesi+tcp (top=44)"],
-    "mesi+counters+shift": GENERATION_CASES["mesi+counters+shift (top~252)"],
-    "zoo": zoo,
-    "sensors": lambda: [
-        mod_counter(3, count_event=e, events=(0, 1, 2), name="sensor-%d" % e)
-        for e in (0, 1, 2)
-    ],
-}
 
 
 def _catalog_run(fusion, byzantine, plan_for, seed):

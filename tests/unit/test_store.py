@@ -10,6 +10,7 @@ byte-identical result.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
@@ -17,7 +18,11 @@ import os
 import numpy as np
 import pytest
 
-from repro.core.exceptions import StoreCorruptionError, StoreLockTimeoutError
+from repro.core.exceptions import (
+    ResourceExhaustedError,
+    StoreCorruptionError,
+    StoreLockTimeoutError,
+)
 from repro.core.fusion import generate_fusion
 from repro.core.product import CrossProduct
 from repro.core.sparse import PairLedger
@@ -310,6 +315,39 @@ class TestAdvisoryLocks:
         assert probed
         assert other.stats.stale_locks == 0
         assert store.stats.stale_locks == 0
+        assert sorted(os.listdir(os.path.join(str(tmp_path), digest))) == [
+            "machines.npz"
+        ]
+
+    @pytest.mark.parametrize(
+        "target, code, expected",
+        [
+            ("fsync", errno.ENOSPC, ResourceExhaustedError),
+            ("fsync", errno.EDQUOT, ResourceExhaustedError),
+            ("link", errno.EPERM, PermissionError),
+            ("link", errno.ENOTSUP, OSError),
+        ],
+    )
+    def test_failed_lock_write_raises_instead_of_spinning(
+        self, tmp_path, monkeypatch, target, code, expected
+    ):
+        # A lock file that cannot be written (full disk, no hard links)
+        # must surface as an error, not as a lock held by nobody that the
+        # waiter reclaims and retries forever.
+        store = ArtifactStore(str(tmp_path), lock_timeout=1.0)
+        digest = store.open_namespace(counters_family(3))
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(target)
+            raise OSError(code, os.strerror(code))
+
+        monkeypatch.setattr(os, target, failing)
+        with pytest.raises(expected):
+            with store.lock(digest, "run"):
+                pass
+        monkeypatch.undo()
+        assert calls == [target]
         assert sorted(os.listdir(os.path.join(str(tmp_path), digest))) == [
             "machines.npz"
         ]
