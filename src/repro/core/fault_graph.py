@@ -55,7 +55,7 @@ from .exceptions import PartitionError
 from .partition import Partition, partition_from_machine
 from .product import CrossProduct
 from .sparse import LedgerBuilder, PairLedger, condensed_indices
-from .types import StateLabel, narrow_key_dtype
+from .types import StateLabel
 
 __all__ = [
     "DENSE_EXPORT_LIMIT",
@@ -180,7 +180,6 @@ class FaultGraph:
         "_dmin",
         "_weak_rows",
         "_weak_cols",
-        "_weak_keys",
         "_dense",
     )
 
@@ -277,7 +276,6 @@ class FaultGraph:
         self._dmin: Optional[int] = None
         self._weak_rows: Optional[np.ndarray] = None
         self._weak_cols: Optional[np.ndarray] = None
-        self._weak_keys: Optional[np.ndarray] = None
         self._dense: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
@@ -612,26 +610,6 @@ class FaultGraph:
                 self._weak_rows.setflags(write=False)
                 self._weak_cols.setflags(write=False)
         return self._weak_rows, self._weak_cols  # type: ignore[return-value]
-
-    def weakest_edge_keys(self) -> np.ndarray:
-        """The weakest edges as sorted canonical keys ``i * num_states + j``.
-
-        The quotient hand-off to the lattice descent's pruning engine
-        (:class:`repro.core.sparse.DoomedPairEngine`): at the identity
-        level the quotient's block ids *are* the top-state ids, so this
-        array seeds the level-0 doomed set directly, with no per-descent
-        re-projection.  Both engines emit the weakest edges in condensed
-        order, so the keys come back sorted and unique (cached), in the
-        narrow key dtype of the state count
-        (:func:`repro.core.types.narrow_key_dtype`).
-        """
-        if self._weak_keys is None:
-            rows, cols = self.weakest_edge_arrays()
-            key_dtype = narrow_key_dtype(self._n)
-            keys = rows.astype(key_dtype) * self._n + cols.astype(key_dtype)
-            keys.setflags(write=False)
-            self._weak_keys = keys
-        return self._weak_keys
 
     def weakest_edges(self) -> List[EdgeKey]:
         """Edges (as ``(i, j)`` index pairs, i < j) whose weight equals dmin."""

@@ -17,10 +17,10 @@ candidates stream in lexicographic pair order, with no ``O(B^2)`` pair
 list, into one batched pair-closure kernel
 (:func:`repro.core.partition.close_merges`), which closes a chunk of
 candidates together and drops each the round it merges a weakest pair.
-Failure-dominated levels are pruned first, by the sparse backward
-fixpoint of :class:`repro.core.sparse.DoomedPairEngine` or, on small
-unseeded levels, by the dense ``(B, B)`` :func:`_doomed_pairs`
-fixpoint — so memory never caps ``|top|``.
+Failure-dominated levels of at most :data:`DENSE_PRUNE_CUTOFF` blocks
+are pruned first by the dense ``(B, B)`` :func:`_doomed_pairs`
+fixpoint; larger levels skip the prune and close every candidate, so
+memory never caps ``|top|``.
 
 Generation runs in-process, like the paper's sequential greedy walk:
 sharding its stages over worker processes was measured slower than
@@ -28,9 +28,9 @@ serial on every large case.  ``generate_fusion``'s ``workers=``
 argument is still validated (:func:`resolve_workers`), but worker
 processes only serve :class:`repro.core.runtime.VectorizedRuntime`.
 
-Both prunes are sound and the candidates are closed in a fixed order,
-so the chosen partitions are byte-identical whichever prune or chunking
-a level uses; ``tests/integration/test_partition_hashes.py``,
+The prune is sound and the candidates are closed in a fixed order, so
+the chosen partitions are byte-identical whether or not a level prunes
+and however it chunks; ``tests/integration/test_partition_hashes.py``,
 ``tests/property/test_vectorized_equivalence.py`` and the frozen
 summaries of :mod:`repro.machines.catalog` enforce that.
 
@@ -80,13 +80,7 @@ from .partition import (
 )
 from .product import CrossProduct
 from .shm import _MAX_WORKERS, resolve_workers
-from .sparse import (
-    DEFAULT_CANDIDATE_BUDGET,
-    DoomedPairEngine,
-    PruneStats,
-    iter_pair_chunks,
-    sorted_key_membership,
-)
+from .sparse import iter_pair_chunks
 
 __all__ = [
     "FusionResult",
@@ -99,7 +93,7 @@ __all__ = [
     "check_subset_theorem",
     "resolve_workers",
     "DescentStrategy",
-    "DESCENT_SPARSE_CUTOFF",
+    "DENSE_PRUNE_CUTOFF",
 ]
 
 #: Signature of a descent strategy: given the current fault graph and the
@@ -215,18 +209,6 @@ class FusionResult:
 #: handful of rounds (the implication depth of the quotient machine).
 _DOOMED_MAX_ROUNDS = 64
 
-#: Expansion-work budget of the sparse doomed-pair fixpoint, in expanded
-#: predecessor pairs / checked successor candidates.  Exceeding it stops
-#: the fixpoint early — sound (the level merely under-prunes) and now
-#: *reported*: the engine's :class:`repro.core.sparse.PruneStats` flag
-#: lands in the stopwatch's ``prune`` stage.
-#: Deliberately *not* raised for the ``mesi+counters-10`` flagship, whose
-#: top level would spend ~200M units converging: measured on the
-#: reference container, the budgeted stop costs ~1.5 s of extra exact
-#: closure checks while the full fixpoint costs ~65 s of extra expansion
-#: — the stats record the truncation, so the trade stays visible.
-_PRUNE_BUDGET = DEFAULT_CANDIDATE_BUDGET
-
 #: Rejected candidates tolerated per level before switching from the
 #: optimistic scan to the bulk doomed-pair prune.  Low enough
 #: that failure-dominated levels (protocol mixes) amortise the fixpoint
@@ -234,15 +216,30 @@ _PRUNE_BUDGET = DEFAULT_CANDIDATE_BUDGET
 #: (counter families) never pay for it.
 _PRUNE_AFTER_FAILURES = 8
 
-#: Lattice levels with more blocks than this always prune with the
-#: sparse :class:`DoomedPairEngine` fixpoint; smaller levels that the
-#: engine cannot seed from the level above use the dense ``(B, B)``
-#: :func:`_doomed_pairs` fixpoint instead.
-DESCENT_SPARSE_CUTOFF = 4096
+#: Largest lattice level (in blocks) that runs the dense ``(B, B)``
+#: :func:`_doomed_pairs` prune.  Larger levels are not pruned: their
+#: ``B^2 * E`` sweeps cost more than closing the candidates exactly.
+DENSE_PRUNE_CUTOFF = 1024
 
 #: Pair-enumeration chunk size of the level scan (peak enumeration
 #: memory per level is a few of these, not ``O(B^2)``).
 _PAIR_CHUNK = 16384
+
+
+@dataclass
+class PruneStats:
+    """Outcome of one :func:`_doomed_pairs` fixpoint run.
+
+    ``rounds`` counts the dense sweeps and ``spent`` their ``B^2 * E``
+    cells.  ``truncated``: the fixpoint stopped at
+    :data:`_DOOMED_MAX_ROUNDS` before converging, so the doomed set is a
+    (still sound) subset of the full fixpoint and the level
+    under-prunes.
+    """
+
+    rounds: int = 0
+    spent: int = 0
+    truncated: bool = False
 
 
 def _doomed_pairs(
@@ -265,23 +262,15 @@ def _doomed_pairs(
     which is what turns the per-level scan from thousands of Python
     union-find closures into one NumPy fixpoint.
 
-    This is the dense form, used for levels of at most
-    :data:`DESCENT_SPARSE_CUTOFF` blocks that the descent's
-    :class:`repro.core.sparse.DoomedPairEngine` cannot seed from a level
-    above.  Larger levels, and every level once the engine is seedable,
-    use the engine.  On the small unseeded levels of the zoo-fleet
-    fusions the engine took about twice the dense fixpoint's prune time
-    for the same doomed set, so the block count selects.  The
-    returned :class:`repro.core.sparse.PruneStats` mirrors the sparse
-    engine's (``spent`` counts the dense rounds' ``B^2 * E`` sweeps) so
-    every level's prune is accounted uniformly.
+    The descent runs it on levels of at most :data:`DENSE_PRUNE_CUTOFF`
+    blocks; the returned :class:`PruneStats` land in the stopwatch's
+    ``prune`` stage.
     """
-    stats = PruneStats(num_blocks=num_blocks)
+    stats = PruneStats()
     doomed = np.zeros((num_blocks, num_blocks), dtype=bool)
     doomed[weak_a, weak_b] = True
     doomed[weak_b, weak_a] = True
     if quotient.size == 0:
-        stats.keys = int(np.count_nonzero(np.triu(doomed, 1)))
         return doomed, stats
     columns = [np.ascontiguousarray(quotient[:, e]) for e in range(quotient.shape[1])]
     for _ in range(_DOOMED_MAX_ROUNDS):
@@ -295,7 +284,6 @@ def _doomed_pairs(
         doomed = grown
     else:
         stats.truncated = True
-    stats.keys = int(np.count_nonzero(np.triu(doomed, 1)))
     return doomed, stats
 
 
@@ -350,7 +338,6 @@ def _scan_level(
     num_blocks: int,
     first_mode: bool,
     measure,
-    engine: DoomedPairEngine,
     note_prune: Callable[[PruneStats], None],
 ) -> Tuple[Optional[Partition], List[Partition]]:
     """Close one lattice level's merge candidates, in lexicographic order.
@@ -361,12 +348,11 @@ def _scan_level(
     1. optimistically, chunks of 1, 2 and then the rest of the
        :data:`_PRUNE_AFTER_FAILURES` budget — a level whose first pair
        qualifies (the counter families) pays for one closure;
-    2. once that many candidates failed, the doomed-pair prune removes
-       every remaining pair whose closure provably merges a weakest
-       pair: the descent's :class:`DoomedPairEngine` above
-       :data:`DESCENT_SPARSE_CUTOFF` blocks or when it can seed from the
-       level above, the dense :func:`_doomed_pairs` fixpoint otherwise;
-    3. the survivors follow in chunks that double from 1 up to
+    2. once that many candidates failed, a level of at most
+       :data:`DENSE_PRUNE_CUTOFF` blocks runs the :func:`_doomed_pairs`
+       prune, which removes every remaining pair whose closure provably
+       merges a weakest pair; a larger level keeps every pair;
+    3. the remaining pairs follow in chunks that double from 1 up to
        :func:`repro.core.partition.merge_batch_limit` — survivors
        mostly qualify where the prune is tight, so first mode closes
        few beyond the one it takes.
@@ -405,14 +391,7 @@ def _scan_level(
     if not queue.more():
         return (None, improving)
 
-    if num_blocks > DESCENT_SPARSE_CUTOFF or engine.seedable:
-        with measure("prune"):
-            keys = engine.prune(
-                quotient, weak.lo, weak.hi, num_blocks, base_labels=base_labels
-            )
-        note_prune(engine.last_stats)
-        queue.keep(lambda rows, cols: ~sorted_key_membership(keys, rows, cols, num_blocks))
-    else:
+    if num_blocks <= DENSE_PRUNE_CUTOFF:
         with measure("prune"):
             doomed, prune_stats = _doomed_pairs(quotient, weak.lo, weak.hi, num_blocks)
         note_prune(prune_stats)
@@ -456,9 +435,10 @@ def _descend(
     2. pairs are closed optimistically in lexicographic order — on
        workloads where an early candidate qualifies (the counter
        families) this is all that ever runs;
-    3. after :data:`_PRUNE_AFTER_FAILURES` rejected candidates the
-       doomed-pair fixpoint prunes, in bulk, every remaining pair whose
-       closure provably re-merges a weakest edge, and only the survivors
+    3. after :data:`_PRUNE_AFTER_FAILURES` rejected candidates a level
+       of at most :data:`DENSE_PRUNE_CUTOFF` blocks runs the doomed-pair
+       fixpoint, which prunes, in bulk, every remaining pair whose
+       closure provably re-merges a weakest edge; the remaining pairs
        are closed and checked.
 
     :func:`_scan_level` runs the stages, feeding the batched closure
@@ -479,11 +459,8 @@ def _descend(
     ``checkpoint`` (when given) is called with ``(level, labels)`` after
     every committed step, and ``resume`` restarts the walk from such a
     pair instead of the identity partition.  Resuming is byte-identical
-    to the uninterrupted run: the level scan enumerates candidates in a
-    fixed lexicographic order and the doomed-pair prune is a *sound*
-    filter — a resumed engine that starts with an empty prune cache
-    merely prunes less on its first level, it can never change which
-    candidate is chosen.
+    to the uninterrupted run: every level is scanned from its own
+    quotient and weakest pairs alone, in a fixed lexicographic order.
     """
     # The weakest edges as pairs of the previous level's blocks (of top
     # states before the first level): each level projects the previous
@@ -499,28 +476,16 @@ def _descend(
         steps = 0
     measure = stopwatch.measure if stopwatch is not None else (lambda _name: nullcontext())
     first_mode = strategy is _first_candidate
-    # One pruning engine per descent: the weakest edges are constant and
-    # the levels only coarsen within it, which is what makes the
-    # engine's cross-level seeding sound.  The graph hands over the
-    # identity level's seed keys ready-made (they are cached across the
-    # descents of one generation).
-    engine = DoomedPairEngine(
-        budget=_PRUNE_BUDGET,
-        max_rounds=_DOOMED_MAX_ROUNDS,
-        identity_seed=graph.weakest_edge_keys(),
-    )
 
-    def note_prune(stats: Optional[PruneStats]) -> None:
+    def note_prune(stats: PruneStats) -> None:
         """Fold one level's prune outcome into the stopwatch's stage."""
-        if stopwatch is None or stats is None:
+        if stopwatch is None:
             return
         stopwatch.accumulate(
             "prune",
             rounds=stats.rounds,
-            forward_rounds=stats.forward_rounds,
             spent=stats.spent,
             truncated=int(stats.truncated),
-            seeded=stats.seeded,
         )
 
     while current.num_blocks > 1:
@@ -540,7 +505,7 @@ def _descend(
         weak_a, weak_b, previous = weak.lo, weak.hi, base_labels
         chosen, improving = _scan_level(
             quotient, base_labels, weak, current.num_blocks,
-            first_mode, measure, engine, note_prune,
+            first_mode, measure, note_prune,
         )
         if chosen is None and improving:
             chosen = strategy(graph, improving)

@@ -692,24 +692,12 @@ def set_representation(top: DFSM, machine: DFSM) -> Dict[StateLabel, FrozenSet[S
     example, for Figure 5 of the paper, state ``a0`` maps to
     ``{t0, t3}``.
     """
-    # Validate comparability first (raises NotComparableError otherwise).
-    partition_from_machine(top, machine)
+    # One lockstep walk; it raises NotComparableError unless machine <= top.
+    assignment = machine_assignment(top, machine)
+    machine_states = machine.states
     result: Dict[StateLabel, set] = {}
-    # Lockstep walk retaining machine-state labels exactly.
-    assignment: Dict[int, StateLabel] = {}
-    queue: deque[Tuple[int, StateLabel]] = deque([(top.initial_index, machine.initial)])
-    assignment[top.initial_index] = machine.initial
-    while queue:
-        ti, m_state = queue.popleft()
-        t_state = top.state_label(ti)
-        for event in top.events:
-            t_next = top.state_index(top.step(t_state, event))
-            m_next = machine.step(m_state, event)
-            if t_next not in assignment:
-                assignment[t_next] = m_next
-                queue.append((t_next, m_next))
-    for ti, m_state in assignment.items():
-        result.setdefault(m_state, set()).add(top.state_label(ti))
+    for t_state, m_index in zip(top.states, assignment.tolist()):
+        result.setdefault(machine_states[m_index], set()).add(t_state)
     return {k: frozenset(v) for k, v in result.items()}
 
 

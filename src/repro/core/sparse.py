@@ -1,10 +1,10 @@
-"""Sparse pair structures for the fault graph and the lattice descent.
+"""Sparse pair structures for the fault graph.
 
-The dense engine keeps ``O(B^2)`` arrays per state pair (a condensed
-weight vector, ``(i, j)`` index arrays, a ``(B, B)`` doomed-pair
-matrix), which caps ``|top|`` at a few thousand states.  This module
-provides the sparse replacements on plain NumPy index/value arrays
-(CSR/COO style; the container ships no ``scipy``):
+The dense engine keeps an ``O(B^2)`` condensed weight vector and its
+``(i, j)`` index arrays per state pair, which caps ``|top|`` at a few
+thousand states.  This module provides the sparse replacements on plain
+NumPy index/value arrays (CSR/COO style; the container ships no
+``scipy``):
 
 * :func:`condensed_indices` — the shared upper-triangular index arrays of
   the *dense* layout (moved here so every consumer shares one cache);
@@ -25,34 +25,20 @@ provides the sparse replacements on plain NumPy index/value arrays
   they already paid for;
 * :class:`PairLedger` — the sparse fault-graph storage built on top of
   :func:`low_weight_pairs`: exact weights for every pair below a cap,
-  with vectorised incremental folds;
-* :class:`ImplicationIndex` — the per-event implication adjacency of one
-  quotient table (preimage CSR for backward expansion, forward image
-  rows for the density-adaptive forward pass), built once and reusable
-  across fixpoint calls;
-* :class:`DoomedPairEngine` — the pair-implication pruning fixpoint of
-  the lattice descent: incremental (each level's doomed set is seeded
-  from the previous level's keys mapped through the refined quotient)
-  and density-adaptive (rounds whose backward preimage product outgrows
-  a scan of the live candidates switch to the forward direction);
-  :func:`doomed_pair_keys` is its one-shot functional form.
+  with vectorised incremental folds.
 
 Everything here is exact (never approximate): the ledger records which
 weights it knows exactly (``weight < cap``) and callers escalate the cap
-when they need more, and the doomed-pair set is a *sound* filter by
-construction, so an early (budgeted) stop can only make pruning less
-complete, never wrong.  Every stage runs in-process: Algorithm 2 is one
+when they need more.  Every stage runs in-process: Algorithm 2 is one
 sequential greedy walk, and sharding its stages over a worker pool was
 measured slower than serial on every large case on two cores.
 
 Two cross-cutting implementation rules, established by measurement:
 
-* **Narrow keys.**  Every pair-key array (ledger merges, doomed sets,
-  frontiers) is built in the per-level dtype of
-  :func:`repro.core.types.narrow_key_dtype` — ``int32`` whenever the
-  level's block count is below 46341, ``int64`` above — so the sorts,
-  merges and membership passes that dominate the large benchmarks move
-  half the bytes on every level below the threshold.
+* **Narrow keys.**  The ledger's packed pair keys are built in the
+  narrowest dtype their state count and cap allow (``int32`` below the
+  :func:`repro.core.types.narrow_key_dtype` threshold), so the sorts
+  and merges that dominate the large benchmarks move half the bytes.
 * **No ``np.unique``, no boolean fancy indexing on hot paths.**  Key
   arrays are deduplicated with an explicit sort + neighbour-diff mask +
   ``np.compress`` (:func:`_sort_unique`): ``np.unique``'s hash-based
@@ -65,26 +51,21 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .budget import _dedup_sorted, current_governor
 from .exceptions import PartitionError
-from .partition import Partition, _first_of_each_block
+from .partition import Partition
 from .types import narrow_index_dtype, narrow_key_dtype
 
 __all__ = [
     "CandidateBudgetError",
-    "DoomedPairEngine",
-    "ImplicationIndex",
     "LedgerBuilder",
     "PairLedger",
-    "PruneStats",
     "coblock_pair_arrays",
     "condensed_indices",
-    "doomed_pair_keys",
     "iter_pair_chunks",
     "low_weight_pairs",
 ]
@@ -139,26 +120,6 @@ def condensed_indices(num_states: int) -> Tuple[np.ndarray, np.ndarray]:
     return cached
 
 
-def _pair_keys(
-    lo: np.ndarray, hi: np.ndarray, num_blocks: int, key_dtype: type
-) -> np.ndarray:
-    """Canonical pair keys ``lo * num_blocks + hi`` built in ``key_dtype``.
-
-    The explicit pre-multiply ``astype`` is the narrow-key path: with
-    ``key_dtype == int32`` (every level below the
-    :func:`repro.core.types.narrow_key_dtype` threshold) the multiply
-    runs — and the result ships — in 4-byte lanes; NumPy's default
-    promotion would silently compute int64 everywhere.  Safe by the
-    dtype rule: ``lo < hi < num_blocks`` so every key is below
-    ``num_blocks**2``, which fits ``key_dtype`` by construction.
-    """
-    if lo.dtype != key_dtype:
-        lo = lo.astype(key_dtype)
-    if hi.dtype != key_dtype:
-        hi = hi.astype(key_dtype)
-    return lo * num_blocks + hi
-
-
 def _sort_unique(keys: np.ndarray) -> np.ndarray:
     """Sorted unique elements of ``keys`` — the hot-path ``np.unique``.
 
@@ -195,15 +156,6 @@ def _governed_sort_unique(parts: Sequence[np.ndarray]) -> Optional[np.ndarray]:
     if not governor.should_spill(peak_bytes):
         return None
     return governor.spill_merge(live)
-
-
-def _compress_absent(sorted_ref: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """The elements of ``keys`` not contained in the sorted ``sorted_ref``."""
-    if sorted_ref.size == 0 or keys.size == 0:
-        return keys
-    mask = _sorted_contains(sorted_ref, keys)
-    np.logical_not(mask, out=mask)
-    return np.compress(mask, keys)
 
 
 def iter_pair_chunks(
@@ -810,488 +762,3 @@ class PairLedger:
         new_weights = self.weights + (labels[self.rows] != labels[self.cols])
         least = int(new_weights.min())
         return least if least < self.cap else None
-
-
-# ----------------------------------------------------------------------
-# The doomed-pair pruning fixpoint
-# ----------------------------------------------------------------------
-#: Forward/backward cost crossover: a round whose backward preimage
-#: product exceeds this many times the cost of one forward sweep over
-#: the live candidates (``live_pairs * num_events`` membership checks)
-#: runs forward instead.  The two directions add the identical fresh set
-#: each round (a forward sweep finds exactly the not-yet-doomed
-#: predecessors of the frontier — see :meth:`DoomedPairEngine.prune`),
-#: so the crossover changes wall-clock only, never results.
-_FORWARD_SWITCH_FACTOR = 4
-
-#: Pair-enumeration chunk of a forward sweep; peak memory per sweep is a
-#: few of these, never the ``O(B^2)`` pair space at once.
-_FORWARD_CHUNK = 1 << 20
-
-@dataclass
-class PruneStats:
-    """Outcome of one doomed-pair fixpoint run.
-
-    ``spent`` counts budget units — expanded predecessor pairs of
-    backward rounds plus checked live candidates (times events) of
-    forward rounds.  ``truncated``: the fixpoint stopped on
-    ``budget``/``max_rounds`` before converging, so the doomed set is a
-    (still sound) subset of the full fixpoint and the level under-prunes.
-    ``seeded`` counts the keys
-    inherited from the previous lattice level's doomed set.
-    """
-
-    num_blocks: int = 0
-    rounds: int = 0
-    forward_rounds: int = 0
-    spent: int = 0
-    truncated: bool = False
-    seeded: int = 0
-    keys: int = 0
-
-
-class ImplicationIndex:
-    """Per-event implication adjacency of one quotient table, both ways.
-
-    The fixpoint needs, per event ``e``, the *preimage* CSR (which
-    blocks step into ``b`` under ``e`` — backward expansion) and the
-    forward *image* row (where each block steps — the forward sweep's
-    membership checks).  Built once per quotient, reusable across calls.
-
-    Arrays (``E`` events over ``B`` blocks, narrow index dtype):
-
-    * ``order`` — ``(E, B)``: block ids sorted by image under the event;
-    * ``indptr`` — ``(E, B + 1)``: CSR row pointers into ``order``;
-    * ``counts`` — ``(E, B)``: preimage sizes (kept separately so the
-      engine's per-round cost estimates stay one fancy-indexing pass);
-    * ``images`` — ``(E, B)``: the forward transition rows (the
-      quotient, transposed contiguous).
-    """
-
-    __slots__ = ("num_blocks", "num_events", "order", "indptr", "counts", "images")
-
-    def __init__(self, quotient: np.ndarray, num_blocks: Optional[int] = None) -> None:
-        quotient = np.asarray(quotient)
-        blocks = int(quotient.shape[0] if num_blocks is None else num_blocks)
-        events = int(quotient.shape[1]) if quotient.ndim == 2 and quotient.size else 0
-        dtype = narrow_index_dtype(blocks + 1)
-        self.num_blocks = blocks
-        self.num_events = events
-        self.order = np.empty((events, blocks), dtype=dtype)
-        self.indptr = np.empty((events, blocks + 1), dtype=dtype)
-        self.counts = np.empty((events, blocks), dtype=dtype)
-        self.images = np.empty((events, blocks), dtype=dtype)
-        for event in range(events):
-            image = quotient[:, event]
-            self.images[event] = image
-            self.order[event] = np.argsort(image, kind="stable")
-            counts = np.bincount(image, minlength=blocks)
-            self.counts[event] = counts
-            self.indptr[event, 0] = 0
-            self.indptr[event, 1:] = np.cumsum(counts)
-
-def _expand_backward_raw(
-    index: ImplicationIndex,
-    event: int,
-    upper: np.ndarray,
-    lower: np.ndarray,
-    key_dtype: type,
-) -> np.ndarray:
-    """Canonical predecessor-pair keys of one frontier slice under one event.
-
-    Unsorted and unfiltered, but — because preimage sets of distinct
-    blocks under one event are disjoint, so an unordered predecessor
-    pair determines its frontier pair uniquely — duplicate-free apart
-    from degenerate diagonal seeds.  Duplicates live entirely *across*
-    events (and are dealt with by the callers' membership filters
-    before anything gets sorted).  Keys come back in the level's
-    ``key_dtype`` (:func:`repro.core.types.narrow_key_dtype`).
-    """
-    num_blocks = index.num_blocks
-    counts = index.counts[event]
-    count_u = counts[upper].astype(np.int64)
-    count_v = counts[lower].astype(np.int64)
-    totals = count_u * count_v
-    grand = int(totals.sum())
-    if grand == 0:
-        return np.empty(0, dtype=key_dtype)
-    order = index.order[event]
-    indptr = index.indptr[event]
-    key_of_out = np.repeat(np.arange(upper.size, dtype=np.int64), totals)
-    offsets = np.arange(grand, dtype=np.int64) - np.repeat(
-        np.concatenate(([0], np.cumsum(totals)[:-1])), totals
-    )
-    nv = count_v[key_of_out]
-    pre_u = order[indptr[upper[key_of_out]] + offsets // nv]
-    pre_v = order[indptr[lower[key_of_out]] + offsets % nv]
-    lo = np.minimum(pre_u, pre_v)  # narrow dtype: half the memory traffic
-    hi = np.maximum(pre_u, pre_v)
-    distinct = lo != hi
-    return _pair_keys(
-        np.compress(distinct, lo), np.compress(distinct, hi), num_blocks, key_dtype
-    )
-
-
-def _forward_sweep(index: ImplicationIndex, doomed: np.ndarray) -> np.ndarray:
-    """Newly doomed keys among all live pairs: one full forward round.
-
-    A live (not yet doomed) pair is newly doomed when some event maps it
-    onto a doomed pair.  Streams the pair space in ``O(chunk)`` memory;
-    the output comes back sorted (chunks arrive in condensed order) and
-    already filtered against ``doomed``.  Keys ride in ``doomed``'s (the
-    level's) key dtype throughout.
-    """
-    num_blocks = index.num_blocks
-    key_dtype = doomed.dtype
-    parts: List[np.ndarray] = []
-    for rows, cols in iter_pair_chunks(num_blocks, _FORWARD_CHUNK):
-        keys = _pair_keys(rows, cols, num_blocks, key_dtype)
-        alive = _sorted_contains(doomed, keys)
-        np.logical_not(alive, out=alive)
-        if not alive.any():
-            continue
-        rows = np.compress(alive, rows)
-        cols = np.compress(alive, cols)
-        keys = np.compress(alive, keys)
-        hit = np.zeros(rows.size, dtype=bool)
-        for event in range(index.num_events):
-            image = index.images[event]
-            succ_u = image[rows]
-            succ_v = image[cols]
-            lo = np.minimum(succ_u, succ_v)
-            hi = np.maximum(succ_u, succ_v)
-            # A collapsed successor (lo == hi) only dooms through a
-            # degenerate diagonal seed key, which the membership check
-            # handles uniformly — matching the backward expansion.
-            hit |= _sorted_contains(doomed, _pair_keys(lo, hi, num_blocks, key_dtype))
-        if hit.any():
-            parts.append(np.compress(hit, keys))
-    if not parts:
-        return np.empty(0, dtype=key_dtype)
-    return np.concatenate(parts)
-
-
-def _merge_disjoint_sorted(base: np.ndarray, extra: np.ndarray) -> np.ndarray:
-    """O(n + m) merge of two sorted unique key arrays with no common element.
-
-    Replaces the per-round ``np.union1d`` (which re-sorts the whole
-    concatenation every round) on the fixpoint's hot path.
-    """
-    if extra.size == 0:
-        return base
-    if base.size == 0:
-        return extra
-    return np.insert(base, np.searchsorted(base, extra), extra)
-
-
-class DoomedPairEngine:
-    """Incremental doomed-pair pruning fixpoint of one descent.
-
-    Merging blocks ``(a, b)`` of a closed partition forces merging
-    ``(δ(a, e), δ(b, e))`` for every event ``e`` (the substitution
-    property); a merge candidate is *doomed* when some chain of those
-    implications reaches a weakest edge.  The doomed set is kept as
-    sorted canonical pair keys ``a * B + b`` (``a < b``) and grown
-    semi-naively in whichever direction is cheaper per round:
-
-    * **backward** — expand the newly-doomed frontier through the
-      per-event preimage CSR of an :class:`ImplicationIndex`;
-    * **forward** — when the frontier's preimage product ``count_u *
-      count_v`` outgrows a scan of the live candidates
-      (:data:`_FORWARD_SWITCH_FACTOR`), stream the not-yet-doomed pairs
-      and test their successor pairs against the doomed set instead.
-
-    The two directions add the *same* fresh set each round: semi-naive
-    backward finds the not-yet-doomed predecessors of the frontier, and
-    because every earlier round expanded its full frontier, all other
-    doomed pairs' predecessors are already doomed — which is exactly the
-    set a full forward sweep discovers.  Direction choices therefore
-    affect wall-clock only.
-
-    **Incremental**: one engine serves one descent.  Each level's doomed
-    set is seeded from the previous pruned level's keys mapped through
-    the refined quotient: within a descent the partitions only coarsen
-    and every chosen candidate separates the (descent-constant) weakest
-    edges, so the image of a doomed chain is a doomed chain — if any
-    intermediate image pair collapsed, every later one (including the
-    final weakest pair, which stays separated) would collapse too.
-    Seeding therefore starts the fixpoint from a sound subset and only
-    the genuinely new frontier is expanded.  A ``base_labels`` vector
-    that is not a coarsening of the remembered level resets the cache
-    instead of seeding (checked in O(n)).
-
-    Early stops (``budget`` on expansion work, ``max_rounds``) are sound
-    — a truncated doomed set only prunes less — and are now *visible*:
-    :attr:`last_stats` carries rounds, spent budget and the truncation
-    flag for every call.
-    """
-
-    def __init__(
-        self,
-        budget: int = DEFAULT_CANDIDATE_BUDGET,
-        max_rounds: int = 64,
-        identity_seed: Optional[np.ndarray] = None,
-    ) -> None:
-        self._budget = int(budget)
-        self._max_rounds = int(max_rounds)
-        # Pre-computed sorted weakest-edge keys of the identity level
-        # (the fault graph's hand-off: block ids there *are* state ids).
-        self._identity_seed = identity_seed
-        self._prev_labels: Optional[np.ndarray] = None
-        self._prev_blocks = 0
-        self._prev_doomed: Optional[np.ndarray] = None
-        self.last_stats: Optional[PruneStats] = None
-
-    @property
-    def seedable(self) -> bool:
-        """True once a pruned level is remembered for cross-level seeding.
-
-        The descent consults this on levels of at most
-        ``DESCENT_SPARSE_CUTOFF`` blocks: once a level above has paid
-        for the fixpoint, continuing the key-based engine downwards
-        re-verifies the mapped seed in a round or two instead of
-        re-deriving the dense ``(B, B)`` boolean fixpoint from scratch.
-        """
-        return self._prev_doomed is not None
-
-    # ------------------------------------------------------------------
-    def prune(
-        self,
-        quotient: np.ndarray,
-        weak_a: np.ndarray,
-        weak_b: np.ndarray,
-        num_blocks: int,
-        base_labels: Optional[np.ndarray] = None,
-        index: Optional[ImplicationIndex] = None,
-    ) -> np.ndarray:
-        """The doomed-pair keys of one lattice level, sorted.
-
-        ``weak_a``/``weak_b`` are the weakest edges projected into the
-        level's block space; ``base_labels`` (the level's partition
-        labels over the top states) enables the incremental seeding —
-        omit it for one-shot, stateless use.  Returns the sorted key
-        array; :attr:`last_stats` describes the run.
-        """
-        num_blocks = int(num_blocks)
-        key_dtype = narrow_key_dtype(num_blocks)
-        stats = PruneStats(num_blocks=num_blocks)
-        if (
-            base_labels is not None
-            and self._identity_seed is not None
-            and num_blocks == base_labels.size
-        ):
-            doomed = np.asarray(self._identity_seed, dtype=key_dtype)
-        else:
-            weak_lo = np.minimum(weak_a, weak_b)
-            weak_hi = np.maximum(weak_a, weak_b)
-            doomed = _sort_unique(_pair_keys(weak_lo, weak_hi, num_blocks, key_dtype))
-        # The seeding proof needs this level to separate every weakest
-        # edge (the mapped chains must end at a *distinct* weak pair).
-        # Always true inside a descent; a degenerate direct call with a
-        # collapsed weak pair falls back to an unseeded fixpoint.
-        separated = weak_a.size == 0 or not bool(
-            np.any(np.asarray(weak_a) == np.asarray(weak_b))
-        )
-        mapped = self._seed_from_previous(base_labels, num_blocks) if separated else None
-        if mapped is not None and mapped.size:
-            stats.seeded = int(mapped.size)
-            doomed = _merge_disjoint_sorted(doomed, _compress_absent(doomed, mapped))
-        if quotient.size and doomed.size:
-            if index is None:
-                index = ImplicationIndex(quotient, num_blocks)
-            doomed = self._fixpoint(index, doomed, stats)
-        self._remember(base_labels, num_blocks, doomed)
-        stats.keys = int(doomed.size)
-        self.last_stats = stats
-        return doomed
-
-    # ------------------------------------------------------------------
-    def _remember(
-        self, base_labels: Optional[np.ndarray], num_blocks: int, doomed: np.ndarray
-    ) -> None:
-        if base_labels is None:
-            self._prev_labels = None
-            self._prev_doomed = None
-            self._prev_blocks = 0
-            return
-        self._prev_labels = base_labels
-        self._prev_blocks = num_blocks
-        self._prev_doomed = doomed
-
-    def _seed_from_previous(
-        self, base_labels: Optional[np.ndarray], num_blocks: int
-    ) -> Optional[np.ndarray]:
-        """The previous level's doomed keys mapped through the refinement.
-
-        ``None`` when there is no usable previous level; otherwise the
-        sorted unique image keys whose endpoints stay distinct (pairs
-        the chosen candidate already merged vanish — their doom predate
-        is spent).
-        """
-        prev_labels = self._prev_labels
-        prev_doomed = self._prev_doomed
-        if base_labels is None or prev_labels is None or prev_doomed is None:
-            return None
-        key_dtype = narrow_key_dtype(num_blocks)
-        block_map = base_labels[_first_of_each_block(prev_labels)]
-        if block_map.size != self._prev_blocks or not np.array_equal(
-            block_map[prev_labels], base_labels
-        ):
-            return None  # not a coarsening of the remembered level
-        if prev_doomed.size == 0:
-            return np.empty(0, dtype=key_dtype)
-        block_map = block_map.astype(narrow_index_dtype(num_blocks))
-        map_u = block_map[prev_doomed // self._prev_blocks]
-        map_v = block_map[prev_doomed % self._prev_blocks]
-        lo = np.minimum(map_u, map_v)
-        hi = np.maximum(map_u, map_v)
-        keep = lo != hi
-        return _sort_unique(
-            _pair_keys(np.compress(keep, lo), np.compress(keep, hi), num_blocks, key_dtype)
-        )
-
-    # ------------------------------------------------------------------
-    def _fixpoint(
-        self, index: ImplicationIndex, doomed: np.ndarray, stats: PruneStats
-    ) -> np.ndarray:
-        num_blocks = index.num_blocks
-        num_events = index.num_events
-        total_pairs = num_blocks * (num_blocks - 1) // 2
-        frontier = doomed
-        spent = 0
-        while frontier.size:
-            if stats.rounds + stats.forward_rounds >= self._max_rounds:
-                stats.truncated = True
-                break
-            upper = frontier // num_blocks
-            lower = frontier % num_blocks
-            # O(frontier) cost estimates per event: they drive the
-            # budget gate and the direction choice, both deterministic.
-            totals_by_event: List[np.ndarray] = []
-            for event in range(num_events):
-                counts = index.counts[event]
-                totals_by_event.append(
-                    counts[upper].astype(np.int64) * counts[lower].astype(np.int64)
-                )
-            grands = [int(totals.sum()) for totals in totals_by_event]
-            grand_total = sum(grands)
-            live_pairs = total_pairs - int(doomed.size)
-            forward_cost = live_pairs * num_events
-            if num_events and grand_total > _FORWARD_SWITCH_FACTOR * forward_cost:
-                # Budget accounting is symmetric with the backward gate:
-                # the work that trips the budget is charged even though
-                # it never runs, so truncated runs' ``spent`` values are
-                # comparable whichever direction refused.
-                spent += forward_cost
-                if spent > self._budget:
-                    stats.truncated = True
-                    break
-                stats.forward_rounds += 1
-                fresh = _forward_sweep(index, doomed)
-            else:
-                run_events = []
-                tripped = False
-                for event in range(num_events):
-                    if grands[event] == 0:
-                        continue
-                    spent += grands[event]
-                    if spent > self._budget:
-                        tripped = True
-                        break
-                    run_events.append(event)
-                if tripped:
-                    stats.truncated = True
-                    break
-                if not run_events:
-                    break
-                stats.rounds += 1
-                fresh = _backward_round(index, doomed, upper, lower, run_events)
-            if fresh.size == 0:
-                break
-            doomed = _merge_disjoint_sorted(doomed, fresh)
-            frontier = fresh
-        stats.spent = spent
-        return doomed
-
-
-def _backward_round(
-    index: ImplicationIndex,
-    doomed: np.ndarray,
-    upper: np.ndarray,
-    lower: np.ndarray,
-    run_events: Sequence[int],
-) -> np.ndarray:
-    """One backward round's fresh keys (sorted, not yet in ``doomed``).
-
-    Each event's raw expansion of the frontier ``(upper, lower)`` is
-    membership-filtered against the doomed set and the round's
-    accumulated fresh keys *before* any sorting, so sort work tracks the
-    genuinely new keys (a few percent of the raw expansion) and nothing
-    ever re-copies the full doomed set mid-round (a per-event merge into
-    one combined ``seen`` array copies ``O(doomed)`` per event, which
-    dominated the big levels).
-    """
-    # Diagonal keys (only degenerate seed inputs produce them) are
-    # the one source of within-event duplicates; without them a plain
-    # sort replaces the de-duplicating _sort_unique.
-    dup_free = not bool((upper == lower).any())
-    key_dtype = doomed.dtype
-    fresh = np.empty(0, dtype=key_dtype)
-    for event in run_events:
-        keys = _expand_backward_raw(index, event, upper, lower, key_dtype)
-        keys = _compress_absent(doomed, keys)
-        if fresh.size:
-            keys = _compress_absent(fresh, keys)
-        if keys.size == 0:
-            continue
-        keys = np.sort(keys) if dup_free else _sort_unique(keys)
-        fresh = _merge_disjoint_sorted(fresh, keys)
-    return fresh
-
-
-def doomed_pair_keys(
-    quotient: np.ndarray,
-    weak_a: np.ndarray,
-    weak_b: np.ndarray,
-    num_blocks: int,
-    budget: int = DEFAULT_CANDIDATE_BUDGET,
-    max_rounds: int = 64,
-    index: Optional[ImplicationIndex] = None,
-) -> np.ndarray:
-    """One-shot form of :class:`DoomedPairEngine` (sorted doomed keys).
-
-    Builds (or reuses, via ``index``) the :class:`ImplicationIndex` of
-    ``quotient`` and runs the fixpoint once, without the cross-level
-    seeding — the stateless entry point tests and ad-hoc callers use.
-    Stopping early (round limit or ``budget`` on expansion work) is
-    sound: every returned key provably dooms its candidate, so a
-    truncated fixpoint only prunes less.
-    """
-    engine = DoomedPairEngine(budget=budget, max_rounds=max_rounds)
-    return engine.prune(quotient, weak_a, weak_b, num_blocks, index=index)
-
-
-def _sorted_contains(sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Boolean membership of ``queries`` in the sorted unique ``sorted_keys``."""
-    if sorted_keys.size == 0:
-        return np.zeros(queries.size, dtype=bool)
-    positions = np.searchsorted(sorted_keys, queries, side="left")
-    positions = np.minimum(positions, sorted_keys.size - 1)
-    return sorted_keys[positions] == queries
-
-
-def sorted_key_membership(
-    sorted_keys: np.ndarray, rows: np.ndarray, cols: np.ndarray, num_blocks: int
-) -> np.ndarray:
-    """Membership mask of the pairs ``(rows, cols)`` in a sorted key set.
-
-    Queries are built in ``sorted_keys``' own dtype (safe: block ids are
-    below ``num_blocks``, so the keys fit whatever the level's
-    :func:`repro.core.types.narrow_key_dtype` chose), keeping the
-    ``searchsorted`` pass narrow instead of promoting both sides to
-    int64.
-    """
-    if sorted_keys.size == 0:
-        return np.zeros(rows.size, dtype=bool)
-    queries = _pair_keys(rows, cols, num_blocks, sorted_keys.dtype.type)
-    return _sorted_contains(sorted_keys, queries)

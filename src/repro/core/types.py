@@ -50,15 +50,13 @@ _KEY_INT32_BLOCK_LIMIT = 46341
 def narrow_key_dtype(num_blocks: int) -> type:
     """The narrowest dtype holding pair keys ``a * num_blocks + b``.
 
-    The sparse engine addresses unordered block pairs by the canonical
-    key ``a * B + b`` (``a < b``); every level of a lattice descent (and
-    the pair ledger of a whole graph) picks its key dtype with this one
-    rule, so the merges, sorts and shared-memory segments that dominate
-    the large benchmarks move half the bytes whenever the level's block
-    count is below :data:`_KEY_INT32_BLOCK_LIMIT` (46341).  Consumers
-    must build keys with an explicit ``astype`` to this dtype *before*
-    the multiply: letting NumPy promote would compute — and ship —
-    int64 everywhere.
+    The sparse pair ledger addresses unordered state pairs by the
+    canonical key ``a * B + b`` (``a < b``) and packs its keys with this
+    rule, so the merges and sorts that dominate the large benchmarks
+    move half the bytes whenever the state count is below
+    :data:`_KEY_INT32_BLOCK_LIMIT` (46341).  Consumers must build keys
+    with an explicit ``astype`` to this dtype *before* the multiply:
+    letting NumPy promote would compute — and ship — int64 everywhere.
     """
     return np.int32 if num_blocks < _KEY_INT32_BLOCK_LIMIT else np.int64
 

@@ -54,8 +54,9 @@ def mesi_counters_mix(size: int) -> List[DFSM]:
 
     The counters ignore MESI's events and vice versa, so the reachable
     product is the full ``4 * 3^size`` tuple space — a protocol mix
-    whose failure-dominated lattice levels exercise the sparse pruning
-    fixpoint at a scale the counter families never reach.
+    whose failure-dominated lattice levels exercise the descent's
+    rejections and dense prune at a scale the counter families never
+    reach.
     """
     return [mesi()] + counters_family(size)
 

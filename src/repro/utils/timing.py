@@ -105,7 +105,7 @@ class Stopwatch:
         """Sum integer metadata counters into the named bucket.
 
         Stages can carry structured outcomes besides wall-clock — the
-        ``prune`` stage records fixpoint rounds, budget units spent and
+        ``prune`` stage records fixpoint rounds, swept pair cells and
         truncation events this way.  Each keyword is summed across calls
         and merged into the stage's :meth:`as_dict` entry.
 

@@ -15,9 +15,7 @@ The guards are generous absolute bounds, so a gross regression fails on
 a runner of unknown speed without flaking on a slow one; ``perfbench/``
 is the measurement.  The two sparse counter flagships also check that
 they stayed sparse.  The ``mesi+counters`` cases run outside tier-1,
-through :func:`fuse_case`, in ``tests/smoke/flagship_mesi_counters.py``:
-``-9`` and ``-10`` take 13-23 s each, and tier-1 already fuses ``-8``
-three times in ``test_sparse_engine.py::test_fusion_never_forks``.
+through :func:`fuse_case`, in ``tests/smoke/flagship_mesi_counters.py``.
 """
 
 from __future__ import annotations

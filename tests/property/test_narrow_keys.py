@@ -1,13 +1,12 @@
 """Property tests for the narrow-key (int32/int64) pair-key path.
 
-PR 5 threads a per-level key dtype through the sparse engine: pair keys
-ride int32 whenever the level's block count is below the
-``repro.core.types.narrow_key_dtype`` threshold (46341) and int64 above
-it.  The dtype must never change *results* — only bytes moved — so these
-tests pin:
+The sparse pair ledger packs its pair keys in int32 whenever the state
+count is below the ``repro.core.types.narrow_key_dtype`` threshold
+(46341) and int64 above it.  The dtype must never change *results* —
+only bytes moved — so these tests pin:
 
 * the threshold rule itself (46340 blocks -> int32, 46341 -> int64);
-* value-identical ledgers, doomed sets and full fusion descents across
+* value-identical ledgers and full fusion descents across
   the dtype boundary, by patching the module-level threshold down to 1
   so the int64 branch runs on machines small enough to test (the
   exact trick ``tests`` uses for every other engine cutoff);
@@ -25,15 +24,13 @@ from hypothesis import strategies as st
 import repro.core.fault_graph as fault_graph_module
 import repro.core.fusion as fusion_module
 import repro.core.types as types_module
-from repro.core.fault_graph import FaultGraph
 from repro.core.fusion import generate_fusion
-from repro.core.partition import Partition, quotient_table
 from repro.core.product import CrossProduct
-from repro.core.sparse import PairLedger, doomed_pair_keys, low_weight_pairs
+from repro.core.sparse import PairLedger, low_weight_pairs
 from repro.core.types import narrow_key_dtype
 from repro.machines import mesi, mod_counter, shift_register
 
-from .strategies import dfsm_strategy, partition_strategy
+from .strategies import partition_strategy
 
 
 def _protocol_mix():
@@ -109,35 +106,12 @@ class TestLedgerDtypeEquivalence:
         assert np.array_equal(wide.weights, narrow.weights)
 
 
-class TestPruneDtypeEquivalence:
-    @settings(max_examples=40, deadline=None)
-    @given(dfsm_strategy(max_states=6, num_events=2), st.data())
-    def test_doomed_sets_match_across_dtypes(self, machine, data):
-        n = machine.num_states
-        if n < 2:
-            return
-        quotient = quotient_table(machine, Partition.identity(n))
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        chosen = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=4))
-        weak_a = np.asarray([p[0] for p in chosen], dtype=np.int64)
-        weak_b = np.asarray([p[1] for p in chosen], dtype=np.int64)
-        narrow = doomed_pair_keys(quotient, weak_a, weak_b, n)
-        original = types_module._KEY_INT32_BLOCK_LIMIT
-        try:
-            types_module._KEY_INT32_BLOCK_LIMIT = 1
-            wide = doomed_pair_keys(quotient, weak_a, weak_b, n)
-        finally:
-            types_module._KEY_INT32_BLOCK_LIMIT = original
-        assert narrow.dtype == np.int32 and wide.dtype == np.int64
-        assert np.array_equal(narrow.astype(np.int64), wide)
-
-
 class TestDescentDtypeEquivalence:
     def test_generate_fusion_identical_across_dtypes(self, monkeypatch):
         """A forced-sparse protocol-mix fusion is value-identical on both
         key paths — ledger build, prune, descent and weakest edges."""
         monkeypatch.setattr(fault_graph_module, "SPARSE_STATE_CUTOFF", 8)
-        monkeypatch.setattr(fusion_module, "DESCENT_SPARSE_CUTOFF", 8)
+        monkeypatch.setattr(fusion_module, "DENSE_PRUNE_CUTOFF", 8)
         machines = _protocol_mix()
         narrow = generate_fusion(machines, f=1)
         monkeypatch.setattr(types_module, "_KEY_INT32_BLOCK_LIMIT", 1)
@@ -148,14 +122,3 @@ class TestDescentDtypeEquivalence:
         ]
         for ours, theirs in zip(narrow.backups, wide.backups):
             assert np.array_equal(ours.transition_table, theirs.transition_table)
-
-    def test_weakest_edge_keys_dtype_follows_rule(self, monkeypatch):
-        product = CrossProduct(_protocol_mix())
-        graph = FaultGraph.from_cross_product(product, weight_cap=2)
-        assert graph.weakest_edge_keys().dtype == np.int32
-        monkeypatch.setattr(types_module, "_KEY_INT32_BLOCK_LIMIT", 1)
-        fresh = FaultGraph.from_cross_product(product, weight_cap=2)
-        assert fresh.weakest_edge_keys().dtype == np.int64
-        assert np.array_equal(
-            graph.weakest_edge_keys().astype(np.int64), fresh.weakest_edge_keys()
-        )

@@ -9,9 +9,11 @@ semantically fails here first.
 
 The sparse engine extends the same harness naturally: the dense
 condensed engine — itself validated against the references above — is
-the reference for the sparse ledger graph, the sparse pruning fixpoint,
-the vectorised product exploration and the sparse lattice descent
+the reference for the sparse ledger graph, the vectorised product
+exploration and the sparse, unpruned lattice descent
 (``TestSparseEngineEquivalence``), on the full random-machine corpus.
+The doomed-pair prune has its own from-the-definition oracle in
+``tests/property/test_prune_oracle.py``.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from repro.core.partition import (
 from repro.core.sparse import (
     PairLedger,
     coblock_pair_arrays,
-    doomed_pair_keys,
     iter_pair_chunks,
     low_weight_pairs,
 )
@@ -328,27 +329,6 @@ class TestSparsePrimitives:
         assert np.array_equal(folded.weights, rebuilt.weights)
         assert folded.min_weight() == rebuilt.min_weight()
 
-    @settings(max_examples=60)
-    @given(dfsm_strategy(max_states=6, num_events=2), st.data())
-    def test_sparse_doomed_keys_equal_dense_fixpoint(self, machine, data):
-        """The sparse backward fixpoint finds the same doomed set."""
-        n = machine.num_states
-        if n < 2:
-            return
-        quotient = quotient_table(machine, Partition.identity(n))
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        chosen = data.draw(
-            st.lists(st.sampled_from(pairs), min_size=1, max_size=len(pairs))
-        )
-        weak_a = np.asarray([p[0] for p in chosen], dtype=np.int64)
-        weak_b = np.asarray([p[1] for p in chosen], dtype=np.int64)
-        dense, _stats = _doomed_pairs(quotient, weak_a, weak_b, n)
-        dense_keys = sorted(
-            i * n + j for i in range(n) for j in range(i + 1, n) if dense[i, j]
-        )
-        sparse_keys = doomed_pair_keys(quotient, weak_a, weak_b, n)
-        assert sparse_keys.tolist() == dense_keys
-
 
 class TestSparseGraphEquivalence:
     @given(graph_strategy(max_states=6, max_machines=4), st.data())
@@ -378,7 +358,7 @@ class TestSparseGraphEquivalence:
 
 
 class TestSparseEngineEquivalence:
-    """End-to-end: sparse descent + ledger graph == dense engine."""
+    """End-to-end: unpruned descent + ledger graph == pruned dense engine."""
 
     @settings(max_examples=40, deadline=None)
     @given(machine_set_strategy(max_machines=3, max_states=3), st.integers(0, 2))
@@ -386,16 +366,16 @@ class TestSparseEngineEquivalence:
         dense_result = generate_fusion(machines, f=f)
         saved = (
             fault_graph_module.SPARSE_STATE_CUTOFF,
-            fusion_module.DESCENT_SPARSE_CUTOFF,
+            fusion_module.DENSE_PRUNE_CUTOFF,
         )
         fault_graph_module.SPARSE_STATE_CUTOFF = 1
-        fusion_module.DESCENT_SPARSE_CUTOFF = 1
+        fusion_module.DENSE_PRUNE_CUTOFF = 1
         try:
             sparse_result = generate_fusion(machines, f=f)
         finally:
             (
                 fault_graph_module.SPARSE_STATE_CUTOFF,
-                fusion_module.DESCENT_SPARSE_CUTOFF,
+                fusion_module.DENSE_PRUNE_CUTOFF,
             ) = saved
         assert sparse_result.graph.is_sparse or sparse_result.top_size == 1
         assert sparse_result.summary() == dense_result.summary()

@@ -202,6 +202,12 @@ class TestAlgorithm1:
         with pytest.raises(NotComparableError):
             partition_from_machine(fig2_top, parity_checker(0, events=(0, 1)))
 
+    def test_set_representation_of_unrelated_machine_raises(self, fig2_top):
+        from repro.machines import parity_checker
+
+        with pytest.raises(NotComparableError):
+            set_representation(fig2_top, parity_checker(0, events=(0, 1)))
+
     def test_machine_ignoring_all_top_events_collapses_to_one_block(self, fig2_top):
         # MESI shares no events with the top, so under the top's alphabet it
         # never moves: it induces the single-block (bottom) partition.

@@ -20,9 +20,7 @@ from repro.core.fusion import generate_fusion, resolve_workers
 from repro.core.partition import Partition
 from repro.core.sparse import (
     CandidateBudgetError,
-    DoomedPairEngine,
     PairLedger,
-    doomed_pair_keys,
     iter_pair_chunks,
     low_weight_pairs,
 )
@@ -33,9 +31,8 @@ from repro.utils.timing import Stopwatch
 
 @pytest.fixture
 def forced_sparse(monkeypatch):
-    """Force the sparse graph and descent paths regardless of size."""
+    """Force the sparse fault graph regardless of size."""
     monkeypatch.setattr(fault_graph_module, "SPARSE_STATE_CUTOFF", 1)
-    monkeypatch.setattr(fusion_module, "DESCENT_SPARSE_CUTOFF", 1)
 
 
 # ----------------------------------------------------------------------
@@ -197,11 +194,12 @@ class TestFewOriginals:
 
     def test_two_machine_sparse_fusion_matches_dense(self, monkeypatch):
         """generate_fusion at f=1 on two originals escalates past the
-        base count as soon as the first backup is chosen."""
+        base count as soon as the first backup is chosen; the sparse,
+        unpruned run matches the dense, pruned one."""
         machines = [mod_counter(5, 0), mod_counter(7, 1)]
         dense = generate_fusion(machines, f=1)
         monkeypatch.setattr(fault_graph_module, "SPARSE_STATE_CUTOFF", 1)
-        monkeypatch.setattr(fusion_module, "DESCENT_SPARSE_CUTOFF", 1)
+        monkeypatch.setattr(fusion_module, "DENSE_PRUNE_CUTOFF", 1)
         sparse = generate_fusion(machines, f=1)
         assert sparse.graph.is_sparse and not dense.graph.is_sparse
         assert sparse.summary() == dense.summary()
@@ -211,47 +209,9 @@ class TestFewOriginals:
 
 
 # ----------------------------------------------------------------------
-# DoomedPairEngine truncation reporting
+# Prune statistics in the stopwatch
 # ----------------------------------------------------------------------
 class TestPruneStatsReporting:
-    QUOTIENT = np.array([[1], [2], [2]])  # 0 -> 1 -> 2 -> 2 under one event
-    WEAK = (np.array([1]), np.array([2]))
-
-    def test_converged_run_reports_rounds_and_keys(self):
-        engine = DoomedPairEngine()
-        keys = engine.prune(self.QUOTIENT, *self.WEAK, 3)
-        assert keys.tolist() == [1, 2, 5]  # (0,1), (0,2) and the seed (1,2)
-        stats = engine.last_stats
-        assert stats.rounds == 1 and not stats.truncated
-        assert stats.keys == 3 and stats.spent == 2
-
-    def test_budget_stop_sets_truncated_flag(self):
-        engine = DoomedPairEngine(budget=1)
-        keys = engine.prune(self.QUOTIENT, *self.WEAK, 3)
-        assert keys.tolist() == [5]  # only the seed: the round was refused
-        assert engine.last_stats.truncated
-        assert engine.last_stats.spent == 2  # the tripping grand is charged
-
-    def test_round_stop_sets_truncated_flag(self):
-        # max_rounds=0 refuses even the first expansion round.
-        engine = DoomedPairEngine(max_rounds=0)
-        keys = engine.prune(self.QUOTIENT, *self.WEAK, 3)
-        assert keys.tolist() == [5]
-        assert engine.last_stats.truncated
-        assert engine.last_stats.rounds == 0
-
-    def test_refused_forward_round_charges_spent(self, monkeypatch):
-        import repro.core.sparse as sparse_module
-
-        # Force the forward direction, with a budget the sweep exceeds:
-        # the refused round must be charged (symmetric with backward).
-        monkeypatch.setattr(sparse_module, "_FORWARD_SWITCH_FACTOR", 0)
-        engine = DoomedPairEngine(budget=0)
-        keys = engine.prune(self.QUOTIENT, *self.WEAK, 3)
-        assert keys.tolist() == [5]
-        assert engine.last_stats.truncated
-        assert engine.last_stats.spent == 2  # live pairs (0,1), (0,2) x 1 event
-
     def test_stopwatch_prune_stage_carries_stats(self, forced_sparse):
         from repro.machines import shift_register
 
@@ -265,7 +225,7 @@ class TestPruneStatsReporting:
         watch = Stopwatch()
         generate_fusion(machines, f=1, stopwatch=watch)
         prune = watch.as_dict()["prune"]
-        for field in ("rounds", "forward_rounds", "spent", "truncated", "seeded"):
+        for field in ("rounds", "spent", "truncated"):
             assert field in prune
         assert prune["rounds"] >= 1
         assert prune["truncated"] == 0
@@ -379,7 +339,7 @@ class TestWorkerPool:
     @pytest.mark.parametrize("workers", [2, 4, "env"])
     def test_fusion_never_forks(self, monkeypatch, forced_sparse, case, stages, workers):
         """Any ``workers=`` count, or ``REPRO_FUSION_WORKERS`` (``env``),
-        is accepted, but no sparse stage (ledger ball, closure, prune,
+        is accepted, but no stage (sparse ledger ball, closure, prune,
         descent) submits to a pool or starts an executor; the summaries
         are the catalog's frozen ones."""
         _refuse_workers(monkeypatch)
