@@ -17,7 +17,8 @@ including the crashed ones — is obtained by projection.
 
 This module holds the vote as the paper writes it, over explicit
 blocks; :class:`repro.core.runtime.BatchRecovery` is the engine that
-runs it on reported states, one instance or a whole cohort at a time.
+finds the same winner on reported states by decoding, one instance or a
+whole cohort at a time.
 """
 
 from __future__ import annotations

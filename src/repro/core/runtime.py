@@ -21,19 +21,24 @@ Two engines live here:
   states shipped through a rewritable :class:`~repro.core.shm.SharedScratch`),
   inheriting the self-healing wave protocol.
 
-* :class:`BatchRecovery` re-implements Algorithm 3 as a counting vote
-  over each machine's top→state assignment: per call and per machine it
-  builds a 0/1 table with one row per *distinct* reported state (at most
-  ``min(n_m + 1, B)`` rows, the crash row all zero) and adds one table
-  row per instance into the ``(B, |top|)`` vote matrix, so recovering
-  ``B`` faulty instances is a handful of gathers instead of ``B`` Python
-  dict walks, with memory bounded by the vote matrix itself.  It is the
-  one Algorithm 3 engine: :meth:`BatchRecovery.recover` serves a single
-  instance (the simulation's coordinator), :meth:`BatchRecovery.recover_batch`
-  a cohort.  The property suite checks it outcome-for-outcome — the
+* :class:`BatchRecovery` runs Algorithm 3 as decoding.  The top states'
+  machine-state words form a block code, and the vote's winner is the
+  word nearest the live reports in Hamming distance, so crashes are
+  erasures and lies are errors.  Per crash pattern it erases ``r = 0,
+  1, ...`` further live machines and looks the rest of each instance's
+  reports up in a cached table of sorted word keys; the first radius
+  with a hit decides, and several hits there are the vote's tie.
+  Instances with no hit within ``⌊backups/2⌋`` are counted by the
+  ``(B, |top|)`` vote instead, so every input gets the vote's answer,
+  while the usual cohort costs ``O(B · M)`` and a few ``searchsorted``
+  calls.  It is the one Algorithm 3 engine:
+  :meth:`BatchRecovery.recover` serves a single instance (the
+  simulation's coordinator), :meth:`BatchRecovery.recover_batch` a
+  cohort.  The property suite checks it outcome-for-outcome — the
   strict-tie, fault-budget and all-crashed error paths and the Byzantine
   ``⌊f/2⌋`` majority included — against an oracle written from the
-  paper's set representation and vote.
+  paper's set representation and vote, and against the block code's
+  erasure and error decoders.
 
 Both engines treat per-instance faults with the simulator's exact
 semantics: a crashed machine's visible state is the sentinel ``-1``
@@ -43,9 +48,20 @@ from its corrupted state.
 
 from __future__ import annotations
 
+import itertools
 import os
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import (
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -614,6 +630,64 @@ class VectorizedRuntime:
 # ----------------------------------------------------------------------
 # Batched Algorithm 3
 # ----------------------------------------------------------------------
+#: Bytes of sorted-key tables one :class:`BatchRecovery` keeps.  Past it
+#: the least recently used table is dropped, to be rebuilt on its next
+#: use; a table costs ``|top|`` keys plus ``|top|`` indices.
+_TABLE_CACHE_BYTES = 64 << 20
+
+
+def _vote_counts(assignments: np.ndarray, reported: np.ndarray) -> np.ndarray:
+    """Algorithm 3's ``(B, |top|)`` vote over ``(M, B)`` reports.
+
+    Entry ``[b, t]`` counts the machines whose report in instance ``b``
+    is the state top state ``t`` assigns them; a crash (``-1``) matches
+    no top state.  Per machine, a 0/1 table with one row per distinct
+    report (slot 0 the crash, all zero) is gathered once per instance.
+    """
+    counts = np.zeros((reported.shape[1], assignments.shape[1]), dtype=np.int16)
+    for assignment, column in zip(assignments, reported):
+        slots = column + 1
+        present = np.bincount(slots, minlength=2) > 0
+        distinct = np.flatnonzero(present) - 1
+        table = (assignment == distinct[:, None]).astype(np.int16)
+        counts += table[np.cumsum(present)[slots] - 1]
+    return counts
+
+
+def _crash_groups(crashed: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
+    """``(mask, columns)`` per crash pattern of an ``(M, B)`` crash matrix.
+
+    ``mask`` has bit ``m`` set when machine ``m`` crashed; ``columns``
+    are the instances with that pattern, ascending.
+    """
+    def mask(column: np.ndarray) -> int:
+        return sum(1 << int(m) for m in np.flatnonzero(column))
+
+    if not crashed.shape[1]:
+        return
+    if not (crashed != crashed[:, :1]).any():
+        yield mask(crashed[:, 0]), np.arange(crashed.shape[1])
+        return
+    _, inverse = np.unique(
+        np.packbits(crashed, axis=0), axis=1, return_inverse=True
+    )
+    order = np.argsort(inverse.ravel(), kind="stable")
+    starts = np.flatnonzero(np.diff(inverse.ravel()[order])) + 1
+    for columns in np.split(order, starts):
+        yield mask(crashed[:, columns[0]]), columns
+
+
+class _KeyTable(NamedTuple):
+    """The top states keyed over the machines outside one erased set."""
+
+    #: Mixed-radix keys of the top states' assignment words, ascending.
+    keys: np.ndarray
+    #: The top index of each key (equal keys in no particular order).
+    order: np.ndarray
+    #: Some key occurs more than once.
+    repeated: bool
+
+
 @dataclass(frozen=True)
 class BatchOutcome:
     """Result of one batched Algorithm-3 pass over ``B`` instances.
@@ -622,38 +696,49 @@ class BatchOutcome:
     ----------
     top_indices:
         ``(B,)`` recovered top-state index per instance.
-    counts:
-        ``(B, |top|)`` vote matrix.
     machine_states:
         ``(M, B)`` recovered state index of every machine.
     crashed:
         ``(M, B)`` boolean: machine reported no state.
     suspected_byzantine:
         ``(M, B)`` boolean: machine's report does not contain the winner.
+    reported:
+        ``(M, B)`` reported state indices the cohort was recovered from.
+    counts:
+        ``(B, |top|)`` vote matrix, counted from ``reported`` on first
+        access (the recovery itself does not need it).
     """
 
     top_indices: np.ndarray
-    counts: np.ndarray
     machine_states: np.ndarray
     crashed: np.ndarray
     suspected_byzantine: np.ndarray
+    reported: np.ndarray
+    _assignments: np.ndarray = field(repr=False)
 
     @property
     def num_instances(self) -> int:
         return int(self.top_indices.shape[0])
 
+    @cached_property
+    def counts(self) -> np.ndarray:
+        return _vote_counts(self._assignments, self.reported)
+
 
 class BatchRecovery:
-    """Algorithm 3 as batched array votes, over one instance or a cohort.
+    """Algorithm 3 as decoding, over one instance or a cohort.
 
     For every machine (originals in product order, then backups, a
     repeated name getting a ``name#2`` suffix) the constructor
     precomputes the top→machine-state assignment — the product's
     projections for originals, Algorithm 1's lockstep assignment
-    (:func:`repro.core.partition.machine_assignment`) for backups.
-    Machine state ``s`` represents the block of top states assigned to
-    ``s``; :meth:`recover_batch` votes by comparing the assignment
-    against the distinct states a cohort reports.
+    (:func:`repro.core.partition.machine_assignment`) for backups.  Top
+    state ``t``'s *word* is its assignment on every machine, and the vote
+    of ``t`` is the number of live reports that agree with its word: the
+    live count minus the Hamming distance.  So the winner is the word
+    nearest the reports, and :meth:`recover_batch` finds it by erasing
+    ``r = 0, 1, ...`` live machines and looking the rest up among the top
+    states' words (see :meth:`_decode`).
     """
 
     def __init__(self, product: CrossProduct, backups: Sequence[DFSM] = ()) -> None:
@@ -688,12 +773,36 @@ class BatchRecovery:
         self._machine_list = tuple(machines)
         self._num_top = num_top
 
-        self._assignments = tuple(assignments)
-        # A state is reachable alongside the top iff some top state maps to it.
-        self._valid = tuple(
-            np.bincount(assignment, minlength=machine.num_states) > 0
-            for assignment, machine in zip(assignments, machines)
-        )
+        self._assignments = np.stack(assignments)
+        self._assignments.setflags(write=False)
+        # A state is reachable alongside the top iff some top state maps
+        # to it.  ``_valid`` pads each row past the largest machine (so
+        # an out-of-range state reads invalid) and ends in a column for
+        # the crash sentinel.
+        width = max(machine.num_states for machine in machines)
+        self._valid = np.zeros((len(machines), width + 2), dtype=bool)
+        for m, assignment in enumerate(assignments):
+            self._valid[m, assignment] = True
+        self._valid[:, -1] = True
+        self._rows = np.arange(len(machines))[:, None]
+
+        # Word keys: the mixed radix of the machines' states, machines in
+        # order while the key fits int64; later machines are compared on
+        # each hit.
+        strides: List[int] = []
+        space = 1
+        for assignment in assignments:
+            radix = int(assignment.max()) + 1
+            if space * radix > 1 << 63:
+                break
+            strides.append(space)
+            space *= radix
+        self._strides = np.array(strides, dtype=np.int64)
+        # b backups give a code distance of at most b + 1, so an instance
+        # the fusion can correct is at distance at most ⌊b/2⌋.
+        self._radius = len(self._backups) // 2
+        self._tables: Dict[int, _KeyTable] = {}
+        self._table_bytes = 0
 
     # ------------------------------------------------------------------
     @property
@@ -727,7 +836,7 @@ class BatchRecovery:
         machines; under ``strict`` a tied vote raises
         :class:`RecoveryError` (more faults than the system tolerates).
         """
-        matrix = np.asarray(reported, dtype=np.int64)
+        matrix = np.array(reported, dtype=np.int64)
         if matrix.ndim == 1:
             matrix = matrix[:, None]
         if matrix.ndim != 2 or matrix.shape[0] != self.num_machines:
@@ -735,32 +844,15 @@ class BatchRecovery:
                 "reported matrix must be (num_machines=%d, num_instances), got %r"
                 % (self.num_machines, matrix.shape)
             )
-        num_machines, batch = matrix.shape
+        num_machines = matrix.shape[0]
         crashed = matrix < 0
-
-        for m, (name, machine) in enumerate(
-            zip(self._names, self._machine_list)
+        if matrix.size and (
+            matrix.min() < -1
+            or not self._valid[
+                self._rows, np.minimum(matrix, self._valid.shape[1] - 2)
+            ].all()
         ):
-            if matrix[m].size and matrix[m].min() < -1:
-                raise RecoveryError(
-                    "machine %r reported state index %d (only -1 marks a crash)"
-                    % (name, int(matrix[m].min()))
-                )
-            live = matrix[m][~crashed[m]]
-            if live.size == 0:
-                continue
-            if live.max() >= machine.num_states:
-                raise RecoveryError(
-                    "machine %r cannot be in state index %d"
-                    % (name, int(live.max()))
-                )
-            invalid = ~self._valid[m][live]
-            if invalid.any():
-                state = machine.state_label(int(live[invalid.argmax()]))
-                raise RecoveryError(
-                    "machine %r cannot be in state %r (not reachable alongside the top)"
-                    % (name, state)
-                )
+            self._reject(matrix)
 
         num_crashed = crashed.sum(axis=0)
         if expected_max_faults is not None:
@@ -776,42 +868,186 @@ class BatchRecovery:
         if (num_crashed == num_machines).any():
             raise RecoveryError("every machine crashed; nothing to recover from")
 
-        counts = np.zeros((batch, self._num_top), dtype=np.int16)
-        for m, (assignment, machine) in enumerate(
-            zip(self._assignments, self._machine_list)
-        ):
-            # Slot 0 is the crash sentinel, slot s + 1 is state s.
-            slots = matrix[m] + 1
-            present = np.bincount(slots, minlength=machine.num_states + 1) > 0
-            distinct = np.flatnonzero(present) - 1
-            table = (assignment == distinct[:, None]).astype(np.int16)
-            counts += table[np.cumsum(present)[slots] - 1]
-
-        best = counts.max(axis=1)
-        winners = counts.argmax(axis=1)
-        if strict:
-            ambiguous = (counts == best[:, None]).sum(axis=1) > 1
-            if ambiguous.any():
-                instance = int(ambiguous.argmax())
-                tied = np.nonzero(counts[instance] == best[instance])[0]
-                raise RecoveryError(
-                    "ambiguous recovery: top states %s tie with %d votes each "
-                    "(more faults than the system tolerates?)"
-                    % (tied.tolist(), int(best[instance]))
-                )
-
-        machine_states = np.stack(
-            [assignment[winners] for assignment in self._assignments]
-        )
+        winners = self._decode(matrix, crashed, strict)
+        machine_states = self._assignments[:, winners]
         # A live machine is suspect iff the winner is not in its block.
         suspected = ~crashed & (machine_states != matrix)
         return BatchOutcome(
-            top_indices=winners.astype(np.int64),
-            counts=counts,
+            top_indices=winners,
             machine_states=machine_states,
             crashed=crashed,
             suspected_byzantine=suspected,
+            reported=matrix,
+            _assignments=self._assignments,
         )
+
+    def _reject(self, matrix: np.ndarray) -> None:
+        """Raise for the first machine with an impossible report."""
+        for m, (name, machine) in enumerate(zip(self._names, self._machine_list)):
+            if matrix[m].min() < -1:
+                raise RecoveryError(
+                    "machine %r reported state index %d (only -1 marks a crash)"
+                    % (name, int(matrix[m].min()))
+                )
+            live = matrix[m][matrix[m] >= 0]
+            if live.size and live.max() >= machine.num_states:
+                raise RecoveryError(
+                    "machine %r cannot be in state index %d"
+                    % (name, int(live.max()))
+                )
+            invalid = ~self._valid[m][live]
+            if invalid.any():
+                state = machine.state_label(int(live[invalid.argmax()]))
+                raise RecoveryError(
+                    "machine %r cannot be in state %r (not reachable alongside the top)"
+                    % (name, state)
+                )
+
+    def _decode(
+        self, matrix: np.ndarray, crashed: np.ndarray, strict: bool
+    ) -> np.ndarray:
+        """The winning top index of every column of a validated cohort.
+
+        Per crash pattern, erase every ``r``-subset of the live machines
+        for ``r = 0, 1, ...`` and look each instance's remaining reports
+        up among the top states' words (:meth:`_probe`).  The first ``r``
+        with a hit is the distance of the nearest words.  A word at that
+        distance disagrees on exactly the erased subset, so the subsets'
+        hits are disjoint, their sum is the number of tied winners, and
+        the least hit index is the vote's lowest-index winner.  Columns
+        with no hit by the radius bound are counted by the vote instead,
+        so the answer is exact for any reports.
+        """
+        num_machines, batch = matrix.shape
+        keyed = self._strides.size
+        winners = np.empty(batch, dtype=np.int64)
+        ambiguous = np.zeros(batch, dtype=bool)
+        words = self._strides @ np.where(crashed[:keyed], 0, matrix[:keyed])
+        voted: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
+        for erased, columns in _crash_groups(crashed):
+            if keyed == num_machines and columns.size > 1:
+                # Equal words are equal reports: search each word once.
+                queries, inverse = np.unique(words[columns], return_inverse=True)
+                inverse = inverse.ravel()
+                distinct = np.empty(queries.size, dtype=np.int64)
+                distinct[inverse] = columns
+            else:
+                queries, inverse, distinct = words[columns], slice(None), columns
+            found, least = self._search(erased, queries, matrix, distinct)
+            found, least = found[inverse], least[inverse]
+            hit = found > 0
+            winners[columns[hit]] = least[hit]
+            ambiguous[columns[hit]] = found[hit] > 1
+            voted.append(columns[~hit])
+        voted_columns = np.concatenate(voted)
+        if voted_columns.size:
+            counts = _vote_counts(self._assignments, matrix[:, voted_columns])
+            best = counts.max(axis=1)
+            winners[voted_columns] = counts.argmax(axis=1)
+            ambiguous[voted_columns] = (counts == best[:, None]).sum(axis=1) > 1
+        if strict and ambiguous.any():
+            instance = int(ambiguous.argmax())
+            counts = _vote_counts(self._assignments, matrix[:, instance : instance + 1])
+            best = int(counts.max())
+            raise RecoveryError(
+                "ambiguous recovery: top states %s tie with %d votes each "
+                "(more faults than the system tolerates?)"
+                % (np.flatnonzero(counts[0] == best).tolist(), best)
+            )
+        return winners
+
+    def _search(
+        self,
+        erased: int,
+        queries: np.ndarray,
+        matrix: np.ndarray,
+        columns: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Per column, the number and least index of the words nearest
+        its reports, searched up to the radius bound; ``0`` past it.
+
+        All ``columns`` crashed exactly the machines in ``erased``, and
+        ``queries`` are their keys over the live keyed machines.
+        """
+        live = [m for m in range(self.num_machines) if not erased >> m & 1]
+        found = np.zeros(columns.size, dtype=np.int64)
+        least = np.full(columns.size, self._num_top, dtype=np.int64)
+        pending = np.arange(columns.size)
+        for radius in range(min(self._radius, len(live)) + 1):
+            targets = columns[pending]
+            for subset in itertools.combinations(live, radius):
+                mask, shifted = erased, queries[pending]
+                for m in subset:
+                    mask |= 1 << m
+                    if m < self._strides.size:
+                        shifted = shifted - self._strides[m] * matrix[m, targets]
+                count, first = self._probe(mask, shifted, matrix, targets)
+                found[pending] += count
+                least[pending] = np.minimum(least[pending], first)
+            pending = pending[found[pending] == 0]
+            if not pending.size:
+                break
+        return found, least
+
+    def _probe(
+        self,
+        erased: int,
+        queries: np.ndarray,
+        matrix: np.ndarray,
+        columns: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Per column, the number and least index of the top states whose
+        word agrees with the reports on every machine outside ``erased``.
+
+        ``queries`` are the columns' keys over the keyed machines outside
+        ``erased``; a miss counts 0 with least index ``|top|``.
+        """
+        table = self._table(erased)
+        keys = table.keys
+        # Ascending queries search several times faster than random ones.
+        ascending = np.argsort(queries)
+        lo = np.empty(queries.size, dtype=np.int64)
+        lo[ascending] = np.searchsorted(keys, queries[ascending])
+        at = np.minimum(lo, keys.size - 1)
+        hit = keys[at] == queries
+        unkeyed = [
+            m
+            for m in range(self._strides.size, self.num_machines)
+            if not erased >> m & 1
+        ]
+        if not (table.repeated or unkeyed):
+            return hit.astype(np.int64), np.where(hit, table.order[at], self._num_top)
+        # Expand each hit's run of equal keys; compare the unkeyed rows.
+        span = np.where(hit, np.searchsorted(keys, queries, side="right") - lo, 0)
+        owner = np.repeat(np.arange(queries.size), span)
+        offset = np.repeat(lo - (np.cumsum(span) - span), span)
+        candidates = table.order[offset + np.arange(owner.size)]
+        agree = np.ones(owner.size, dtype=bool)
+        for m in unkeyed:
+            agree &= self._assignments[m, candidates] == matrix[m, columns[owner]]
+        owner, candidates = owner[agree], candidates[agree]
+        least = np.full(queries.size, self._num_top, dtype=np.int64)
+        np.minimum.at(least, owner, candidates)
+        return np.bincount(owner, minlength=queries.size), least
+
+    def _table(self, erased: int) -> _KeyTable:
+        """The cached key table of the machines outside ``erased``."""
+        table = self._tables.pop(erased, None)
+        if table is None:
+            keys = np.zeros(self._num_top, dtype=np.int64)
+            for m, stride in enumerate(self._strides.tolist()):
+                if not erased >> m & 1:
+                    keys += self._assignments[m] * stride
+            order = np.argsort(keys).astype(narrow_index_dtype(self._num_top))
+            keys = keys[order]
+            table = _KeyTable(keys, order, bool((keys[1:] == keys[:-1]).any()))
+            self._table_bytes += keys.nbytes + order.nbytes
+            while self._tables and self._table_bytes > _TABLE_CACHE_BYTES:
+                dropped = self._tables.pop(next(iter(self._tables)))
+                self._table_bytes -= dropped.keys.nbytes + dropped.order.nbytes
+        # Re-inserted on every use, so the first entry is the least recent.
+        self._tables[erased] = table
+        return table
 
     # ------------------------------------------------------------------
     def recover(
@@ -825,7 +1061,8 @@ class BatchRecovery:
         ``observations`` maps machine name to its reported state label,
         or ``None`` for a crashed machine; omitted machines count as
         crashed.  Returns the :class:`RecoveryOutcome` of the one
-        instance, with the error semantics of :meth:`recover_batch`.
+        instance, with the error semantics of :meth:`recover_batch`; its
+        vote vector is counted for this instance alone.
         """
         unknown = set(observations) - set(self._names)
         if unknown:
@@ -858,7 +1095,7 @@ class BatchRecovery:
         return RecoveryOutcome(
             top_state=self._product.state_tuple(top_index),
             top_index=top_index,
-            counts=outcome.counts[0].astype(np.int64),
+            counts=(self._assignments == reported).sum(axis=0),
             machine_states=machine_states,
             crashed=tuple(
                 name for m, name in enumerate(self._names) if outcome.crashed[m, 0]

@@ -1,6 +1,6 @@
 """BatchRecovery against Algorithm 3 written from the paper, f = 1..3.
 
-The batched vote engine must reproduce :class:`Algorithm3Oracle`, a
+The batched engine must reproduce :class:`Algorithm3Oracle`, a
 naive per-instance Algorithm 3 built in this module from the paper's
 definitions, outcome-for-outcome on fusions produced by
 ``generate_fusion``: the same recovered top state, counts vector,
@@ -13,9 +13,15 @@ machine sets (per-machine alphabets, protocols, a shift register) as well
 as the counters.  The vote matrix itself is checked
 against a brute-force count: for each instance and top state, the
 number of machines whose reported state is reachable alongside it.
+The engine decodes by table lookups up to a radius of ``⌊backups/2⌋``
+lies and counts the vote past it, so cohorts with more liars, a key cut
+short, an evicted table cache and the memory of a 4096-instance
+recovery are checked too.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +37,8 @@ from repro.core.exceptions import (
 from repro.core.fusion import generate_fusion
 from repro.core.partition import set_representation
 from repro.core.recovery import RecoveryOutcome, recover_top_state
-from repro.core.runtime import BatchRecovery
+from repro.core import runtime as runtime_module
+from repro.core.runtime import BatchRecovery, VectorizedRuntime, recover_fleet
 from repro.machines import mod_counter
 from repro.simulation.faults import FaultKind
 from repro.simulation.server import Server
@@ -467,3 +474,138 @@ class TestVoteOracle:
         assert np.array_equal(outcome.counts, oracle)
         assert outcome.top_indices.tolist() == oracle.argmax(axis=1).tolist()
 
+
+def _tie_message(counts):
+    """The vote's strict-tie message for one instance's counts."""
+    best = int(counts.max())
+    return (
+        "ambiguous recovery: top states %s tie with %d votes each "
+        "(more faults than the system tolerates?)"
+        % (np.flatnonzero(counts == best).tolist(), best)
+    )
+
+
+def _faulty_cohort(fusion, rng, cohort, max_liars, max_crashes):
+    """Reachable columns, each with random liars and crashes."""
+    machines = fusion.all_machines
+    top = fusion.product.machine
+    reported = np.empty((len(machines), cohort), dtype=np.int64)
+    for b in range(cohort):
+        stream = [top.events[i] for i in rng.integers(0, len(top.events), 20)]
+        for m, machine in enumerate(machines):
+            reported[m, b] = machine.state_index(machine.run(stream))
+        victims = rng.permutation(len(machines))
+        liars = victims[: int(rng.integers(0, max_liars + 1))]
+        dead = victims[liars.size :][: int(rng.integers(0, max_crashes + 1))]
+        for m in liars:
+            n = machines[m].num_states
+            if n > 1:
+                reported[m, b] = (reported[m, b] + int(rng.integers(1, n))) % n
+        reported[dead, b] = -1
+    return reported
+
+
+class TestRadiusFallback:
+    """Columns past the radius bound (``⌊backups/2⌋`` lies) are counted
+    by the vote; winners, suspicions and tie errors must still be the
+    oracle's, column for column."""
+
+    @pytest.mark.parametrize("key", [(1, True), (2, True), (3, False)])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_liars_past_the_radius_vote_like_the_oracle(self, fusions, key, seed):
+        fusion = fusions[key]
+        oracle, batch = _engines(fusion)
+        names = batch.machine_names
+        rng = np.random.default_rng(seed)
+        bound = len(fusion.backups) // 2
+        reported = _faulty_cohort(fusion, rng, 24, bound + 2, 1)
+        # Drop the (rare) all-crashed draws; strict=False never raises.
+        reported = reported[:, (reported >= 0).any(axis=0)]
+        outcome = batch.recover_batch(reported, strict=False)
+        first_tie = None
+        for b in range(reported.shape[1]):
+            observations = _column_observations(fusion, names, reported, b)
+            single = oracle.recover(observations, strict=False)
+            _column_matches(single, outcome, b, fusion, names)
+            try:
+                oracle.recover(observations, strict=True)
+            except RecoveryError:
+                message = _tie_message(single.counts)
+                with pytest.raises(RecoveryError) as caught:
+                    batch.recover_batch(reported[:, b], strict=True)
+                assert str(caught.value) == message
+                if first_tie is None:
+                    first_tie = message
+            else:
+                batch.recover_batch(reported[:, b], strict=True)
+        if first_tie is not None:
+            with pytest.raises(RecoveryError) as caught:
+                batch.recover_batch(reported, strict=True)
+            assert str(caught.value) == first_tie
+
+    def test_machines_past_the_key_are_compared_on_each_hit(self, large_fusion):
+        """An engine whose key covers only the first machines (as past an
+        int64 key space) expands runs of equal keys and compares the
+        rest on each hit; its outcomes equal the full key's."""
+        fusion = large_fusion
+        full = BatchRecovery(fusion.product, fusion.backups)
+        rng = np.random.default_rng(7)
+        reported = _faulty_cohort(fusion, rng, 40, 2, 2)
+        reported = reported[:, (reported >= 0).any(axis=0)]
+        expected = full.recover_batch(reported, strict=False)
+        for keyed in (1, 4):
+            cut = BatchRecovery(fusion.product, fusion.backups)
+            cut._strides = cut._strides[:keyed]
+            outcome = cut.recover_batch(reported, strict=False)
+            assert np.array_equal(outcome.top_indices, expected.top_indices)
+            assert np.array_equal(
+                outcome.suspected_byzantine, expected.suspected_byzantine
+            )
+
+    def test_evicted_tables_are_rebuilt(self, large_fusion, monkeypatch):
+        """A cache of one table's bytes keeps one table and the outcomes."""
+        fusion = large_fusion
+        full = BatchRecovery(fusion.product, fusion.backups)
+        one_table = full.top.num_states * (8 + 4)
+        monkeypatch.setattr(runtime_module, "_TABLE_CACHE_BYTES", one_table)
+        small = BatchRecovery(fusion.product, fusion.backups)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            reported = _faulty_cohort(fusion, rng, 12, 1, 2)
+            reported = reported[:, (reported >= 0).any(axis=0)]
+            expected = full.recover_batch(reported, strict=False).top_indices
+            outcome = small.recover_batch(reported, strict=False)
+            assert np.array_equal(outcome.top_indices, expected)
+            assert len(small._tables) == 1
+            assert small._table_bytes == one_table
+
+
+class TestRecoveryMemory:
+    def test_warm_fleet_recovery_is_linear_in_the_cohort(self, large_fusion):
+        """A warm 4096-instance ``recover_fleet`` on counters-8 (top=6561)
+        peaks under a tenth of a ``(4096, |top|)`` int16 vote matrix, and
+        16 sampled columns equal the oracle's."""
+        fusion = large_fusion
+        oracle, batch = _engines(fusion)
+        names = batch.machine_names
+        cohort = 4096
+        vote_bytes = cohort * batch.top.num_states * np.dtype(np.int16).itemsize
+        rng = np.random.default_rng(17)
+        with VectorizedRuntime(fusion.all_machines, cohort, workers=1) as runtime:
+            events = rng.integers(0, len(runtime.alphabet), size=(30, cohort))
+            runtime.apply_event_matrix(events)
+            truth = runtime.report_matrix()
+            for _ in range(2):  # the first pass builds the table
+                runtime.crash_instances(0)
+                runtime.crash_instances(9)
+                reported = runtime.report_matrix()
+                tracemalloc.start()
+                outcome = recover_fleet(runtime, batch, expected_max_faults=2)
+                peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+            assert peak < vote_bytes / 10
+            assert np.array_equal(runtime.report_matrix(), truth)
+        for b in rng.choice(cohort, 16, replace=False):
+            observations = _column_observations(fusion, names, reported, b)
+            single = oracle.recover(observations, expected_max_faults=2)
+            _column_matches(single, outcome, b, fusion, names)
